@@ -23,13 +23,12 @@ from .curves import (
     read_curve_csv,
     curvature_bound_report,
 )
-from .qsqrt3 import ONE, SQRT3 as QSQRT3, ZERO, QSqrt3, Rational
+from .qsqrt3 import ONE, SQRT3 as QSQRT3, ZERO, QSqrt3
 from .shape_space import (
     EQUILATERAL_TANGENT,
     INTERIOR,
     ISOSCELES_LIMIT,
     TANGENT_ANGLE,
-    TANGENT_SINE,
     TANGENT_SLOPE,
     HalfDisk,
     ShapeCircle,
@@ -55,7 +54,6 @@ from .sweeps import (
 )
 from .vectors import (
     COLLINEAR_RTOL,
-    SpanFrame,
     inner,
     norm,
     perp_rotate,
@@ -69,6 +67,7 @@ from .weitzenboeck import (
     area_heron,
     defect_explicit,
     defect_intrinsic,
+    identity_batch,
     lhs_sum,
     triangle_defect,
     triangle_to_vectors,

@@ -38,16 +38,23 @@ from .weitzenboeck import Triangle, triangle_to_vectors, verify_identity
 
 _TOL_ENV = "WKIT_TOL"
 
+#: Most curve samples one --t range may ask for; checked on the computed
+#: count before anything is allocated.
+MAX_CURVE_SAMPLES = 10**6
+
 
 def _default_tol() -> float:
     return float(os.environ.get(_TOL_ENV, "1e-9"))
 
 
+def _positive(value: float, name: str) -> float:
+    if not (0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 def _resolve_tol(args) -> float:
-    tol = args.tol if args.tol is not None else _default_tol()
-    if not (tol > 0):
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    return tol
+    return _positive(args.tol if args.tol is not None else _default_tol(), "tolerance")
 
 
 def _fmt(value) -> str:
@@ -87,19 +94,16 @@ def cmd_defect(args) -> int:
         u = _parse_vector(args.vectors[0])
         v = _parse_vector(args.vectors[1])
     rep = verify_identity(u, v, tol)
-    _emit_pairs(
-        [
-            ("lhs", rep.lhs),
-            ("wedge_term", rep.wedge_term),
-            ("defect_intrinsic", rep.defect_intrinsic),
-            ("defect_explicit", rep.defect_explicit),
-            ("residual", rep.residual),
-            ("equality", rep.equality_case),
-        ],
-        args.format,
-        sys.stdout,
-    )
-    return 0
+    values = [
+        ("lhs", rep.lhs),
+        ("wedge_term", rep.wedge_term),
+        ("defect_intrinsic", rep.defect_intrinsic),
+        ("defect_explicit", rep.defect_explicit),
+        ("residual", rep.residual),
+    ]
+    _emit_pairs(values + [("equality", rep.equality_case)], args.format, sys.stdout)
+    finite = all(math.isfinite(x) for _, x in values)
+    return 0 if finite and abs(rep.residual) <= tol * max(1.0, rep.lhs) else 1
 
 
 def cmd_sweep(args) -> int:
@@ -170,50 +174,52 @@ def _parse_trange(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"bad range {text!r}: expected START:STOP:STEP")
     start, stop, step = (float(x) for x in parts)
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError(f"bad range {text!r}: START, STOP and STEP must be finite")
     if step <= 0 or stop < start:
         raise ValueError(f"bad range {text!r}: need step > 0 and stop >= start")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9
+    if not steps < MAX_CURVE_SAMPLES:
+        raise ValueError(f"bad range {text!r}: more than {MAX_CURVE_SAMPLES} samples")
+    n = int(math.floor(steps)) + 1
     return [start + k * step for k in range(n)]
 
 
 def cmd_curve(args) -> int:
     tol = _resolve_tol(args)
+    default_unit_tol = SAMPLED_SPEED_TOL if args.builtin is None else ANALYTIC_SPEED_TOL
+    unit_tol = _positive(
+        args.unit_tol if args.unit_tol is not None else default_unit_tol, "unit-speed tolerance"
+    )
     if args.builtin is not None:
         if args.t is None:
             raise ValueError("--builtin needs --t START:STOP:STEP")
-        jets = [builtin_curve(args.builtin, t) for t in _parse_trange(args.t)]
-        unit_tol = args.unit_tol if args.unit_tol is not None else ANALYTIC_SPEED_TOL
+        jet = builtin_curve(args.builtin, _parse_trange(args.t))
     else:
         with open(args.input, encoding="utf-8") as fh:
             ts, pos = read_curve_csv(fh)
-        unit_tol = args.unit_tol if args.unit_tol is not None else SAMPLED_SPEED_TOL
-        jets = []
-        for i in range(1, len(ts) - 1):
-            jet = jet_from_samples(ts, pos, i)
-            if jet.unit_speed_residual > unit_tol:
-                print(
-                    f"error: unit-speed violated at row {i}: "
-                    f"| |d1| - 1 | = {jet.unit_speed_residual!r} > {unit_tol!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            jets.append(jet)
+        jet = jet_from_samples(ts, pos, range(1, len(ts) - 1))
+        slow = jet.unit_speed_residual > unit_tol
+        if slow.any():
+            i = int(slow.argmax())
+            print(
+                f"error: unit-speed violated at row {i + 1}: "
+                f"| |d1| - 1 | = {jet.unit_speed_residual[i].item()!r} > {unit_tol!r}",
+                file=sys.stderr,
+            )
+            return 2
 
-    reports = [(jet.t, curvature_bound_report(jet, unit_tol)) for jet in jets]
-    max_residual = max(abs(rep.residual) for _, rep in reports)
+    rep = curvature_bound_report(jet, unit_tol)
+    max_residual = abs(rep.residual).max().item()
     # The identity's constant term assumes |d1| = 1 exactly, so it can only
     # be checked down to the unit-speed slack of the data itself.
-    budget = tol + 3.0 * max(jet.unit_speed_residual for jet in jets)
-    violations = sum(
-        1 for _, rep in reports if 2.0 * math.sqrt(3.0) * rep.curvature > rep.rhs_bound + budget
-    )
+    budget = tol + 3.0 * jet.unit_speed_residual.max().item()
+    violations = int((2.0 * math.sqrt(3.0) * rep.curvature > rep.rhs_bound + budget).sum())
     clean = max_residual <= budget and violations == 0
 
     header = ["t", "curvature", "rhs_bound", "defect", "residual"]
-    rows = [
-        [t, rep.curvature, rep.rhs_bound, rep.defect, rep.residual]
-        for t, rep in reports
-    ]
+    columns = (jet.t, rep.curvature, rep.rhs_bound, rep.defect, rep.residual)
+    rows = list(zip(*(c.tolist() for c in columns)))
     summary = [
         ("samples", len(rows)),
         ("max_abs_residual", max_residual),

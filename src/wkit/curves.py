@@ -9,7 +9,8 @@ where R rotates by pi/3 in the plane of r' and r'', oriented from r'' to
 r'. The last term is the nonnegative defect, so 2*sqrt(3)*K never exceeds
 1 + |r''|^2 + |r' - r''|^2, with equality iff |r''| = |r' - r''| = 1.
 
-Jets (first and second derivative at a parameter) come from three sources:
+Jets (first and second derivative at a parameter, or stacked over an
+array of parameters) come from three sources:
 closed-form circles, helices and lines (exactly unit-speed by
 construction), central differences over uniformly sampled positions, or
 the caller directly.
@@ -23,8 +24,8 @@ from typing import TextIO
 
 import numpy as np
 
-from .vectors import SQRT3
-from .weitzenboeck import defect_explicit
+from .vectors import SQRT3, _item, wedge
+from .weitzenboeck import identity_batch
 
 #: Default unit-speed tolerance for finite-difference jets; analytic jets
 #: should be held to ~1e-12 instead.
@@ -34,8 +35,8 @@ ANALYTIC_SPEED_TOL = 1e-12
 
 def _as_vec3(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
+    if arr.ndim not in (1, 2) or arr.shape[-1] != 3:
+        raise ValueError(f"{name} must be a 3-vector or an (n, 3) stack, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} has non-finite coordinates")
     return arr
@@ -43,88 +44,100 @@ def _as_vec3(x, name: str) -> np.ndarray:
 
 @dataclass
 class CurveJet:
-    """First and second derivative of a curve at one parameter value.
+    """First and second derivative of a curve at one or more parameter values.
 
-    ``unit_speed_residual`` = | |d1| - 1 | is computed on construction and
-    stored; the curvature operations check it against their tolerance, the
-    constructor does not.
+    A jet at one t holds a float t and 3-vectors d1, d2; a stacked jet holds
+    n values of t and (n, 3) stacks, one row per t. ``unit_speed_residual``
+    = | |d1| - 1 | (per row) is computed on construction and stored; the
+    curvature operations check it against their tolerance, the constructor
+    does not.
     """
 
-    t: float
+    t: float | np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    unit_speed_residual: float = field(init=False)
+    unit_speed_residual: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.d1 = _as_vec3(self.d1, "d1")
         self.d2 = _as_vec3(self.d2, "d2")
-        self.unit_speed_residual = abs(math.sqrt(float(self.d1 @ self.d1)) - 1.0)
-
-
-def _require_unit_speed(jet: CurveJet, tol: float) -> None:
-    if jet.unit_speed_residual > tol:
-        raise ValueError(
-            f"unit-speed violated at t={jet.t!r}: "
-            f"| |d1| - 1 | = {jet.unit_speed_residual!r} > {tol!r}"
+        self.t = _item(np.asarray(self.t, dtype=float))
+        if self.d2.shape != self.d1.shape or np.shape(self.t) != self.d1.shape[:-1]:
+            raise ValueError(
+                f"jet shapes disagree: t {np.shape(self.t)}, d1 {self.d1.shape}, d2 {self.d2.shape}"
+            )
+        self.unit_speed_residual = _item(
+            np.abs(np.sqrt(np.einsum("...j,...j->...", self.d1, self.d1)) - 1.0)
         )
 
 
-def curvature(jet: CurveJet, tol: float = SAMPLED_SPEED_TOL) -> float:
-    """Curvature K = |d1 x d2| of a unit-speed jet.
+def _require_unit_speed(jet: CurveJet, tol: float) -> None:
+    bad = np.flatnonzero(np.asarray(jet.unit_speed_residual) > tol)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"unit-speed violated at t={np.ravel(jet.t)[i].item()!r}: "
+            f"| |d1| - 1 | = {np.ravel(jet.unit_speed_residual)[i].item()!r} > {tol!r}"
+        )
 
-    Valid only at unit speed (otherwise the cross product would need the
-    |d1|^3 denominator); jets beyond ``tol`` are rejected.
+
+def curvature(jet: CurveJet, tol: float = SAMPLED_SPEED_TOL):
+    """Curvature K = |d1 ^ d2| of a unit-speed jet, per row.
+
+    Valid only at unit speed (otherwise the wedge would need the |d1|^3
+    denominator); jets beyond ``tol`` are rejected.
     """
     _require_unit_speed(jet, tol)
-    c = np.cross(jet.d1, jet.d2)
-    return math.sqrt(float(c @ c))
+    return wedge(jet.d1, jet.d2)
 
 
 @dataclass(frozen=True)
 class CurvatureBoundReport:
-    """Curvature bound bookkeeping at one parameter value.
+    """Curvature bound bookkeeping of a jet, per row.
 
     ``defect`` is the explicit rotation term 2*|d1 - R(d2)|^2 and
     ``residual`` = 2*sqrt(3)*curvature - rhs_bound + defect compares it
     against the intrinsic value rhs_bound - 2*sqrt(3)*curvature; the two
     are computed along independent paths and the residual should vanish to
-    rounding.
+    rounding. Fields are floats for a jet at one t and arrays for a stacked
+    jet.
     """
 
-    curvature: float
-    rhs_bound: float
-    defect: float
-    residual: float
+    curvature: float | np.ndarray
+    rhs_bound: float | np.ndarray
+    defect: float | np.ndarray
+    residual: float | np.ndarray
 
     @property
-    def defect_intrinsic(self) -> float:
+    def defect_intrinsic(self):
         return self.rhs_bound - 2.0 * SQRT3 * self.curvature
 
 
 def curvature_bound_report(jet: CurveJet, tol: float = SAMPLED_SPEED_TOL) -> CurvatureBoundReport:
-    """Evaluate the curvature identity and bound for one jet.
+    """Evaluate the curvature identity and bound for a jet in one kernel call.
 
     The rotation acts on d2 in the plane span(d1, d2) oriented from d2 to
     d1. That orientation equals the one from d1 to -d2, and R(d2) =
     -R'(-d2) for the same-angle rotation R', so the explicit term
-    2*|d1 - R(d2)|^2 is exactly ``defect_explicit(d1, -d2)``.
+    2*|d1 - R(d2)|^2 is exactly the explicit defect of the pair (d1, -d2),
+    whose wedge is the curvature.
     """
     _require_unit_speed(jet, tol)
-    k = curvature(jet, tol)
     d1, d2 = jet.d1, jet.d2
+    _, k, _, defect, _ = identity_batch(np.atleast_2d(d1), -np.atleast_2d(d2))
+    k, defect = k.reshape(d1.shape[:-1]), defect.reshape(d1.shape[:-1])
     diff = d1 - d2
-    rhs_bound = 1.0 + float(d2 @ d2) + float(diff @ diff)
-    defect = defect_explicit(d1, -d2)
+    rhs_bound = 1.0 + np.einsum("...j,...j->...", d2, d2) + np.einsum("...j,...j->...", diff, diff)
     return CurvatureBoundReport(
-        curvature=k,
-        rhs_bound=rhs_bound,
-        defect=defect,
-        residual=2.0 * SQRT3 * k - rhs_bound + defect,
+        curvature=_item(k),
+        rhs_bound=_item(rhs_bound),
+        defect=_item(defect),
+        residual=_item(2.0 * SQRT3 * k - rhs_bound + defect),
     )
 
 
 # ---------------------------------------------------------------------------
-# Closed-form unit-speed curves.
+# Closed-form unit-speed curves. The jets take a float t or an array of t.
 
 def circle_position(radius: float, t: float) -> np.ndarray:
     """Point of the unit-speed circle (R cos(t/R), R sin(t/R), 0)."""
@@ -137,13 +150,14 @@ def circle_position(radius: float, t: float) -> np.ndarray:
     ])
 
 
-def circle_jet(radius: float, t: float) -> CurveJet:
+def circle_jet(radius: float, t) -> CurveJet:
     """Exact jet of the unit-speed circle; K = 1/radius."""
     if not (radius > 0):
         raise ValueError("circle needs radius > 0")
-    a = t / radius
-    d1 = np.array([-math.sin(a), math.cos(a), 0.0])
-    d2 = np.array([-math.cos(a) / radius, -math.sin(a) / radius, 0.0])
+    a = np.asarray(t, dtype=float) / radius
+    zero = np.zeros_like(a)
+    d1 = np.stack([-np.sin(a), np.cos(a), zero], axis=-1)
+    d2 = np.stack([-np.cos(a) / radius, -np.sin(a) / radius, zero], axis=-1)
     return CurveJet(t=t, d1=d1, d2=d2)
 
 
@@ -153,11 +167,12 @@ def helix_position(a: float, b: float, t: float) -> np.ndarray:
     return np.array([a * math.cos(w * t), a * math.sin(w * t), b * w * t])
 
 
-def helix_jet(a: float, b: float, t: float) -> CurveJet:
+def helix_jet(a: float, b: float, t) -> CurveJet:
     """Exact jet of the unit-speed helix; K = a / (a^2 + b^2)."""
     w = _helix_rate(a, b)
-    d1 = np.array([-a * w * math.sin(w * t), a * w * math.cos(w * t), b * w])
-    d2 = np.array([-a * w * w * math.cos(w * t), -a * w * w * math.sin(w * t), 0.0])
+    wt = w * np.asarray(t, dtype=float)
+    d1 = np.stack([-a * w * np.sin(wt), a * w * np.cos(wt), np.full_like(wt, b * w)], axis=-1)
+    d2 = np.stack([-a * w * w * np.cos(wt), -a * w * w * np.sin(wt), np.zeros_like(wt)], axis=-1)
     return CurveJet(t=t, d1=d1, d2=d2)
 
 
@@ -173,14 +188,17 @@ def line_position(direction, t: float) -> np.ndarray:
     return t * d
 
 
-def line_jet(direction, t: float) -> CurveJet:
+def line_jet(direction, t) -> CurveJet:
     """Exact jet of a unit-speed line; K = 0, second derivative zero."""
     d = _unit_direction(direction)
-    return CurveJet(t=t, d1=d, d2=np.zeros(3))
+    d2 = np.zeros(np.shape(t) + (3,))
+    return CurveJet(t=t, d1=d2 + d, d2=d2)
 
 
 def _unit_direction(direction) -> np.ndarray:
     d = _as_vec3(direction, "direction")
+    if d.ndim != 1:
+        raise ValueError(f"line direction must be one 3-vector, got shape {d.shape}")
     if abs(math.sqrt(float(d @ d)) - 1.0) > 1e-9:
         raise ValueError(f"line direction must be a unit vector, got |d| = {math.sqrt(float(d @ d))!r}")
     return d
@@ -212,8 +230,8 @@ def parse_curve_spec(spec: str):
     raise ValueError(f"unknown curve kind {kind!r} (expected circle, helix, or line)")
 
 
-def builtin_curve(spec: str, t: float) -> CurveJet:
-    """Jet of a builtin curve at parameter t, e.g. spec ``circle:2``."""
+def builtin_curve(spec: str, t) -> CurveJet:
+    """Jet of a builtin curve at parameter t (a float or an array), e.g. spec ``circle:2``."""
     kind, params = parse_curve_spec(spec)
     if kind == "circle":
         return circle_jet(params[0], t)
@@ -235,11 +253,12 @@ def builtin_position(spec: str, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Finite-difference jets from sampled positions.
 
-def jet_from_samples(ts, positions, i: int) -> CurveJet:
+def jet_from_samples(ts, positions, i) -> CurveJet:
     """Central-difference jet at interior sample i of a uniform grid.
 
     d1 ~ (p[i+1] - p[i-1]) / (2h) and d2 ~ (p[i+1] - 2 p[i] + p[i-1]) / h^2,
-    both O(h^2) accurate. Needs at least 3 samples, spacing uniform to
+    both O(h^2) accurate. ``i`` is one index or an array of indices, which
+    gives a stacked jet. Needs at least 3 samples, spacing uniform to
     1e-9 relative, and 1 <= i <= len - 2. The unit-speed residual is
     recorded on the jet, not enforced here.
     """
@@ -256,11 +275,13 @@ def jet_from_samples(ts, positions, i: int) -> CurveJet:
     h = float(steps[0])
     if float(np.max(np.abs(steps - h))) > 1e-9 * h:
         raise ValueError("sample spacing must be uniform to 1e-9 relative")
-    if not (1 <= i <= n - 2):
-        raise ValueError(f"index {i} has no two neighbours in 0..{n - 1}")
+    i = np.asarray(i)
+    outside = i[(i < 1) | (i > n - 2)]
+    if outside.size:
+        raise ValueError(f"index {outside.flat[0]} has no two neighbours in 0..{n - 1}")
     d1 = (pos[i + 1] - pos[i - 1]) / (2.0 * h)
     d2 = (pos[i + 1] - 2.0 * pos[i] + pos[i - 1]) / (h * h)
-    return CurveJet(t=float(ts[i]), d1=d1, d2=d2)
+    return CurveJet(t=ts[i], d1=d1, d2=d2)
 
 
 def read_curve_csv(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:

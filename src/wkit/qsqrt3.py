@@ -13,11 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-#: Rational scalar type used for the exact coefficients. ``Fraction`` keeps
-#: arbitrary-precision integers and reduces to canonical form (positive
-#: denominator, gcd 1) after every operation.
-Rational = Fraction
-
 _RationalLike = int | Fraction | str
 
 
@@ -45,10 +40,6 @@ class QSqrt3:
     def b(self) -> Fraction:
         """Root part (coefficient of sqrt(3))."""
         return self._b
-
-    @classmethod
-    def from_rational(cls, x: _RationalLike) -> "QSqrt3":
-        return cls(x, 0)
 
     def __repr__(self) -> str:
         return f"QSqrt3({self._a!r}, {self._b!r})"

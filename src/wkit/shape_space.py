@@ -30,9 +30,6 @@ TANGENT_SLOPE = 1.0 / math.sqrt(3.0)
 #: Angle of that line above the horizontal axis.
 TANGENT_ANGLE = math.pi / 6.0
 
-#: Its sine: (s/2) / s.
-TANGENT_SINE = 0.5
-
 INTERIOR = "interior"
 ISOSCELES_LIMIT = "isosceles_limit"
 EQUILATERAL_TANGENT = "equilateral_tangent"
@@ -59,13 +56,14 @@ class HalfDisk:
     """Half-disk of triangles with fixed s = a^2 + b^2: center (s, 0), radius s/2."""
 
     center_x: float
-    radius: float
 
     def __post_init__(self):
         if not (self.center_x > 0):
             raise ValueError("half-disk needs s > 0")
-        if self.radius != self.center_x / 2.0:
-            raise ValueError("half-disk radius must be exactly center_x / 2")
+
+    @property
+    def radius(self) -> float:
+        return self.center_x / 2.0
 
     @property
     def s(self) -> float:
@@ -74,7 +72,7 @@ class HalfDisk:
 
 def halfdisk(s: float) -> HalfDisk:
     """Half-disk for a given s = a^2 + b^2."""
-    return HalfDisk(center_x=s, radius=s / 2.0)
+    return HalfDisk(center_x=s)
 
 
 def shape_point(t: Triangle) -> ShapePoint:

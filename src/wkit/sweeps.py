@@ -17,8 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .vectors import SQRT3, batch_conormal, batch_wedge
-from .weitzenboeck import Triangle, verify_exact
+from .weitzenboeck import Triangle, identity_batch, verify_exact
 
 _STRESS_PERIOD = 100
 _STRESS_EPS = (1e-6, 1e-9)
@@ -69,21 +68,6 @@ class SweepResult:
         )
 
 
-def _evaluate_batch(U: np.ndarray, V: np.ndarray):
-    uu = np.einsum("ij,ij->i", U, U)
-    vv = np.einsum("ij,ij->i", V, V)
-    uv = np.einsum("ij,ij->i", U, V)
-    s = U + V
-    lhs = uu + vv + np.einsum("ij,ij->i", s, s)
-    w = batch_wedge(U, V)
-    d_int = 2.0 * (uu + vv + uv - SQRT3 * w)
-    conormal = batch_conormal(U, V)
-    x = U + 0.5 * V + (SQRT3 / 2.0) * conormal
-    d_exp = 2.0 * np.einsum("ij,ij->i", x, x)
-    residual = lhs - 2.0 * SQRT3 * w - d_exp
-    return lhs, d_int, d_exp, residual
-
-
 def run_identity_sweep(count: int, seed: int = 0, tolerance: float = 1e-9) -> SweepResult:
     """Check the identity, defect nonnegativity, and path agreement on a sample."""
     pairs = random_pairs(count, seed)
@@ -100,7 +84,7 @@ def run_identity_sweep(count: int, seed: int = 0, tolerance: float = 1e-9) -> Sw
             chunk = idx[start:start + _BATCH_ROWS]
             U = np.stack([pairs[i][0] for i in chunk])
             V = np.stack([pairs[i][1] for i in chunk])
-            lhs, d_int, d_exp, residual = _evaluate_batch(U, V)
+            lhs, _, d_int, d_exp, residual = identity_batch(U, V)
             denom = np.maximum(1.0, lhs)
             max_res = max(max_res, float(np.max(np.abs(residual) / denom)))
             max_neg = max(max_neg, float(np.max(-d_int / denom)))

@@ -5,12 +5,15 @@ they span, equal to sqrt(|u|^2 |v|^2 - <u,v>^2). The two rotations that the
 defect identity needs both act inside span(u, v), oriented from u to v:
 the quarter turn applied to v (the "conormal") and the sixth turn
 R(v) = v/2 + (sqrt(3)/2) * conormal.
+
+Every function takes one pair of vectors of shape (d,) or two matching
+stacks of shape (..., d) and works row by row over the leading axes. A
+per-pair result is a Python scalar for one pair and an array for stacks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,35 +26,37 @@ SQRT3 = math.sqrt(3.0)
 COLLINEAR_RTOL = 1e-12
 
 
-def _as_vector(u) -> np.ndarray:
-    arr = np.asarray(u, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError(f"expected a vector of dimension >= 2, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector has non-finite coordinates")
-    return arr
-
-
 def _check_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
-    u = _as_vector(u)
-    v = _as_vector(v)
-    if u.size != v.size:
-        raise ValueError(f"dimension mismatch: {u.size} vs {v.size}")
+    """Validate two matching stacks of shape (..., d), d >= 2, finite."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape != v.shape or u.ndim == 0 or u.shape[-1] < 2:
+        raise ValueError(
+            f"expected matching vectors of dimension >= 2, got shapes {u.shape} and {v.shape}"
+        )
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise ValueError("vector has non-finite coordinates")
     return u, v
 
 
-def inner(u, v) -> float:
+def _item(x):
+    """A Python scalar for one pair's 0-d result, the array itself for stacks."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def inner(u, v):
     """Standard dot product <u, v>."""
     u, v = _check_pair(u, v)
-    return float(u @ v)
+    return _item(np.einsum("...j,...j->...", u, v))
 
 
-def norm(u) -> float:
-    u = _as_vector(u)
-    return math.sqrt(float(u @ u))
+def norm(u):
+    """Euclidean length |u|."""
+    u, _ = _check_pair(u, u)
+    return _item(np.sqrt(np.einsum("...j,...j->...", u, u)))
 
 
-def wedge(u, v) -> float:
+def wedge(u, v):
     """Nonnegative wedge |u ^ v| = sqrt(|u|^2 |v|^2 - <u,v>^2).
 
     Evaluated as the root of the Lagrange expansion
@@ -61,34 +66,17 @@ def wedge(u, v) -> float:
     the Gram form |u|^2|v|^2 - <u,v>^2 cancels catastrophically.
     """
     u, v = _check_pair(u, v)
-    g = np.outer(u, v)
-    g = g - g.T
-    return math.sqrt(float(np.sum(g * g)) / 2.0)
+    g = u[..., :, None] * v[..., None, :]
+    g -= np.swapaxes(g, -1, -2)
+    return _item(np.sqrt(np.einsum("...jk,...jk->...", g, g) / 2.0))
 
 
-def wedge_signed(u, v) -> float:
+def wedge_signed(u, v):
     """Signed 2D determinant u_1 v_2 - u_2 v_1 (dimension exactly 2)."""
     u, v = _check_pair(u, v)
-    if u.size != 2:
+    if u.shape[-1] != 2:
         raise ValueError("wedge_signed is defined for dimension 2 only")
-    return float(u[0] * v[1] - u[1] * v[0])
-
-
-@dataclass(eq=False)
-class SpanFrame:
-    """Quarter-turn frame inside span(u, v), oriented from u to v.
-
-    ``conormal`` is v rotated by pi/2: it has |conormal| = |anchor|,
-    <conormal, anchor> = 0 and, in the non-degenerate case,
-    <u, conormal> = -(u ^ v). When u and v are collinear the plane is not
-    determined; ``degenerate`` is set and the conormal is a deterministic
-    perpendicular of the same length (any choice is valid there since the
-    wedge vanishes and u has no component along the conormal).
-    """
-
-    anchor: np.ndarray
-    conormal: np.ndarray
-    degenerate: bool
+    return _item(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
 
 
 def _fallback_conormal(v: np.ndarray) -> np.ndarray:
@@ -104,28 +92,33 @@ def _fallback_conormal(v: np.ndarray) -> np.ndarray:
     raise AssertionError("no basis vector separated from v")
 
 
-def perp_rotate(u, v) -> SpanFrame:
+def perp_rotate(u, v):
     """Rotate v by pi/2 in the plane span(u, v) oriented from u to v.
 
-    The conormal is c = -(|v|/|w|) w with w the component of u orthogonal
-    to v, so that <u, c> = -|v||w| = -(u ^ v). The projection w is computed
-    with compensated arithmetic: its direction is what the defect
+    Returns ``(conormal, degenerate)``. The conormal is c = -(|v|/|w|) w
+    with w the component of u orthogonal to v, so that |c| = |v|,
+    <c, v> = 0 and <u, c> = -|v||w| = -(u ^ v). The projection w is
+    computed with compensated arithmetic: its direction is what the defect
     construction consumes, and for nearly collinear pairs plain float64
     loses it entirely.
 
     Raises ValueError if v = 0. If u and v are collinear (including u = 0)
-    the deterministic fallback conormal is used and the frame is flagged
-    degenerate.
+    the plane is not determined: ``degenerate`` is set and the conormal is a
+    deterministic perpendicular of length |v| (any choice is valid there,
+    since the wedge vanishes and u has no component along it).
     """
     u, v = _check_pair(u, v)
-    nv = math.sqrt(float(v @ v))
-    if nv == 0.0:
+    nv = np.sqrt(np.einsum("...j,...j->...", v, v))
+    if np.any(nv == 0.0):
         raise ValueError("cannot orient a plane around v = 0")
     w = projection_residual(u, v)
-    nw = math.sqrt(float(w @ w))
-    if nw <= COLLINEAR_RTOL * math.sqrt(float(u @ u)):
-        return SpanFrame(anchor=v.copy(), conormal=_fallback_conormal(v), degenerate=True)
-    return SpanFrame(anchor=v.copy(), conormal=(-nv / nw) * w, degenerate=False)
+    nw = np.sqrt(np.einsum("...j,...j->...", w, w))
+    nu = np.sqrt(np.einsum("...j,...j->...", u, u))
+    degenerate = nw <= COLLINEAR_RTOL * nu
+    c = -(nv / np.where(degenerate, 1.0, nw))[..., None] * w
+    for i in map(tuple, np.argwhere(degenerate)):
+        c[i] = _fallback_conormal(v[i])
+    return c, _item(degenerate)
 
 
 def rotate_pi3(u, v) -> np.ndarray:
@@ -134,40 +127,6 @@ def rotate_pi3(u, v) -> np.ndarray:
     R(v) = v/2 + (sqrt(3)/2) * conormal; an isometry of the span, so
     |R(v)| = |v|.
     """
-    frame = perp_rotate(u, v)
-    return 0.5 * frame.anchor + (SQRT3 / 2.0) * frame.conormal
-
-
-def _batch_check(U, V) -> tuple[np.ndarray, np.ndarray]:
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if U.shape != V.shape or U.ndim != 2 or U.shape[1] < 2:
-        raise ValueError(f"expected matching (m, d>=2) stacks, got {U.shape} and {V.shape}")
-    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
-        raise ValueError("batch has non-finite coordinates")
-    return U, V
-
-
-def batch_wedge(U, V) -> np.ndarray:
-    """Row-wise wedge of two (m, d) stacks, same evaluation as ``wedge``."""
-    U, V = _batch_check(U, V)
-    g = U[:, :, None] * V[:, None, :]
-    g -= np.swapaxes(g, 1, 2)
-    return np.sqrt(np.einsum("ijk,ijk->i", g, g) / 2.0)
-
-
-def batch_conormal(U, V) -> np.ndarray:
-    """Row-wise pi/2 conormal of two (m, d) stacks, same frames as ``perp_rotate``."""
-    U, V = _batch_check(U, V)
-    nv = np.sqrt(np.einsum("ij,ij->i", V, V))
-    if np.any(nv == 0.0):
-        raise ValueError("cannot orient a plane around v = 0")
-    W = projection_residual(U, V)
-    nw = np.sqrt(np.einsum("ij,ij->i", W, W))
-    nu = np.sqrt(np.einsum("ij,ij->i", U, U))
-    degenerate = nw <= COLLINEAR_RTOL * nu
-    safe_nw = np.where(degenerate, 1.0, nw)
-    C = -(nv / safe_nw)[:, None] * W
-    for i in np.nonzero(degenerate)[0]:
-        C[i] = _fallback_conormal(V[i])
-    return C
+    u, v = _check_pair(u, v)
+    c, _ = perp_rotate(u, v)
+    return 0.5 * v + (SQRT3 / 2.0) * c

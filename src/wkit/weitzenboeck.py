@@ -9,12 +9,14 @@ right-most term is the nonnegative defect: it measures how far the triangle
 with edge vectors u, v is from equilateral, and vanishes exactly when
 u = -R(v), i.e. when |u| = |v| = |u+v|.
 
-Two deliberately independent evaluations of the defect are provided:
+``identity_batch`` is the one float evaluation: it works on (m, d) row
+stacks, and the single-pair functions below are one-row calls of it. It
+computes the defect along two deliberately independent paths:
 
 * ``defect_intrinsic`` - the closed coordinate-free formula
   2*(|u|^2 + |v|^2 + <u,v> - sqrt(3)*(u ^ v)), no rotation constructed;
 * ``defect_explicit``  - literally 2*|u + R(v)|^2 with the rotation built
-  from the quarter-turn frame.
+  from the quarter-turn conormal.
 
 Each serves as the numerical oracle for the other. ``verify_exact`` closes
 the loop symbolically: for planar rational inputs the whole identity is
@@ -33,14 +35,49 @@ from fractions import Fraction
 import numpy as np
 
 from .qsqrt3 import QSqrt3
-from .vectors import SQRT3, _check_pair, rotate_pi3, wedge
+from .vectors import SQRT3, _check_pair, perp_rotate, wedge
+
+
+def identity_batch(U, V):
+    """Evaluate the identity row by row on two (m, d) stacks.
+
+    Returns the arrays ``(lhs, wedge, defect_intrinsic, defect_explicit,
+    residual)``, one entry per row, with residual = lhs - 2*sqrt(3)*wedge -
+    defect_explicit. The two defects are computed independently of each
+    other, so each is the other's oracle. A row with v = 0 has no plane to
+    turn in; there R(0) = 0 and its explicit defect is 2*|u|^2.
+    """
+    U, V = _check_pair(U, V)
+    if U.ndim != 2:
+        raise ValueError(f"expected (m, d) row stacks, got shape {U.shape}")
+    uu = np.einsum("ij,ij->i", U, U)
+    vv = np.einsum("ij,ij->i", V, V)
+    uv = np.einsum("ij,ij->i", U, V)
+    s = U + V
+    lhs = uu + vv + np.einsum("ij,ij->i", s, s)
+    w = wedge(U, V)
+    d_int = 2.0 * (uu + vv + uv - SQRT3 * w)
+    live = vv > 0.0
+    if live.all():
+        conormal, _ = perp_rotate(U, V)
+    else:
+        conormal = np.zeros_like(V)
+        conormal[live], _ = perp_rotate(U[live], V[live])
+    x = U + 0.5 * V + (SQRT3 / 2.0) * conormal
+    d_exp = 2.0 * np.einsum("ij,ij->i", x, x)
+    residual = lhs - 2.0 * SQRT3 * w - d_exp
+    return lhs, w, d_int, d_exp, residual
+
+
+def _one_pair(u, v) -> list[float]:
+    """``identity_batch`` on the single pair (u, v), as Python floats."""
+    rows = identity_batch(np.asarray(u, dtype=float)[None], np.asarray(v, dtype=float)[None])
+    return [float(x[0]) for x in rows]
 
 
 def lhs_sum(u, v) -> float:
     """|u|^2 + |v|^2 + |u+v|^2."""
-    u, v = _check_pair(u, v)
-    s = u + v
-    return float(u @ u) + float(v @ v) + float(s @ s)
+    return _one_pair(u, v)[0]
 
 
 def defect_intrinsic(u, v) -> float:
@@ -49,8 +86,7 @@ def defect_intrinsic(u, v) -> float:
     Coordinate-free; no rotation is constructed. Nonnegative up to rounding
     (that nonnegativity *is* the Weitzenbock inequality).
     """
-    u, v = _check_pair(u, v)
-    return 2.0 * (float(u @ u) + float(v @ v) + float(u @ v) - SQRT3 * wedge(u, v))
+    return _one_pair(u, v)[2]
 
 
 def defect_explicit(u, v) -> float:
@@ -59,11 +95,7 @@ def defect_explicit(u, v) -> float:
     For v = 0 the rotation frame is undefined but the limit is plain:
     R(0) = 0 and the defect is 2*|u|^2.
     """
-    u, v = _check_pair(u, v)
-    if float(v @ v) == 0.0:
-        return 2.0 * float(u @ u)
-    x = u + rotate_pi3(u, v)
-    return 2.0 * float(x @ x)
+    return _one_pair(u, v)[3]
 
 
 @dataclass(frozen=True)
@@ -85,17 +117,13 @@ class IdentityReport:
 
 def verify_identity(u, v, tol: float = 1e-9) -> IdentityReport:
     """Evaluate both sides of the identity for one float pair."""
-    u, v = _check_pair(u, v)
-    lhs = lhs_sum(u, v)
-    wedge_term = 2.0 * SQRT3 * wedge(u, v)
-    d_int = defect_intrinsic(u, v)
-    d_exp = defect_explicit(u, v)
+    lhs, w, d_int, d_exp, residual = _one_pair(u, v)
     return IdentityReport(
         lhs=lhs,
-        wedge_term=wedge_term,
+        wedge_term=2.0 * SQRT3 * w,
         defect_intrinsic=d_int,
         defect_explicit=d_exp,
-        residual=lhs - wedge_term - d_exp,
+        residual=residual,
         equality_case=d_exp <= tol * max(1.0, lhs),
     )
 

@@ -2,8 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from wkit import cli
 
 _ENV = {**os.environ, "PYTHONHASHSEED": "0"}
 
@@ -51,6 +54,18 @@ class TestDefect:
         lines = r.stdout.splitlines()
         assert lines[0].startswith("lhs,wedge_term,defect_intrinsic,defect_explicit")
         assert len(lines) == 2
+
+    def test_non_finite_result_fails(self):
+        r = run_cli("defect", "--vectors", "1e200,0", "0,1e200", "--format", "json")
+        assert r.returncode == 1
+        assert json.loads(r.stdout.replace("NaN", "null"))["residual"] is None
+
+    def test_residual_over_budget_fails(self):
+        args = ("defect", "--vectors", "0.1,0.7", "0.3,-0.9", "--format", "json")
+        r = run_cli(*args, "--tol", "1e-30")
+        assert r.returncode == 1
+        assert json.loads(r.stdout)["residual"] != 0.0
+        assert run_cli(*args).returncode == 0
 
     def test_bad_vector(self):
         r = run_cli("defect", "--vectors", "1,zap", "0,1")
@@ -191,6 +206,34 @@ class TestCurve:
         r = run_cli("curve", "--builtin", "circle:2")
         assert r.returncode == 2
 
+    # the last range is finite, but its span overflows
+    @pytest.mark.parametrize("trange", ["0:inf:1", "0:1:inf", "nan:1:0.1", "-1e308:1e308:1"])
+    def test_non_finite_range_rejected(self, trange):
+        r = run_cli("curve", "--builtin", "line", f"--t={trange}")
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: bad range")
+
+    def test_range_size_capped(self, monkeypatch):
+        # The cap applies to the computed count; no capped range is built.
+        monkeypatch.setattr(cli, "MAX_CURVE_SAMPLES", 10)
+        assert len(cli._parse_trange("0:9:1")) == 10
+        with pytest.raises(ValueError, match="more than 10 samples"):
+            cli._parse_trange("0:10:1")
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="more than"):
+            cli._parse_trange("0:1e9:1e-9")
+
+    def test_stacked_unit_speed_error_names_first_row(self, tmp_path):
+        path = tmp_path / "late.csv"
+        with open(path, "w") as fh:
+            fh.write("t,x,y,z\n")
+            for k in range(8):
+                x = k * 0.1 if k < 5 else 0.4 + (k - 4) * 0.3  # speed 3 from row 5 on
+                fh.write(f"{k*0.1},{x},0.0,0.0\n")
+        r = run_cli("curve", "--input", str(path))
+        assert r.returncode == 2
+        assert "unit-speed violated at row 4" in r.stderr
+
 
 class TestTolerancePlumbing:
     def test_env_var_override(self):
@@ -212,6 +255,15 @@ class TestTolerancePlumbing:
         assert r.returncode == 2
         assert "positive" in r.stderr
 
+    def test_infinite_tolerance_rejected(self):
+        r = run_cli("sweep", "--count", "10", "--tol", "inf")
+        assert r.returncode == 2
+        assert "finite" in r.stderr
+        r = run_cli("sweep", "--count", "10", env={**_ENV, "WKIT_TOL": "inf"})
+        assert r.returncode == 2
+        r = run_cli("curve", "--builtin", "line", "--t", "0:1:0.5", "--unit-tol", "inf")
+        assert r.returncode == 2
+
     def test_count_below_one_rejected(self):
         r = run_cli("sweep", "--count", "0")
         assert r.returncode == 2
@@ -225,3 +277,13 @@ def test_module_entry_point():
     )
     assert r.returncode == 0
     assert "defect_intrinsic" in r.stdout
+
+
+@pytest.mark.parametrize("demo", sorted(Path(__file__).resolve().parents[1].glob("demos/*.py")),
+                         ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**_ENV, "PYTHONPATH": os.pathsep.join(filter(None, [src, _ENV.get("PYTHONPATH")]))}
+    r = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                       cwd=tmp_path, env=env)
+    assert r.returncode == 0, r.stderr

@@ -90,15 +90,65 @@ class TestCurvature:
             curvature(j, 1e-6)
 
     def test_matches_wedge_of_derivatives(self):
-        from wkit.vectors import wedge
-
+        # curvature is the wedge; the cross product is the independent oracle
         rng = np.random.default_rng(3)
         for _ in range(100):
             d1 = rng.normal(size=3)
             d1 /= math.sqrt(float(d1 @ d1))
             d2 = rng.normal(size=3)
             j = CurveJet(t=0.0, d1=d1, d2=d2)
-            assert curvature(j, 1e-9) == pytest.approx(wedge(d1, d2), abs=1e-12)
+            c = np.cross(d1, d2)
+            assert curvature(j, 1e-9) == pytest.approx(math.sqrt(float(c @ c)), abs=1e-12)
+
+
+class TestStackedJets:
+    TS = np.linspace(-7.0, 7.0, 41)
+
+    @pytest.mark.parametrize("spec", ["circle:2", "helix:1:3", "line:0,0,1"])
+    def test_builtin_rows_match_single_jets(self, spec):
+        stacked = builtin_curve(spec, self.TS)
+        assert stacked.d1.shape == (41, 3) and stacked.t.tolist() == self.TS.tolist()
+        for k, t in enumerate(self.TS):
+            single = builtin_curve(spec, float(t))
+            assert isinstance(single.t, float) and single.d1.shape == (3,)
+            np.testing.assert_array_equal(stacked.d1[k], single.d1)
+            np.testing.assert_array_equal(stacked.d2[k], single.d2)
+            assert stacked.unit_speed_residual[k] == single.unit_speed_residual
+
+    def test_sliced_samples_match_single_indices(self):
+        ts = np.arange(0.0, 2.0, 0.01)
+        pos = np.stack([helix_position(1.0, 3.0, t) for t in ts])
+        idx = np.arange(1, len(ts) - 1)
+        stacked = jet_from_samples(ts, pos, idx)
+        for k, i in enumerate(idx):
+            single = jet_from_samples(ts, pos, int(i))
+            assert stacked.t[k] == single.t
+            np.testing.assert_array_equal(stacked.d1[k], single.d1)
+            np.testing.assert_array_equal(stacked.d2[k], single.d2)
+
+    def test_report_rows_match_single_reports(self):
+        stacked = curvature_bound_report(helix_jet(2.0, 1.0, self.TS), 1e-12)
+        for k, t in enumerate(self.TS):
+            single = curvature_bound_report(helix_jet(2.0, 1.0, float(t)), 1e-12)
+            assert isinstance(single.residual, float)
+            for name in ("curvature", "rhs_bound", "defect", "residual"):
+                assert getattr(stacked, name)[k] == pytest.approx(getattr(single, name), abs=1e-15)
+
+    def test_first_slow_row_reported(self):
+        d1 = [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]]
+        jet = CurveJet(t=[0.5, 1.5, 2.5], d1=d1, d2=np.zeros((3, 3)))
+        with pytest.raises(ValueError, match=r"t=1\.5: \| \|d1\| - 1 \| = 1\.0 >"):
+            curvature_bound_report(jet, 1e-6)
+
+    def test_index_outside_stack_rejected(self):
+        with pytest.raises(ValueError, match="index 3 has no two neighbours"):
+            jet_from_samples([0.0, 1.0, 2.0, 3.0], np.zeros((4, 3)), [1, 2, 3])
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match="jet shapes"):
+            CurveJet(t=0.0, d1=np.ones((2, 3)), d2=np.ones((2, 3)))
+        with pytest.raises(ValueError, match="jet shapes"):
+            CurveJet(t=[0.0, 1.0], d1=np.ones((2, 3)), d2=np.ones(3))
 
 
 class TestCurvatureBoundReport:

@@ -8,7 +8,6 @@ from wkit.shape_space import (
     INTERIOR,
     ISOSCELES_LIMIT,
     TANGENT_ANGLE,
-    TANGENT_SINE,
     HalfDisk,
     ShapeCircle,
     ShapePoint,
@@ -66,7 +65,8 @@ class TestCircle:
 
 class TestHalfDisk:
     def test_radius_tied_to_center(self):
-        with pytest.raises(ValueError):
+        assert halfdisk(2.0).radius == 1.0
+        with pytest.raises(TypeError):
             HalfDisk(center_x=2.0, radius=0.9)
         with pytest.raises(ValueError):
             halfdisk(-1.0)
@@ -99,7 +99,6 @@ class TestTangent:
     def test_slope_value(self):
         assert tangent_line_slope() == 0.5773502691896258
         assert TANGENT_ANGLE == pytest.approx(math.pi / 6, abs=0)
-        assert TANGENT_SINE == 0.5
 
     def test_equilateral_sits_on_the_line(self):
         p = shape_point(Triangle(1, 1, 1))

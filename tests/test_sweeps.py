@@ -1,4 +1,6 @@
 import numpy as np
+from mpmath import mp
+from test_vectors import near_collinear_pairs
 
 from wkit.sweeps import (
     random_pairs,
@@ -7,8 +9,8 @@ from wkit.sweeps import (
     run_exact_sweep,
     run_identity_sweep,
 )
-from wkit.vectors import batch_conormal, batch_wedge, perp_rotate, wedge
-from wkit.weitzenboeck import defect_explicit, defect_intrinsic, lhs_sum
+from wkit.vectors import perp_rotate, wedge
+from wkit.weitzenboeck import defect_explicit, defect_intrinsic, identity_batch, lhs_sum
 
 
 def test_generation_is_deterministic():
@@ -32,23 +34,58 @@ def test_stress_pairs_injected_at_one_percent():
         # non-stress pairs are generically far from collinear
 
 
+# A priori error bounds of the float kernel, in float64 eps, for d <= 8 and
+# set before the comparison was first run. The wedge sums d^2 rounded 2x2
+# determinants, each off by a few eps times |u||v|. The conormal is the
+# double-double projection rounded once per component, rescaled by two
+# rounded norms: a few eps times |v| per component. Each defect adds a
+# handful of rounded terms of size <= 2*lhs, and the explicit one squares a
+# vector of size <= |u| + |v| that carries the conormal's error.
+EPS = float(np.finfo(float).eps)
+WEDGE_EPS = 64  # times |u||v|
+CONORMAL_EPS = 64  # times |v|
+DEFECT_EPS = 512  # times lhs
+
+
+def _mp_reference(u, v):
+    """Wedge, conormal and both defects of one pair, evaluated at 60 digits."""
+    with mp.workdps(60):
+        u = [mp.mpf(float(x)) for x in u]
+        v = [mp.mpf(float(x)) for x in v]
+
+        def dot(a, b):
+            return mp.fsum(x * y for x, y in zip(a, b))
+
+        uu, vv, uv = dot(u, u), dot(v, v), dot(u, v)
+        wedge = mp.sqrt(uu * vv - uv * uv)  # the Gram form, exact enough at 60 digits
+        w = [x - uv / vv * y for x, y in zip(u, v)]
+        c = [-mp.sqrt(vv / dot(w, w)) * x for x in w]
+        s3 = mp.sqrt(3)
+        d_int = 2 * (uu + vv + uv - s3 * wedge)
+        x = [a + b / 2 + s3 / 2 * cc for a, b, cc in zip(u, v, c)]
+        return wedge, c, d_int, 2 * dot(x, x)
+
+
 def test_batch_kernels_match_per_pair_functions():
-    # same kernels, different reduction order: agreement to rounding noise
-    pairs = random_pairs(400, seed=7)
+    # The kernel's stacks against a per-pair mpmath evaluation, on the
+    # sweep's own sample and on near-collinear pairs.
+    pairs = random_pairs(400, seed=7) + list(near_collinear_pairs(200))
     by_dim = {}
     for u, v in pairs:
         by_dim.setdefault(u.size, []).append((u, v))
     for group in by_dim.values():
         U = np.stack([u for u, _ in group])
         V = np.stack([v for _, v in group])
-        bw = batch_wedge(U, V)
-        bc = batch_conormal(U, V)
+        lhs, w, d_int, d_exp, _ = identity_batch(U, V)
+        c, degenerate = perp_rotate(U, V)
+        assert not degenerate.any()
         for k, (u, v) in enumerate(group):
-            scale = max(1.0, float(np.linalg.norm(u)) * float(np.linalg.norm(v)))
-            assert abs(bw[k] - wedge(u, v)) <= 1e-13 * scale
-            np.testing.assert_allclose(
-                bc[k], perp_rotate(u, v).conormal, atol=1e-12 * scale
-            )
+            ref_w, ref_c, ref_int, ref_exp = _mp_reference(u, v)
+            nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+            assert abs(float(w[k]) - ref_w) <= WEDGE_EPS * EPS * nu * nv
+            assert max(abs(float(x) - y) for x, y in zip(c[k], ref_c)) <= CONORMAL_EPS * EPS * nv
+            assert abs(float(d_int[k]) - ref_int) <= DEFECT_EPS * EPS * lhs[k]
+            assert abs(float(d_exp[k]) - ref_exp) <= DEFECT_EPS * EPS * lhs[k]
 
 
 def test_sweep_matches_per_pair_reduction():

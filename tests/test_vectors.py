@@ -86,46 +86,61 @@ class TestWedge:
 
 class TestPerpRotate:
     def test_example_frame(self):
-        f = perp_rotate([1, 0], [0, 1])
-        assert not f.degenerate
-        np.testing.assert_allclose(f.conormal, [-1.0, 0.0], atol=1e-15)
+        c, degenerate = perp_rotate([1, 0], [0, 1])
+        assert degenerate is False
+        np.testing.assert_allclose(c, [-1.0, 0.0], atol=1e-15)
 
     def test_reversed_orientation(self):
         # <u, c> = -wedge = -1 forces c = (0, -1) here
-        f = perp_rotate([0, 1], [1, 0])
-        assert inner([0, 1], f.conormal) == pytest.approx(-1.0, abs=1e-15)
-        np.testing.assert_allclose(f.conormal, [0.0, -1.0], atol=1e-15)
+        c, _ = perp_rotate([0, 1], [1, 0])
+        assert inner([0, 1], c) == pytest.approx(-1.0, abs=1e-15)
+        np.testing.assert_allclose(c, [0.0, -1.0], atol=1e-15)
 
     def test_collinear_fallback(self):
-        f = perp_rotate([1, 0, 0], [2, 0, 0])
-        assert f.degenerate
-        np.testing.assert_allclose(f.conormal, [0.0, 2.0, 0.0], atol=0)
+        c, degenerate = perp_rotate([1, 0, 0], [2, 0, 0])
+        assert degenerate is True
+        np.testing.assert_allclose(c, [0.0, 2.0, 0.0], atol=0)
 
     def test_zero_u_is_degenerate(self):
-        f = perp_rotate([0, 0, 0], [0, 3, 0])
-        assert f.degenerate
-        assert norm(f.conormal) == pytest.approx(3.0, rel=1e-15)
-        assert inner(f.conormal, [0, 3, 0]) == pytest.approx(0.0, abs=1e-12)
+        c, degenerate = perp_rotate([0, 0, 0], [0, 3, 0])
+        assert degenerate
+        assert norm(c) == pytest.approx(3.0, rel=1e-15)
+        assert inner(c, [0, 3, 0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_v_rejected(self):
         with pytest.raises(ValueError):
             perp_rotate([1, 0], [0, 0])
+        # one zero row rejects the whole stack
+        with pytest.raises(ValueError):
+            perp_rotate([[1, 0], [1, 0]], [[0, 1], [0, 0]])
 
     def test_frame_invariants_random(self):
         for u, v in random_pairs(300, seed=7):
-            f = perp_rotate(u, v)
+            c, _ = perp_rotate(u, v)
             nv = norm(v)
-            assert norm(f.conormal) == pytest.approx(nv, rel=1e-12)
-            assert inner(f.conormal, v) == pytest.approx(0.0, abs=1e-12 * nv * nv)
+            assert norm(c) == pytest.approx(nv, rel=1e-12)
+            assert inner(c, v) == pytest.approx(0.0, abs=1e-12 * nv * nv)
             scale = norm(u) * nv
-            assert inner(u, f.conormal) == pytest.approx(-wedge(u, v), abs=1e-9 * max(1.0, scale))
+            assert inner(u, c) == pytest.approx(-wedge(u, v), abs=1e-9 * max(1.0, scale))
 
     def test_frame_invariants_near_collinear(self):
         # the regime that needs the compensated projection
         for u, v in near_collinear_pairs(200):
-            f = perp_rotate(u, v)
+            c, _ = perp_rotate(u, v)
             scale = norm(u) * norm(v)
-            assert inner(u, f.conormal) == pytest.approx(-wedge(u, v), abs=1e-11 * max(1.0, scale))
+            assert inner(u, c) == pytest.approx(-wedge(u, v), abs=1e-11 * max(1.0, scale))
+
+    def test_stack_matches_single_pairs(self):
+        # a stack runs the same elementwise arithmetic as its rows one by one
+        u = np.array([[1.0, 0.0, 0.0], [0.3, -1.2, 4.0], [0.0, 0.0, 0.0]])
+        v = np.array([[2.0, 0.0, 0.0], [1.5, 0.2, -0.7], [0.0, 3.0, 0.0]])
+        c, degenerate = perp_rotate(u, v)
+        assert degenerate.tolist() == [True, False, True]
+        for k in range(3):
+            ck, dk = perp_rotate(u[k], v[k])
+            np.testing.assert_array_equal(c[k], ck)
+            assert degenerate[k] == dk
+        assert wedge(u, v).tolist() == [wedge(a, b) for a, b in zip(u, v)]
 
 
 class TestRotatePi3:

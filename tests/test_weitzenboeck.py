@@ -13,6 +13,7 @@ from wkit.weitzenboeck import (
     area_heron,
     defect_explicit,
     defect_intrinsic,
+    identity_batch,
     lhs_sum,
     triangle_defect,
     triangle_to_vectors,
@@ -121,6 +122,42 @@ class TestVerifyIdentity:
             assert abs(rep.residual) < 1e-9 * scale
             assert abs(rep.defect_intrinsic - rep.defect_explicit) < 1e-9 * scale
             assert rep.defect_intrinsic >= -1e-9 * scale
+
+
+class TestIdentityBatch:
+    def test_rows_match_single_pairs(self):
+        rng = np.random.default_rng(41)
+        U = rng.uniform(-10, 10, (30, 4))
+        V = rng.uniform(-10, 10, (30, 4))
+        lhs, w, d_int, d_exp, residual = identity_batch(U, V)
+        for k in range(30):
+            rep = verify_identity(U[k], V[k])
+            assert rep.lhs == lhs[k]
+            assert rep.wedge_term == 2.0 * SQRT3 * w[k]
+            assert rep.defect_intrinsic == d_int[k]
+            assert rep.defect_explicit == d_exp[k]
+            assert rep.residual == residual[k]
+
+    def test_zero_v_rows_among_others(self):
+        U = [[3.0, 4.0], [1.0, 0.0], [0.0, 0.0]]
+        V = [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+        lhs, w, d_int, d_exp, residual = identity_batch(U, V)
+        assert d_exp.tolist() == [50.0, defect_explicit([1, 0], [0, 1]), 0.0]
+        assert d_int.tolist()[0] == 50.0 and w.tolist()[0] == 0.0
+        assert residual.tolist()[0] == 0.0
+
+    def test_single_pair_calls_return_floats(self):
+        rep = verify_identity([1, 2], [2, -1])
+        assert all(type(x) is float for x in (rep.lhs, rep.wedge_term, rep.residual))
+        assert type(lhs_sum([1, 2], [2, -1])) is float
+
+    def test_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            identity_batch([1.0, 0.0], [0.0, 1.0])
+        with pytest.raises(ValueError):
+            identity_batch(np.ones((2, 3)), np.ones((3, 3)))
+        with pytest.raises(ValueError):
+            defect_explicit([[1.0, 0.0]], [[0.0, 1.0]])
 
 
 class TestVerifyExact:
