@@ -110,6 +110,8 @@ def cmd_sweep(args) -> int:
     tol = _resolve_tol(args)
     if args.count < 1:
         raise ValueError(f"count must be >= 1, got {args.count}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.exact:
         res = run_exact_sweep(args.count, args.seed)
         _emit_pairs(

@@ -107,6 +107,31 @@ class TestSweep:
         assert r.returncode == 1
         assert "fail" in r.stdout
 
+    # Stdout of the per-pair sampler that the stacked one replaced; the
+    # float one has sha256 8a35e9e0...c12e9f1.
+    def test_float_sweep_stdout_pinned(self):
+        r = run_cli("sweep", "--count", "100000", "--seed", "0")
+        assert r.returncode == 0
+        assert r.stdout == (
+            "pairs                  100000\n"
+            "seed                   0\n"
+            "tolerance              1e-09\n"
+            "max_scaled_residual    7.393005299118998e-16\n"
+            "max_scaled_negativity  0.0\n"
+            "max_scaled_path_gap    8.928201454594471e-16\n"
+            "result                 pass\n"
+        )
+
+    def test_exact_sweep_stdout_pinned(self):
+        r = run_cli("sweep", "--exact", "--count", "1000", "--seed", "0")
+        assert r.returncode == 0
+        assert r.stdout == (
+            "pairs              1000\n"
+            "seed               0\n"
+            "nonzero_residuals  0\n"
+            "result             pass\n"
+        )
+
 
 class TestShape:
     def test_sides_345(self):
@@ -267,6 +292,13 @@ class TestTolerancePlumbing:
     def test_count_below_one_rejected(self):
         r = run_cli("sweep", "--count", "0")
         assert r.returncode == 2
+
+    def test_negative_seed_rejected(self):
+        for extra in ((), ("--exact",)):
+            r = run_cli("sweep", "--count", "10", "--seed", "-1", *extra)
+            assert r.returncode == 2
+            assert "--seed must be >= 0" in r.stderr
+            assert r.stdout == ""
 
 
 def test_module_entry_point():

@@ -1,10 +1,16 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
+import pytest
 from mpmath import mp
 from test_vectors import near_collinear_pairs
 
+from wkit import sweeps
 from wkit.sweeps import (
+    pair_stacks,
     random_pairs,
-    random_rational_pair,
+    random_rational_pairs,
     random_triangles,
     run_exact_sweep,
     run_identity_sweep,
@@ -88,11 +94,10 @@ def test_batch_kernels_match_per_pair_functions():
             assert abs(float(d_exp[k]) - ref_exp) <= DEFECT_EPS * EPS * lhs[k]
 
 
-def test_sweep_matches_per_pair_reduction():
-    count = 500
-    res = run_identity_sweep(count, seed=3, tolerance=1e-9)
+def _check_per_pair_reduction(count, seed):
+    res = run_identity_sweep(count, seed=seed, tolerance=1e-9)
     max_res = max_neg = max_gap = 0.0
-    for u, v in random_pairs(count, seed=3):
+    for u, v in per_pair_sample(count, seed):
         lhs = lhs_sum(u, v)
         denom = max(1.0, lhs)
         d_int = defect_intrinsic(u, v)
@@ -105,6 +110,118 @@ def test_sweep_matches_per_pair_reduction():
     assert abs(res.max_scaled_path_gap - max_gap) <= 1e-12
     assert abs(res.max_scaled_negativity - max(0.0, max_neg)) <= 1e-12
     assert res.passed
+
+
+def test_sweep_matches_per_pair_reduction():
+    _check_per_pair_reduction(500, seed=3)
+
+
+@pytest.mark.parametrize("count", range(1, 7))
+def test_sweep_with_empty_dimension_stacks(count):
+    # Fewer than 7 pairs leave some dimensions without a row; those stacks
+    # are skipped, never reduced (np.max of an empty array raises).
+    chunk = next(pair_stacks(count, seed=3))
+    assert [len(u) for u, _ in chunk] == [1] * count + [0] * (7 - count)
+    _check_per_pair_reduction(count, seed=3)
+
+
+# The per-pair sample loops the sweeps ran before they drew whole stacks.
+# They stay here as the oracles of the streams: the stacks must hold the
+# same doubles and the same fractions, draw for draw.
+
+def per_pair_sample(count, seed):
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for i in range(count):
+        dim = 2 + i % 7
+        u = rng.uniform(-10.0, 10.0, dim)
+        if i % 100 == 99:
+            lam = rng.uniform(-2.0, 2.0)
+            eps = (1e-6, 1e-9)[(i // 100) % 2]
+            v = lam * u + eps * rng.standard_normal(dim)
+        else:
+            v = rng.uniform(-10.0, 10.0, dim)
+        pairs.append((u, v))
+    return pairs
+
+
+def random_rational_pair(rng, max_magnitude):
+    num = rng.integers(-max_magnitude, max_magnitude + 1, size=4)
+    den = rng.integers(1, max_magnitude + 1, size=4)
+    coords = [Fraction(int(n), int(d)) for n, d in zip(num, den)]
+    return (coords[0], coords[1]), (coords[2], coords[3])
+
+
+def _joined_stacks(count, seed):
+    """The chunks of ``pair_stacks`` joined per dimension."""
+    chunks = [[(u.copy(), v.copy()) for u, v in chunk] for chunk in pair_stacks(count, seed)]
+    return [tuple(np.concatenate([c[i][k] for c in chunks]) for k in (0, 1)) for i in range(7)]
+
+
+STREAM_COUNTS = (1, 6, 7, 99, 100, 101, 699, 700, 701, 1234, 100_000)
+STREAM_SEEDS = (0, 1, 12345)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+@pytest.mark.parametrize("count", STREAM_COUNTS)
+def test_stacks_match_per_pair_stream(count, seed, monkeypatch):
+    pairs = per_pair_sample(count, seed)
+    expected = [tuple(np.array([p[k] for p in pairs[i::7]]).reshape(-1, i + 2) for k in (0, 1))
+                for i in range(7)]
+    # The default chunk holds every count here; 700 and 1400 split the
+    # larger ones inside the run.
+    for chunk in (sweeps._CHUNK_PAIRS, 700, 1400):
+        monkeypatch.setattr(sweeps, "_CHUNK_PAIRS", chunk)
+        for (U, V), (eU, eV) in zip(_joined_stacks(count, seed), expected):
+            assert U.shape == eU.shape and np.array_equal(U, eU)
+            assert V.shape == eV.shape and np.array_equal(V, eV)
+        got = random_pairs(count, seed)
+        assert [u.size for u, _ in got] == [u.size for u, _ in pairs]
+        for k in (0, 1):
+            assert np.array_equal(np.concatenate([p[k] for p in got]),
+                                  np.concatenate([p[k] for p in pairs]))
+
+
+@pytest.mark.parametrize("count", [699, 700, 701, 1400, 2801, 5000])
+def test_sweep_result_independent_of_chunks(count, monkeypatch):
+    for seed in (0, 3):
+        whole = run_identity_sweep(count, seed)
+        for chunk in (700, 1400):
+            monkeypatch.setattr(sweeps, "_CHUNK_PAIRS", chunk)
+            assert run_identity_sweep(count, seed) == whole
+            monkeypatch.undo()
+
+
+def test_sweep_memory_bounded_by_chunk(monkeypatch):
+    # tracemalloc counts numpy's data buffers too. Three chunks reuse the
+    # first chunk's buffers, so the peak must not grow with the count.
+    chunk = 14_000
+    monkeypatch.setattr(sweeps, "_CHUNK_PAIRS", chunk)
+    run_identity_sweep(700)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for count in (chunk, 3 * chunk):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_identity_sweep(count, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    pair_bytes = 2 * 5 * 8  # u and v, mean dimension 5, float64
+    assert peaks[0] > chunk * pair_bytes
+    assert peaks[1] < 1.5 * peaks[0]
+    assert peaks[1] - peaks[0] < chunk * pair_bytes  # no chunk's stacks outlive it
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+@pytest.mark.parametrize("block", [3, sweeps._EXACT_BLOCK])
+def test_rational_pairs_match_per_pair_stream(seed, block, monkeypatch):
+    monkeypatch.setattr(sweeps, "_EXACT_BLOCK", block)
+    count = 10_000 if block > 3 else 50
+    rng = np.random.default_rng(seed)
+    expected = [random_rational_pair(rng, 10**6) for _ in range(count)]
+    assert list(random_rational_pairs(count, seed)) == expected
 
 
 def test_small_sweep_passes():
@@ -122,9 +239,7 @@ def test_exact_sweep_passes():
 
 
 def test_rational_pair_bounds():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        u, v = random_rational_pair(rng, 1000)
+    for u, v in random_rational_pairs(50, seed=0, max_magnitude=1000):
         for coord in (*u, *v):
             assert abs(coord.numerator) <= 1000 * 1000
             assert 1 <= coord.denominator <= 1000

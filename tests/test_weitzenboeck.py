@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wkit.qsqrt3 import QSqrt3
-from wkit.sweeps import random_pairs, random_rational_pair, random_triangles
+from wkit.sweeps import random_pairs, random_rational_pairs, random_triangles
 from wkit.vectors import SQRT3
 from wkit.weitzenboeck import (
     IdentityReport,
@@ -174,9 +174,7 @@ class TestVerifyExact:
         assert verify_exact((Fraction(7, 3), Fraction(-1, 2)), (0, 0)) == QSqrt3(0, 0)
 
     def test_random_rational_pairs(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            u, v = random_rational_pair(rng, 10**6)
+        for u, v in random_rational_pairs(200, seed=0):
             assert not verify_exact(u, v)
 
     def test_float_rejected(self):
