@@ -23,7 +23,7 @@ from .curves import (
     read_curve_csv,
     curvature_bound_report,
 )
-from .qsqrt3 import ONE, SQRT3 as QSQRT3, ZERO, QSqrt3
+from .qsqrt3 import ONE, ZERO, QSqrt3
 from .shape_space import (
     EQUILATERAL_TANGENT,
     INTERIOR,

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from .curves import (
@@ -265,6 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"tolerance (default 1e-9, or ${_TOL_ENV})")
 
     p = sub.add_parser("defect", help="defect of a triangle or a vector pair")
+    # Read a comma list of numbers such as -0.47,-1e1 as a value, not as an
+    # option: argparse's own pattern matches only a single number.
+    p._negative_number_matcher = re.compile(r"^-\.?\d[\d.eE+\-,]*$")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--sides", type=float, nargs=3, metavar=("A", "B", "C"))
     group.add_argument("--vectors", nargs=2, metavar=("U", "V"),

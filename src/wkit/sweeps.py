@@ -8,9 +8,9 @@ regime for the wedge and for the rotation frame. The seed fully determines
 the sample sequence.
 
 The sample is never held as a list of pairs. ``pair_stacks`` draws it chunk
-by chunk straight into one (m_d, d) stack of u rows and one of v rows per
-dimension d, in buffers that every chunk reuses, and ``run_identity_sweep``
-reduces each stack with ``identity_batch`` into running maxima. Memory is
+by chunk straight into one table that every chunk reuses, and
+``run_identity_sweep`` reduces the (m_d, d) stack of u rows and of v rows of
+each dimension d with ``identity_batch`` into running maxima. Memory is
 therefore bounded by the chunk size, not by the count, and the maxima do
 not depend on where the chunks split the sample.
 
@@ -18,16 +18,18 @@ The draws are those of the per-pair loop, in its order: per pair u, then v
 or, for a stress pair, the scalar lam and the noise. Everything between two
 noise draws is a uniform double, so the 99 plain pairs, the stress pair's u
 and its lam come from one ``Generator.random`` fill, mapped afterwards by
-lo + (hi - lo)*x as ``Generator.uniform`` does. The layout of dimensions
-and stress pairs repeats every 700 pairs (lcm(7, 100)); chunks are whole
-periods, so the gather indices of one period serve every chunk.
+lo + (hi - lo)*x as ``Generator.uniform`` does. A table row holds seven
+pairs, one per dimension, in 70 doubles: the pair of dimension d takes 2d
+of them, u then v, and a stress pair leaves the d - 1 doubles after its lam
+undrawn until v overwrites its slot. Each dimension's u and v stacks are
+then two column slices of the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -39,6 +41,9 @@ _LAM_LOW, _LAM_HIGH = -2.0, 2.0
 _STRESS_PERIOD = 100
 _STRESS_EPS = (1e-6, 1e-9)
 _BATCH_ROWS = 65536
+# Column of the sample table where the pair of dimension d starts: _OFFSETS[d - 2].
+# _OFFSETS[-1] = 70 is the width of a row.
+_OFFSETS = np.cumsum([0] + [2 * d for d in _DIMS])
 # Pairs after which the dimension cycle and the stress period both restart.
 _PERIOD = len(_DIMS) * _STRESS_PERIOD
 # Pairs per chunk: whole periods, at most _BATCH_ROWS rows per dimension.
@@ -48,91 +53,52 @@ _CHUNK_PAIRS = _BATCH_ROWS // _STRESS_PERIOD * _PERIOD
 _EXACT_BLOCK = 256
 
 
-class _Layout(NamedTuple):
-    """Where the uniform draws of one 700-pair period sit in its flat buffer."""
-
-    size: int  # uniform doubles per period
-    before: list[int]  # before[j]: doubles drawn before pair j, j = 0..700
-    u: list[np.ndarray]  # per dimension: (100, d) positions of the u rows
-    v: list[np.ndarray]  # the same for v; a stress row repeats its u row
-    ends: list[int]  # per stress pair: end of the uniform run before its noise
-    lam: list[int]  # per stress pair: position of lam
-    stress: list[tuple[int, int]]  # per stress pair: (dimension index, row)
-
-
-def _period_layout() -> _Layout:
-    u = [[] for _ in _DIMS]
-    v = [[] for _ in _DIMS]
-    before, ends, lam, stress = [0], [], [], []
-    pos = 0
-    for j in range(_PERIOD):
-        i = j % len(_DIMS)
-        d = _DIMS[i]
-        u[i].append(range(pos, pos + d))
-        pos += d
-        if j % _STRESS_PERIOD == _STRESS_PERIOD - 1:
-            v[i].append(u[i][-1])
-            lam.append(pos)
-            pos += 1
-            ends.append(pos)
-            stress.append((i, len(u[i]) - 1))
-        else:
-            v[i].append(range(pos, pos + d))
-            pos += d
-        before.append(pos)
-    return _Layout(pos, before, [np.array(x) for x in u], [np.array(x) for x in v], ends, lam,
-                   stress)
-
-
 def pair_stacks(count: int, seed: int = 0) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
     """The deterministic sample, chunk by chunk, as per-dimension row stacks.
 
     Each chunk is a list of seven ``(U, V)`` pairs of (m_d, d) arrays for
     d = 2..8. Chunks start at multiples of 700 pairs, and pair j of a chunk
     is row j // 7 of the stacks of dimension 2 + j % 7; a stack is empty
-    when the chunk holds no pair of its dimension. The arrays are views of
-    buffers that the next chunk overwrites: copy what must outlive it.
+    when the chunk holds no pair of its dimension. The arrays are strided
+    views of a table that the next chunk overwrites: copy what must outlive
+    it.
     """
-    lay = _period_layout()
     rng = np.random.default_rng(seed)
-    periods = -(-min(_CHUNK_PAIRS, max(count, 0)) // _PERIOD)
-    flat = np.empty((periods, lay.size))
-    draws = flat.reshape(-1)
-    us = [np.empty((periods, _STRESS_PERIOD, d)) for d in _DIMS]
-    vs = [np.empty_like(x) for x in us]
-    noise = [np.empty((periods, _DIMS[i])) for i, _ in lay.stress]
+    rows = -(-min(_CHUNK_PAIRS, max(count, 0)) // len(_DIMS))
+    # Zeros, not np.empty: the affine map below also runs over the pad
+    # doubles of the stress slots, which are never drawn.
+    table = np.zeros((rows, _OFFSETS[-1]))
+    flat = table.reshape(-1)
+    noise = np.empty((rows * len(_DIMS) // _STRESS_PERIOD, _DIMS[-1]))
     for first in range(0, count, _CHUNK_PAIRS):
         n = min(_CHUNK_PAIRS, count - first)
-        p = -(-n // _PERIOD)
-        used = n // _PERIOD * lay.size + lay.before[n % _PERIOD]
-        # One uniform run up to each stress pair's noise, then the noise.
+        stress = np.arange(_STRESS_PERIOD - 1, n, _STRESS_PERIOD)  # positions in the chunk
+        col = stress % len(_DIMS)
+        dims = _DIMS[0] + col
+        at = stress // len(_DIMS) * _OFFSETS[-1] + _OFFSETS[col]
+        # One uniform run up to each stress pair's lam, then its noise.
         start = 0
-        for b in range(n // _STRESS_PERIOD):
-            q, k = divmod(b, len(_DIMS))
-            end = q * lay.size + lay.ends[k]
-            rng.random(out=draws[start:end])
-            rng.standard_normal(out=noise[k][q])
-            start = end
-        rng.random(out=draws[start:used])
+        for k, (a, d) in enumerate(zip(at.tolist(), dims.tolist())):
+            rng.random(out=flat[start:a + d + 1])
+            rng.standard_normal(out=noise[k, :d])
+            start = a + 2 * d
+        used = n // len(_DIMS) * _OFFSETS[-1] + _OFFSETS[n % len(_DIMS)]
+        rng.random(out=flat[start:used])
         # lam is read before the in-place map below overwrites its raw double.
-        lam = flat[:p, lay.lam] * (_LAM_HIGH - _LAM_LOW) + _LAM_LOW
-        x = draws[:used]
+        lam = flat[at + dims] * (_LAM_HIGH - _LAM_LOW) + _LAM_LOW
+        x = flat[:used]
         x *= _HIGH - _LOW
         x += _LOW
-        # mode="clip" lets take write straight into out; the indices are in range.
-        for i in range(len(_DIMS)):
-            np.take(flat[:p], lay.u[i], axis=1, out=us[i][:p], mode="clip")
-            np.take(flat[:p], lay.v[i], axis=1, out=vs[i][:p], mode="clip")
-        for k, (i, row) in enumerate(lay.stress):
-            # The 100-pair blocks of this chunk that end in stress pair k.
-            blocks = np.arange(k, n // _STRESS_PERIOD, len(_DIMS))
-            q = blocks.size
-            eps = np.take(_STRESS_EPS, (first // _STRESS_PERIOD + blocks) % 2)[:, None]
-            vs[i][:q, row] = lam[:q, k, None] * us[i][:q, row] + eps * noise[k][:q]
+        eps = np.take(_STRESS_EPS, (first // _STRESS_PERIOD + np.arange(stress.size)) % 2)
         stacks = []
         for i, d in enumerate(_DIMS):
             m = len(range(i, n, len(_DIMS)))  # pairs of dimension d in this chunk
-            stacks.append((us[i][:p].reshape(-1, d)[:m], vs[i][:p].reshape(-1, d)[:m]))
+            U = table[:m, _OFFSETS[i]:_OFFSETS[i] + d]
+            V = table[:m, _OFFSETS[i] + d:_OFFSETS[i + 1]]
+            k = np.flatnonzero(col == i)  # the stress pairs of dimension d
+            r = stress[k] // len(_DIMS)
+            V[r] = lam[k, None] * U[r] + eps[k, None] * noise[k, :d]
+            stacks.append((U, V))
         yield stacks
 
 
@@ -184,7 +150,10 @@ def run_identity_sweep(count: int, seed: int = 0, tolerance: float = 1e-9) -> Sw
         for U, V in chunk:
             if not len(U):
                 continue
-            lhs, _, d_int, d_exp, residual = identity_batch(U, V)
+            # The kernel runs slower on the table's strided columns than on
+            # a fresh copy of them.
+            lhs, _, d_int, d_exp, residual = identity_batch(np.ascontiguousarray(U),
+                                                            np.ascontiguousarray(V))
             denom = np.maximum(1.0, lhs)
             max_res = max(max_res, float(np.max(np.abs(residual) / denom)))
             max_neg = max(max_neg, float(np.max(-d_int / denom)))

@@ -22,8 +22,12 @@ from .numerics import projection_residual
 SQRT3 = math.sqrt(3.0)
 
 #: u, v are treated as collinear when the Gram-Schmidt residual of u against
-#: v falls below this fraction of |u|.
-COLLINEAR_RTOL = 1e-12
+#: v falls below this fraction of |u|. The two error sources balance near
+#: float64 eps: a pair sent to the fallback frame, whose orientation ignores
+#: u, can be off in the defect by up to 4*sqrt(3)*RTOL*|u||v|, while the
+#: double-double projection is accurate only to about eps**2*|u|, so the
+#: normal path's error grows like 2*sqrt(3)*(eps**2/RTOL)*|u||v|.
+COLLINEAR_RTOL = 1e-15
 
 
 def _check_pair(u, v) -> tuple[np.ndarray, np.ndarray]:

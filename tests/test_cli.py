@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from wkit import cli
+from wkit.weitzenboeck import lhs_sum
 
 _ENV = {**os.environ, "PYTHONHASHSEED": "0"}
 
@@ -66,6 +67,17 @@ class TestDefect:
         assert r.returncode == 1
         assert json.loads(r.stdout)["residual"] != 0.0
         assert run_cli(*args).returncode == 0
+
+    def test_negative_first_coordinates(self):
+        # Both values start with "-", as a replayed sweep witness may.
+        u = "-4.027708294793655e-1,-9.004094136594162"
+        v = "-0.4730940777617495,-10.576196933694765"
+        r = run_cli("defect", "--vectors", u, v, "--format", "json")
+        assert r.returncode == 0, r.stderr
+        payload = json.loads(r.stdout)
+        assert payload["lhs"] == lhs_sum([float(x) for x in u.split(",")],
+                                         [float(x) for x in v.split(",")])
+        assert abs(payload["residual"]) < 1e-12
 
     def test_bad_vector(self):
         r = run_cli("defect", "--vectors", "1,zap", "0,1")

@@ -72,10 +72,17 @@ def _mp_reference(u, v):
         return wedge, c, d_int, 2 * dot(x, x)
 
 
+# Stress pair 9,059,799 of `wkit sweep --count 10000000 --seed 0`: |w| is
+# 9.4e-13*|u|, close enough to collinear that a looser COLLINEAR_RTOL sends
+# it to the fallback frame and its residual to -6.2e-10.
+NEAR_COLLINEAR_WITNESS = (np.array([0.4027708294793655, 9.004094136594162]),
+                          np.array([-0.4730940777617495, -10.576196933694765]))
+
+
 def test_batch_kernels_match_per_pair_functions():
     # The kernel's stacks against a per-pair mpmath evaluation, on the
     # sweep's own sample and on near-collinear pairs.
-    pairs = random_pairs(400, seed=7) + list(near_collinear_pairs(200))
+    pairs = random_pairs(400, seed=7) + list(near_collinear_pairs(200)) + [NEAR_COLLINEAR_WITNESS]
     by_dim = {}
     for u, v in pairs:
         by_dim.setdefault(u.size, []).append((u, v))
@@ -92,6 +99,34 @@ def test_batch_kernels_match_per_pair_functions():
             assert max(abs(float(x) - y) for x, y in zip(c[k], ref_c)) <= CONORMAL_EPS * EPS * nv
             assert abs(float(d_int[k]) - ref_int) <= DEFECT_EPS * EPS * lhs[k]
             assert abs(float(d_exp[k]) - ref_exp) <= DEFECT_EPS * EPS * lhs[k]
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_collinear_pairs_stay_near_eps(d):
+    # v = lam*u is exactly collinear; v = fl(0.1*u) is mostly collinear only
+    # up to the rounding of v, with |w| far below eps*|u| but not zero. A
+    # COLLINEAR_RTOL far below eps sends some of the latter to the normal
+    # path, whose projection is only good to about eps**2*|u| (1e-27 reaches
+    # 57 eps here, 1e-12 and 1e-15 stay under 24 eps).
+    if d == 2:
+        grid = np.arange(-50.0, 51.0)
+        U = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+    else:
+        U = np.random.default_rng(d).integers(-50, 51, (10_000, d)).astype(float)
+    U = U[np.any(U != 0, axis=1)]
+    for V in [lam * U for lam in (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)] + [0.1 * U]:
+        lhs, _, d_int, d_exp, residual = identity_batch(U, V)
+        denom = np.maximum(1.0, lhs)
+        assert np.max(np.abs(residual) / denom) <= 32 * EPS
+        assert np.max(np.abs(d_int - d_exp) / denom) <= 32 * EPS
+
+
+def test_sweep_maxima_stay_near_eps_at_seed_12345():
+    # Its worst pair sat just under the former COLLINEAR_RTOL of 1e-12 and
+    # read 4.0e-13 through the fallback frame.
+    res = run_identity_sweep(100_000, seed=12345)
+    assert res.max_scaled_residual < 1e-14
+    assert res.max_scaled_path_gap < 1e-14
 
 
 def _check_per_pair_reduction(count, seed):
@@ -184,12 +219,22 @@ def test_stacks_match_per_pair_stream(count, seed, monkeypatch):
 
 @pytest.mark.parametrize("count", [699, 700, 701, 1400, 2801, 5000])
 def test_sweep_result_independent_of_chunks(count, monkeypatch):
-    for seed in (0, 3):
-        whole = run_identity_sweep(count, seed)
-        for chunk in (700, 1400):
-            monkeypatch.setattr(sweeps, "_CHUNK_PAIRS", chunk)
-            assert run_identity_sweep(count, seed) == whole
-            monkeypatch.undo()
+    # Floating-point errors raise, and each run starts just after a block the
+    # size of the sample table was freed full of the largest double. The
+    # affine map also runs over the never-drawn pad doubles of the stress
+    # slots, so a table that reused that block without zeroing overflows.
+    def sweep(seed):
+        rows = -(-min(sweeps._CHUNK_PAIRS, count) // 7)
+        np.full(rows * sweeps._OFFSETS[-1], np.finfo(float).max)
+        return run_identity_sweep(count, seed)
+
+    with np.errstate(all="raise"):
+        for seed in (0, 3):
+            whole = sweep(seed)
+            for chunk in (700, 1400):
+                monkeypatch.setattr(sweeps, "_CHUNK_PAIRS", chunk)
+                assert sweep(seed) == whole
+                monkeypatch.undo()
 
 
 def test_sweep_memory_bounded_by_chunk(monkeypatch):
