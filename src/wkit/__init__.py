@@ -11,7 +11,6 @@ from .curves import (
     CurveJet,
     CurvatureBoundReport,
     builtin_curve,
-    builtin_position,
     circle_jet,
     circle_position,
     curvature,
@@ -47,7 +46,6 @@ from .shape_space import (
 from .sweeps import (
     ExactSweepResult,
     SweepResult,
-    random_pairs,
     random_triangles,
     run_exact_sweep,
     run_identity_sweep,

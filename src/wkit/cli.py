@@ -115,11 +115,15 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.exact:
         res = run_exact_sweep(args.count, args.seed)
+        # The witness appears only on failure, so passing stdout is unchanged.
+        witness = [("first_nonzero_pair", res.first_nonzero_pair),
+                   ("first_nonzero_residual", res.first_nonzero_residual)]
         _emit_pairs(
             [
                 ("pairs", res.count),
                 ("seed", res.seed),
                 ("nonzero_residuals", res.nonzero_residuals),
+                *([] if res.passed else witness),
                 ("result", "pass" if res.passed else "fail"),
             ],
             args.format,

@@ -240,16 +240,6 @@ def builtin_curve(spec: str, t) -> CurveJet:
     return line_jet(params[0], t)
 
 
-def builtin_position(spec: str, t: float) -> np.ndarray:
-    """Position of a builtin curve at parameter t."""
-    kind, params = parse_curve_spec(spec)
-    if kind == "circle":
-        return circle_position(params[0], t)
-    if kind == "helix":
-        return helix_position(params[0], params[1], t)
-    return line_position(params[0], t)
-
-
 # ---------------------------------------------------------------------------
 # Finite-difference jets from sampled positions.
 

@@ -17,6 +17,8 @@ _RationalLike = int | Fraction | str
 
 
 def _coerce(x) -> Fraction:
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("QSqrt3 coefficients must be exact (int, Fraction, or str), not float")
     return Fraction(x)

@@ -102,18 +102,6 @@ def pair_stacks(count: int, seed: int = 0) -> Iterator[list[tuple[np.ndarray, np
         yield stacks
 
 
-def random_pairs(count: int, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Deterministic vector-pair sample, dimensions cycling 2..8: the rows of
-    ``pair_stacks`` in sample order."""
-    pairs = []
-    for chunk in pair_stacks(count, seed):
-        stacks = [(u.copy(), v.copy()) for u, v in chunk]
-        for j in range(sum(len(u) for u, _ in stacks)):
-            u, v = stacks[j % len(_DIMS)]
-            pairs.append((u[j // len(_DIMS)], v[j // len(_DIMS)]))
-    return pairs
-
-
 @dataclass(frozen=True)
 class SweepResult:
     """Maxima of the scaled error measures over one identity sweep.
@@ -170,11 +158,18 @@ def run_identity_sweep(count: int, seed: int = 0, tolerance: float = 1e-9) -> Sw
 
 @dataclass(frozen=True)
 class ExactSweepResult:
-    """Outcome of a bit-exact sweep: any nonzero residual is a failure."""
+    """Outcome of a bit-exact sweep: any nonzero residual is a failure.
+
+    ``first_nonzero_pair`` is the index in the sample of the first pair
+    whose residual is nonzero and ``first_nonzero_residual`` that residual
+    as ``str``; both are None when every residual is zero.
+    """
 
     count: int
     seed: int
     nonzero_residuals: int
+    first_nonzero_pair: int | None = None
+    first_nonzero_residual: str | None = None
 
     @property
     def passed(self) -> bool:
@@ -199,12 +194,16 @@ def random_rational_pairs(
 
 
 def run_exact_sweep(count: int, seed: int = 0, max_magnitude: int = 10**6) -> ExactSweepResult:
-    """Verify the symbolic residual is the exact zero on random rational pairs."""
+    """Verify the exact residual is the zero of Q[sqrt(3)] on random rational pairs."""
     nonzero = 0
-    for u, v in random_rational_pairs(count, seed, max_magnitude):
-        if verify_exact(u, v):
+    first_pair = first_residual = None
+    for i, (u, v) in enumerate(random_rational_pairs(count, seed, max_magnitude)):
+        residual = verify_exact(u, v)
+        if residual:
+            if not nonzero:
+                first_pair, first_residual = i, str(residual)
             nonzero += 1
-    return ExactSweepResult(count=count, seed=seed, nonzero_residuals=nonzero)
+    return ExactSweepResult(count, seed, nonzero, first_pair, first_residual)
 
 
 def random_triangles(count: int, seed: int = 0, low: float = 0.1, high: float = 10.0) -> list[Triangle]:

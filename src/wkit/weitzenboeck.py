@@ -19,8 +19,8 @@ computes the defect along two deliberately independent paths:
   from the quarter-turn conormal.
 
 Each serves as the numerical oracle for the other. ``verify_exact`` closes
-the loop symbolically: for planar rational inputs the whole identity is
-evaluated in Q[sqrt(3)] and the residual must be the exact zero element.
+the loop exactly: for planar rational inputs the identity lives in
+Q[sqrt(3)], and its residual, computed over plain integers, must be zero.
 
 The triangle-side specialization is Weitzenbock's inequality itself:
 a^2 + b^2 + c^2 >= 4*sqrt(3)*area, with equality iff a = b = c.
@@ -128,50 +128,55 @@ def verify_identity(u, v, tol: float = 1e-9) -> IdentityReport:
     )
 
 
-def _exact_coord(x) -> Fraction:
+def _exact_ratio(x) -> tuple[int, int]:
     if isinstance(x, float):
         raise TypeError("verify_exact needs exact rational coordinates, not float")
-    return Fraction(x)
+    n, d = (x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
+    return int(n), int(d)  # numpy integers would wrap around in the products below
+
+
+def _scaled_pieces(u, v) -> tuple[int, int, int, tuple[int, int], tuple[int, int]]:
+    """The integer core of ``verify_exact``: ``(L, lhs, w, X, Y)`` of the pair
+    scaled by L, as that docstring defines them."""
+    u = [_exact_ratio(x) for x in u]
+    v = [_exact_ratio(x) for x in v]
+    if len(u) != 2 or len(v) != 2:
+        raise ValueError("verify_exact is defined for dimension 2 only")
+    (a0, b0), (a1, b1) = u
+    (c0, d0), (c1, d1) = v
+    L = 2 * math.lcm(b0, b1, d0, d1)
+    U0, U1, V0, V1 = a0 * (L // b0), a1 * (L // b1), c0 * (L // d0), c1 * (L // d1)
+    lhs = U0 * U0 + U1 * U1 + V0 * V0 + V1 * V1 + (U0 + V0) ** 2 + (U1 + V1) ** 2
+    w = U0 * V1 - U1 * V0
+    Y = (-V1 // 2, V0 // 2) if w >= 0 else (V1 // 2, -V0 // 2)
+    return L, lhs, w, (U0 + V0 // 2, U1 + V1 // 2), Y
 
 
 def verify_exact(u, v) -> QSqrt3:
-    """Evaluate the identity residual symbolically in Q[sqrt(3)].
+    """Evaluate the identity residual exactly in Q[sqrt(3)].
 
     ``u`` and ``v`` are planar vectors with exact rational coordinates
-    (int, Fraction, or strings like "3/7"). The left-hand side and the
-    signed wedge w = u1*v2 - u2*v1 are rational; the quarter turn of v is
-    (-v2, v1) or (v2, -v1), with the sign chosen so that <u, R'(v)> = -|w|
-    (the plane is oriented from u to v; for w = 0 either sign works and the
-    counterclockwise one is used). The rotated vector then has coordinates
-    in Q[sqrt(3)] and the residual
+    (int, Fraction, numpy integers, or strings like "3/7"). The residual
+    lhs - 2*sqrt(3)*|w| - 2*|u + R(v)|^2 is homogeneous of degree 2, so it
+    is computed on U = L*u and V = L*v with L = 2*lcm(the four
+    denominators): integer vectors, V even. There lhs = |U|^2 + |V|^2 +
+    |U+V|^2, w = U1*V2 - U2*V1 is the signed wedge, and U + R(V) =
+    X + sqrt(3)*Y with the integer vectors X = U + V/2 and Y = q/2, where
+    q = (-V2, V1) or (V2, -V1) is the quarter turn with <U, q> = -|w| (the
+    plane is oriented from u to v; for w = 0 either works and the
+    counterclockwise one is used). The residual is then
 
-        lhs - 2*sqrt(3)*|w| - 2*|u + R(v)|^2
+        (lhs - 2|X|^2 - 6|Y|^2  +  (-2|w| - 4<X, Y>)*sqrt(3)) / L^2,
 
-    is returned as an exact field element. It is zero for every input; a
+    returned as one exact field element. It is zero for every input; a
     nonzero result would disprove the identity.
     """
-    u = tuple(_exact_coord(x) for x in u)
-    v = tuple(_exact_coord(x) for x in v)
-    if len(u) != 2 or len(v) != 2:
-        raise ValueError("verify_exact is defined for dimension 2 only")
-
-    lhs = (
-        u[0] * u[0] + u[1] * u[1]
-        + v[0] * v[0] + v[1] * v[1]
-        + (u[0] + v[0]) ** 2 + (u[1] + v[1]) ** 2
+    L, lhs, w, (x0, x1), (y0, y1) = _scaled_pieces(u, v)
+    L2 = L * L
+    return QSqrt3(
+        Fraction(lhs - 2 * (x0 * x0 + x1 * x1) - 6 * (y0 * y0 + y1 * y1), L2),
+        Fraction(-2 * abs(w) - 4 * (x0 * y0 + x1 * y1), L2),
     )
-    w_signed = u[0] * v[1] - u[1] * v[0]
-    if w_signed >= 0:
-        quarter = (-v[1], v[0])
-    else:
-        quarter = (v[1], -v[0])
-
-    # u + R(v) with R(v) = v/2 + (sqrt(3)/2) * quarter, per coordinate.
-    x0 = QSqrt3(u[0] + v[0] / 2, quarter[0] / 2)
-    x1 = QSqrt3(u[1] + v[1] / 2, quarter[1] / 2)
-    norm_sq = x0 * x0 + x1 * x1
-
-    return QSqrt3(lhs) - QSqrt3(0, 2 * abs(w_signed)) - (norm_sq + norm_sq)
 
 
 @dataclass(frozen=True)

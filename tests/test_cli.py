@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from wkit import cli
+from wkit import cli, sweeps
+from wkit.qsqrt3 import QSqrt3
 from wkit.weitzenboeck import lhs_sum
 
 _ENV = {**os.environ, "PYTHONHASHSEED": "0"}
@@ -113,6 +114,32 @@ class TestSweep:
         payload = json.loads(r.stdout)
         assert payload["nonzero_residuals"] == 0
         assert payload["result"] == "pass"
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_exact_sweep_names_first_nonzero_pair(self, fmt, monkeypatch, capsys):
+        # The benchmark's fault hook: wkit.sweeps.verify_exact, here wrong on
+        # pair 3 only.
+        real = sweeps.verify_exact
+        calls = iter(range(10))
+
+        def corrupted(u, v):
+            residual = real(u, v)
+            return residual + QSqrt3("-1/7", 2) if next(calls) == 3 else residual
+
+        monkeypatch.setattr(sweeps, "verify_exact", corrupted)
+        rc = cli.main(["sweep", "--exact", "--count", "10", "--seed", "0", "--format", fmt])
+        out = capsys.readouterr().out
+        assert rc == 1
+        expected = {"nonzero_residuals": "1", "first_nonzero_pair": "3",
+                    "first_nonzero_residual": "-1/7 + 2*sqrt(3)", "result": "fail"}
+        if fmt == "json":
+            payload = json.loads(out)
+            assert {k: str(payload[k]) for k in expected} == expected
+        elif fmt == "csv":
+            header, row = out.splitlines()
+            assert dict(zip(header.split(","), row.split(","))).items() >= expected.items()
+        else:
+            assert dict(line.split(None, 1) for line in out.splitlines()).items() >= expected.items()
 
     def test_impossible_tolerance_fails(self):
         r = run_cli("sweep", "--count", "500", "--seed", "0", "--tol", "1e-30")

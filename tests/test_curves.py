@@ -7,7 +7,6 @@ import pytest
 from wkit.curves import (
     CurveJet,
     builtin_curve,
-    builtin_position,
     circle_jet,
     circle_position,
     curvature,
@@ -60,7 +59,7 @@ class TestBuiltinJets:
     def test_builtin_dispatch(self):
         j = builtin_curve("circle:2", 0.0)
         np.testing.assert_allclose(j.d2, [-0.5, 0, 0], atol=1e-16)
-        p = builtin_position("helix:1:1", 0.0)
+        p = helix_position(1.0, 1.0, 0.0)
         np.testing.assert_allclose(p, [1, 0, 0], atol=0)
 
 

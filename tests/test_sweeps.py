@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from mpmath import mp
+from samples import random_pairs
 from test_vectors import near_collinear_pairs
 
 from wkit import sweeps
 from wkit.sweeps import (
     pair_stacks,
-    random_pairs,
     random_rational_pairs,
     random_triangles,
     run_exact_sweep,
@@ -281,6 +281,7 @@ def test_exact_sweep_passes():
     res = run_exact_sweep(100, seed=0)
     assert res.passed
     assert res.nonzero_residuals == 0
+    assert res.first_nonzero_pair is None and res.first_nonzero_residual is None
 
 
 def test_rational_pair_bounds():

@@ -3,13 +3,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from samples import random_pairs
 
+from wkit import weitzenboeck
 from wkit.qsqrt3 import QSqrt3
-from wkit.sweeps import random_pairs, random_rational_pairs, random_triangles
+from wkit.sweeps import random_rational_pairs, random_triangles
 from wkit.vectors import SQRT3
 from wkit.weitzenboeck import (
     IdentityReport,
     Triangle,
+    _scaled_pieces,
     area_heron,
     defect_explicit,
     defect_intrinsic,
@@ -160,6 +165,63 @@ class TestIdentityBatch:
             defect_explicit([[1.0, 0.0]], [[0.0, 1.0]])
 
 
+def qsqrt3_evaluation(u, v):
+    """The identity for one planar rational pair in QSqrt3 arithmetic.
+
+    Returns lhs, 2*sqrt(3)*|w|, the defect 2*|u + R(v)|^2 and the residual
+    lhs - 2*sqrt(3)*|w| - defect, each a QSqrt3, computed coordinate by
+    coordinate with Fractions and no scaling: the oracle of the integer core.
+    """
+    u = tuple(Fraction(x) for x in u)
+    v = tuple(Fraction(x) for x in v)
+    lhs = (
+        u[0] * u[0] + u[1] * u[1]
+        + v[0] * v[0] + v[1] * v[1]
+        + (u[0] + v[0]) ** 2 + (u[1] + v[1]) ** 2
+    )
+    w_signed = u[0] * v[1] - u[1] * v[0]
+    if w_signed >= 0:
+        quarter = (-v[1], v[0])
+    else:
+        quarter = (v[1], -v[0])
+    # u + R(v) with R(v) = v/2 + (sqrt(3)/2) * quarter, per coordinate.
+    x0 = QSqrt3(u[0] + v[0] / 2, quarter[0] / 2)
+    x1 = QSqrt3(u[1] + v[1] / 2, quarter[1] / 2)
+    norm_sq = x0 * x0 + x1 * x1
+    wedge_term = QSqrt3(0, 2 * abs(w_signed))
+    defect = norm_sq + norm_sq
+    return QSqrt3(lhs), wedge_term, defect, QSqrt3(lhs) - wedge_term - defect
+
+
+def check_against_oracle(u, v):
+    """Each nonzero piece of the integer core, rescaled, against the oracle.
+
+    Returns the signed wedge of the scaled pair.
+    """
+    L, lhs, w, (x0, x1), (y0, y1) = _scaled_pieces(u, v)
+    L2 = L * L
+    o_lhs, o_wedge, o_defect, o_residual = qsqrt3_evaluation(u, v)
+    assert QSqrt3(Fraction(lhs, L2)) == o_lhs
+    assert QSqrt3(0, Fraction(2 * abs(w), L2)) == o_wedge
+    defect = QSqrt3(Fraction(2 * (x0 * x0 + x1 * x1) + 6 * (y0 * y0 + y1 * y1), L2),
+                    Fraction(4 * (x0 * y0 + x1 * y1), L2))
+    assert defect == o_defect
+    assert verify_exact(u, v) == o_residual == QSqrt3(0, 0)
+    return w
+
+
+# Coordinates as the API takes them: ints, Fractions with denominators up to
+# 1e40, and "p/q" strings.
+_fractions = st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**40)
+coords = st.one_of(
+    st.integers(-(10**12), 10**12),
+    _fractions,
+    _fractions.map(str),
+)
+planar = st.tuples(coords, coords)
+BIG_DEN = 10**40 - 119  # odd, so only the 2 in L makes V even
+
+
 class TestVerifyExact:
     def test_unit_pair(self):
         assert verify_exact((1, 0), (0, 1)) == QSqrt3(0, 0)
@@ -174,8 +236,72 @@ class TestVerifyExact:
         assert verify_exact((Fraction(7, 3), Fraction(-1, 2)), (0, 0)) == QSqrt3(0, 0)
 
     def test_random_rational_pairs(self):
-        for u, v in random_rational_pairs(200, seed=0):
-            assert not verify_exact(u, v)
+        for seed in (0, 1, 12345):
+            for u, v in random_rational_pairs(700, seed=seed):
+                check_against_oracle(u, v)
+
+    @given(planar, planar)
+    @example((1, 0), (1, 0))
+    @example((0, 0), (Fraction(3, 7), "-5/9"))
+    @example((Fraction(-2, 3), 5), (0, 0))
+    @example((0, 0), (0, 0))
+    @example((Fraction(1, BIG_DEN), Fraction(-(10**39), BIG_DEN)), ("7/3", f"1/{BIG_DEN}"))
+    @settings(max_examples=300, deadline=None)
+    def test_pieces_match_oracle(self, u, v):
+        check_against_oracle(u, v)
+
+    @given(planar, _fractions, _fractions)
+    @example((10**12, -(10**12) + 1), Fraction(1, 3), Fraction(-(10**12), 7))
+    @example((Fraction(5, BIG_DEN), 1), Fraction(-1, BIG_DEN), 0)
+    @settings(max_examples=200, deadline=None)
+    def test_collinear_pieces_match_oracle(self, u, lam, mu):
+        # v = lam*u and u = mu*v both have w = 0 and take the counterclockwise turn.
+        v = tuple(lam * Fraction(x) for x in u)
+        assert check_against_oracle(u, v) == 0
+        assert check_against_oracle(tuple(mu * x for x in v), v) == 0
+
+    @pytest.mark.parametrize("piece, expected", [(1, QSqrt3(Fraction(1, 36), 0)),
+                                                 (2, QSqrt3(0, Fraction(2, 36)))])
+    def test_residual_assembled_from_the_pieces(self, piece, expected, monkeypatch):
+        # Here L = 6 and w = -72. One more unit in the scaled lhs, or one less
+        # in |w|, moves the residual by 1/L^2 or 2*sqrt(3)/L^2: verify_exact
+        # reads the pieces, whatever they are.
+        real = weitzenboeck._scaled_pieces
+
+        def perturbed(u, v):
+            pieces = list(real(u, v))
+            pieces[piece] += 1
+            return tuple(pieces)
+
+        monkeypatch.setattr(weitzenboeck, "_scaled_pieces", perturbed)
+        assert real(("1/3", 1), (2, 0))[:3] == (6, 416, -72)
+        assert verify_exact(("1/3", 1), (2, 0)) == expected
+
+    @pytest.mark.parametrize("u, v", [
+        ((np.int64(3), np.int32(-4)), (np.int8(100), np.uint16(60000))),
+        (("3/7", "-1/2"), (" 5 ", "0.25")),
+    ], ids=["numpy-int", "str"])
+    def test_accepted_coordinates(self, u, v):
+        # Ints and Fractions are taken throughout. Numpy integers are read as
+        # Python ints: their products would wrap.
+        assert verify_exact(u, v) == QSqrt3(0, 0)
+
+    @pytest.mark.parametrize("u, v, error", [
+        ((np.float64(1), 0), (0, 1), TypeError),
+        ((np.float32(1), 0), (0, 1), TypeError),
+        ((None, 0), (0, 1), TypeError),
+        ((1.0, 0, 0), (0, 1, 0), TypeError),
+        ((1, 0), (0, 1, 0), ValueError),
+        ((1,), (0,), ValueError),
+        (("inf", 0), (0, 1), ValueError),
+        ((0, "nan"), (0, 1), ValueError),
+        (("1/0", 0), (0, 1), ZeroDivisionError),
+    ])
+    def test_rejected_coordinates(self, u, v, error):
+        # Besides the two cases below: floats are checked before the
+        # dimension, and strings fail as Fraction parses them.
+        with pytest.raises(error):
+            verify_exact(u, v)
 
     def test_float_rejected(self):
         with pytest.raises(TypeError):
