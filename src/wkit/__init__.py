@@ -18,7 +18,6 @@ from .curves import (
     helix_position,
     jet_from_samples,
     line_jet,
-    line_position,
     read_curve_csv,
     curvature_bound_report,
 )

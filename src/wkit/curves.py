@@ -182,12 +182,6 @@ def _helix_rate(a: float, b: float) -> float:
     return 1.0 / math.sqrt(a * a + b * b)
 
 
-def line_position(direction, t: float) -> np.ndarray:
-    """Point t * direction of a unit-speed line."""
-    d = _unit_direction(direction)
-    return t * d
-
-
 def line_jet(direction, t) -> CurveJet:
     """Exact jet of a unit-speed line; K = 0, second derivative zero."""
     d = _unit_direction(direction)

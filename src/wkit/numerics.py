@@ -1,36 +1,29 @@
 """Compensated floating-point kernels.
 
-Error-free transforms (Knuth two-sum, Dekker/Veltkamp two-product) and the
-double-double helpers built on them. Everything here is branch-free and
-works elementwise on numpy arrays, so the same code serves single vectors
-and large batches with leading batch axes.
+Dekker's error-free product (Veltkamp splitting) and the compensated 2x2
+determinant built on it: Kahan's algorithm in the symmetric form of
+Cornea, Harrison and Tang, with both products error-free. Both are
+branch-free and work elementwise on numpy arrays, so the same code serves
+single vectors and large batches.
 
-The one consumer that genuinely needs this precision is the orthogonal
-projection residual w = u - (<u,v>/<v,v>) v: for nearly collinear pairs the
-subtraction cancels almost completely and the *direction* of w carries an
-error that plain float64 amplifies by 1/|w|. Carrying the coefficient and
-the subtraction in double-double keeps the rounded result accurate to the
-last bit of w itself.
+The one consumer is the bivector G = u v^T - v u^T in ``vectors``: its
+entries u_i v_j - u_j v_i cancel almost completely for nearly collinear
+pairs, and plain float64 then keeps none of their digits. ``det2`` keeps
+each entry accurate to about one ulp, which is what the direction of the
+conormal G v needs.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 # Veltkamp splitter for binary64: 2**27 + 1.
 _SPLITTER = 134217729.0
 
 
-def two_sum(a, b):
-    """Error-free sum: returns (s, e) with s = fl(a+b) and s + e = a + b exactly."""
-    s = a + b
-    bv = s - a
-    av = s - bv
-    return s, (a - av) + (b - bv)
-
-
 def two_prod(a, b):
-    """Error-free product: returns (p, e) with p = fl(a*b) and p + e = a*b exactly."""
+    """Error-free product: returns (p, e) with p = fl(a*b) and p + e = a*b exactly.
+
+    Exact unless a product underflows; the split overflows above ~2**996.
+    """
     p = a * b
     c = _SPLITTER * a
     ah = c - (c - a)
@@ -41,48 +34,13 @@ def two_prod(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def dot2(u, v):
-    """Compensated dot product along the last axis (Ogita-Rump-Oishi Dot2).
+def det2(a, b, c, d):
+    """Determinant a*d - b*c of [[a, b], [c, d]], compensated.
 
-    Returns a double-double pair (hi, lo); hi + lo is the dot product with a
-    relative error of order eps**2 times the condition number.
+    With p1 + e1 = a*d and p2 + e2 = b*c exactly, returns
+    (p1 - p2) + (e1 - e2): accurate to about one ulp of the result, exactly
+    antisymmetric in its two products, and exactly 0 when a*d = b*c.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    p, s = two_prod(u[..., 0], v[..., 0])
-    for i in range(1, u.shape[-1]):
-        h, r = two_prod(u[..., i], v[..., i])
-        p, q = two_sum(p, h)
-        s = s + (q + r)
-    return two_sum(p, s)
-
-
-def dd_div(a, b):
-    """Quotient of two double-double pairs, accurate to roughly eps**2."""
-    ah, al = a
-    bh, bl = b
-    t0 = ah / bh
-    p, pe = two_prod(t0, bh)
-    pe = pe + t0 * bl
-    s, se = two_sum(ah, -p)
-    r = s + (se - pe + al)
-    return t0, r / bh
-
-
-def projection_residual(u, v):
-    """Component of u orthogonal to v: w = u - (<u,v>/<v,v>) v.
-
-    The coefficient and the per-component subtraction run in double-double,
-    and the result is rounded back to float64. This keeps w's direction
-    correct even when u and v are nearly collinear and w is tiny.
-    Broadcasts over leading axes; v must have no zero rows.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    th, tl = dd_div(dot2(u, v), dot2(v, v))
-    th = np.asarray(th)[..., None]
-    tl = np.asarray(tl)[..., None]
-    p, pe = two_prod(th, v)
-    pe = pe + tl * v
-    s, se = two_sum(u, -p)
-    return s + (se - pe)
+    p1, e1 = two_prod(a, d)
+    p2, e2 = two_prod(b, c)
+    return (p1 - p2) + (e1 - e2)

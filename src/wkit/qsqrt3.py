@@ -11,6 +11,7 @@ out as the exact zero element.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 _RationalLike = int | Fraction | str
@@ -21,6 +22,8 @@ def _coerce(x) -> Fraction:
         return x
     if isinstance(x, float):
         raise TypeError("QSqrt3 coefficients must be exact (int, Fraction, or str), not float")
+    if hasattr(x, "__index__"):
+        x = operator.index(x)  # numpy integers would wrap around in the arithmetic
     return Fraction(x)
 
 

@@ -4,7 +4,9 @@ The wedge u ^ v is the (nonnegative) determinant of u and v in the plane
 they span, equal to sqrt(|u|^2 |v|^2 - <u,v>^2). The two rotations that the
 defect identity needs both act inside span(u, v), oriented from u to v:
 the quarter turn applied to v (the "conormal") and the sixth turn
-R(v) = v/2 + (sqrt(3)/2) * conormal.
+R(v) = v/2 + (sqrt(3)/2) * conormal. The wedge and the conormal both come
+from the bivector G = u v^T - v u^T, built once per call by ``_plane``
+from compensated 2x2 determinants.
 
 Every function takes one pair of vectors of shape (d,) or two matching
 stacks of shape (..., d) and works row by row over the leading axes. A
@@ -17,16 +19,19 @@ import math
 
 import numpy as np
 
-from .numerics import projection_residual
+from .numerics import det2
 
 SQRT3 = math.sqrt(3.0)
 
-#: u, v are treated as collinear when the Gram-Schmidt residual of u against
-#: v falls below this fraction of |u|. The two error sources balance near
-#: float64 eps: a pair sent to the fallback frame, whose orientation ignores
-#: u, can be off in the defect by up to 4*sqrt(3)*RTOL*|u||v|, while the
-#: double-double projection is accurate only to about eps**2*|u|, so the
-#: normal path's error grows like 2*sqrt(3)*(eps**2/RTOL)*|u||v|.
+#: u, v are treated as collinear when the component w of u orthogonal to v
+#: falls below this fraction of |u| (tested as |G v| <= RTOL*|u||v|^2, since
+#: G v = |v|^2 w). The two error sources balance near float64 eps: a pair
+#: sent to the fallback frame, whose orientation ignores u, can be off in the
+#: defect by up to 4*sqrt(3)*RTOL*|u||v|. On the normal path, an entry of G
+#: whose two products cancel keeps only the rounding of their error terms,
+#: about eps**2*|u||v|; G v then carries about eps**2*|u||v|^2, which turns w
+#: by up to eps**2*|u|/|w| <= eps**2/RTOL, so that path's error grows like
+#: 2*sqrt(3)*(eps**2/RTOL)*|u||v|.
 COLLINEAR_RTOL = 1e-15
 
 
@@ -60,19 +65,70 @@ def norm(u):
     return _item(np.sqrt(np.einsum("...j,...j->...", u, u)))
 
 
+def _unit_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (d, m) transpose of an (m, d) stack with row i scaled by 2**-e[i],
+    which brings its largest |coordinate| into [1/2, 1), and e."""
+    out = a.T.copy()
+    _, e = np.frexp(np.abs(out).max(axis=0))
+    np.ldexp(out, -e, out=out)
+    return out, e
+
+
+def _plane(u: np.ndarray, v: np.ndarray):
+    """Wedge, conormal and degenerate flag of each row of two (..., d) stacks.
+
+    Builds the upper entries G_ij = u_i v_j - u_j v_i (i < j) of the
+    bivector once, each with ``det2``. The wedge is sqrt(sum G_ij^2). Since
+    G v = |v|^2 w, with w the part of u orthogonal to v, the conormal is
+    c = -|v| G v/|G v|, and G v has condition number O(1). A row is
+    degenerate when |G v| <= COLLINEAR_RTOL*|u||v|^2 and then takes
+    ``_fallback_conormal``; a row with v = 0 gets c = 0.
+
+    Rows are scaled to unit size by exact powers of two first and the
+    results scaled back, so they scale exactly with the input and nothing
+    overflows before they do. The work runs on (d, m) arrays and every sum
+    has a fixed order, so a row gives the same bits alone as in any stack.
+    """
+    shape = u.shape[:-1]
+    d = u.shape[-1]
+    X, a = _unit_columns(u.reshape(-1, d))
+    Y, b = _unit_columns(v.reshape(-1, d))
+    gv = np.zeros_like(Y)
+    gg = np.zeros(Y.shape[1])
+    for k in range(1, d):
+        g = det2(X[:-k], X[k:], Y[:-k], Y[k:])  # G_{i,i+k}, i < d - k
+        gv[:-k] += g * Y[k:]
+        gv[k:] -= g * Y[:-k]
+        g *= g
+        for row in g:
+            gg += row
+    nu, nv, ngv = (np.sqrt(_sum_rows(Z * Z)) for Z in (X, Y, gv))
+    degenerate = ngv <= COLLINEAR_RTOL * nu * nv * nv
+    gv *= -nv / np.where(degenerate, 1.0, ngv)
+    for i in (degenerate & (nv > 0.0)).nonzero()[0]:
+        gv[:, i] = _fallback_conormal(Y[:, i])
+    c = np.ldexp(gv, b, out=gv).T.reshape(shape + (d,))
+    return np.ldexp(np.sqrt(gg), a + b).reshape(shape), c, degenerate.reshape(shape)
+
+
+def _sum_rows(Z: np.ndarray) -> np.ndarray:
+    """Z[0] + Z[1] + ... in that order."""
+    total = Z[0].copy()
+    for row in Z[1:]:
+        total += row
+    return total
+
+
 def wedge(u, v):
     """Nonnegative wedge |u ^ v| = sqrt(|u|^2 |v|^2 - <u,v>^2).
 
-    Evaluated as the root of the Lagrange expansion
-    sum_{i<j} (u_i v_j - u_j v_i)^2, which is the same real number but is a
-    sum of squares: it needs no clamping, returns exactly 0 for exactly
-    collinear inputs, and stays accurate in the near-collinear regime where
-    the Gram form |u|^2|v|^2 - <u,v>^2 cancels catastrophically.
+    Evaluated as the root of the Lagrange expansion sum_{i<j} G_ij^2 over
+    the compensated entries of G = u v^T - v u^T. It is the same real number
+    but a sum of squares: it needs no clamping, returns exactly 0 for
+    exactly collinear inputs, and stays accurate in the near-collinear
+    regime where the Gram form |u|^2|v|^2 - <u,v>^2 cancels catastrophically.
     """
-    u, v = _check_pair(u, v)
-    g = u[..., :, None] * v[..., None, :]
-    g -= np.swapaxes(g, -1, -2)
-    return _item(np.sqrt(np.einsum("...jk,...jk->...", g, g) / 2.0))
+    return _item(_plane(*_check_pair(u, v))[0])
 
 
 def wedge_signed(u, v):
@@ -101,10 +157,9 @@ def perp_rotate(u, v):
 
     Returns ``(conormal, degenerate)``. The conormal is c = -(|v|/|w|) w
     with w the component of u orthogonal to v, so that |c| = |v|,
-    <c, v> = 0 and <u, c> = -|v||w| = -(u ^ v). The projection w is
-    computed with compensated arithmetic: its direction is what the defect
-    construction consumes, and for nearly collinear pairs plain float64
-    loses it entirely.
+    <c, v> = 0 and <u, c> = -|v||w| = -(u ^ v). It is read off the
+    bivector as G v = |v|^2 w, whose compensated entries keep the direction
+    of w even when u and v are nearly collinear and w is tiny.
 
     Raises ValueError if v = 0. If u and v are collinear (including u = 0)
     the plane is not determined: ``degenerate`` is set and the conormal is a
@@ -112,16 +167,9 @@ def perp_rotate(u, v):
     since the wedge vanishes and u has no component along it).
     """
     u, v = _check_pair(u, v)
-    nv = np.sqrt(np.einsum("...j,...j->...", v, v))
-    if np.any(nv == 0.0):
+    if not np.all(np.any(v != 0.0, axis=-1)):
         raise ValueError("cannot orient a plane around v = 0")
-    w = projection_residual(u, v)
-    nw = np.sqrt(np.einsum("...j,...j->...", w, w))
-    nu = np.sqrt(np.einsum("...j,...j->...", u, u))
-    degenerate = nw <= COLLINEAR_RTOL * nu
-    c = -(nv / np.where(degenerate, 1.0, nw))[..., None] * w
-    for i in map(tuple, np.argwhere(degenerate)):
-        c[i] = _fallback_conormal(v[i])
+    _, c, degenerate = _plane(u, v)
     return c, _item(degenerate)
 
 

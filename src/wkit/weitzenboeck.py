@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .qsqrt3 import QSqrt3
-from .vectors import SQRT3, _check_pair, perp_rotate, wedge
+from .vectors import SQRT3, _check_pair, _plane
 
 
 def identity_batch(U, V):
@@ -55,14 +55,8 @@ def identity_batch(U, V):
     uv = np.einsum("ij,ij->i", U, V)
     s = U + V
     lhs = uu + vv + np.einsum("ij,ij->i", s, s)
-    w = wedge(U, V)
+    w, conormal, _ = _plane(U, V)
     d_int = 2.0 * (uu + vv + uv - SQRT3 * w)
-    live = vv > 0.0
-    if live.all():
-        conormal, _ = perp_rotate(U, V)
-    else:
-        conormal = np.zeros_like(V)
-        conormal[live], _ = perp_rotate(U[live], V[live])
     x = U + 0.5 * V + (SQRT3 / 2.0) * conormal
     d_exp = 2.0 * np.einsum("ij,ij->i", x, x)
     residual = lhs - 2.0 * SQRT3 * w - d_exp

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -61,6 +62,17 @@ class TestDefect:
         r = run_cli("defect", "--vectors", "1e200,0", "0,1e200", "--format", "json")
         assert r.returncode == 1
         assert json.loads(r.stdout.replace("NaN", "null"))["residual"] is None
+
+    def test_huge_finite_result_passes(self):
+        # lhs = 2e301 is finite, so every term must be, though squares of the
+        # coordinates and the two_prod split overflow at this size.
+        r = run_cli("defect", "--vectors", "1e150,2e150", "2e150,-1e150", "--format", "json")
+        assert r.returncode == 0, r.stdout + r.stderr
+        payload = json.loads(r.stdout)
+        assert payload["lhs"] == pytest.approx(2e301, rel=1e-15)
+        assert payload["wedge_term"] == pytest.approx(2 * 3**0.5 * 5e300, rel=1e-15)
+        assert all(math.isfinite(x) for x in payload.values() if isinstance(x, float))
+        assert r.stderr == ""
 
     def test_residual_over_budget_fails(self):
         args = ("defect", "--vectors", "0.1,0.7", "0.3,-0.9", "--format", "json")
@@ -155,9 +167,9 @@ class TestSweep:
             "pairs                  100000\n"
             "seed                   0\n"
             "tolerance              1e-09\n"
-            "max_scaled_residual    7.393005299118998e-16\n"
+            "max_scaled_residual    8.192882639404382e-16\n"
             "max_scaled_negativity  0.0\n"
-            "max_scaled_path_gap    8.928201454594471e-16\n"
+            "max_scaled_path_gap    8.245826663463241e-16\n"
             "result                 pass\n"
         )
 

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from wkit.numerics import dd_div, dot2, projection_residual, two_prod, two_sum
+from wkit.numerics import det2, two_prod
+
+EPS = float(np.finfo(float).eps)
 
 
 def frac(x: float) -> Fraction:
@@ -11,13 +12,6 @@ def frac(x: float) -> Fraction:
 
 
 class TestErrorFreeTransforms:
-    def test_two_sum_is_error_free(self):
-        rng = np.random.default_rng(0)
-        for scale in (1.0, 1e8, 1e-8):
-            for a, b in rng.uniform(-scale, scale, (200, 2)):
-                s, e = two_sum(a, b)
-                assert frac(s) + frac(e) == frac(a) + frac(b)
-
     def test_two_prod_is_error_free(self):
         rng = np.random.default_rng(1)
         for scale in (1.0, 1e8, 1e-8):
@@ -27,90 +21,68 @@ class TestErrorFreeTransforms:
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(2)
-        a = rng.uniform(-10, 10, 50)
-        b = rng.uniform(-10, 10, 50)
-        s, e = two_sum(a, b)
+        a, b, c, d = rng.uniform(-10, 10, (4, 50))
         p, f = two_prod(a, b)
+        g = det2(a, b, c, d)
         for i in range(50):
-            assert (s[i], e[i]) == two_sum(a[i], b[i])
             assert (p[i], f[i]) == two_prod(a[i], b[i])
+            assert g[i] == det2(a[i], b[i], c[i], d[i])
 
 
-class TestDot2:
-    def test_matches_exact_dot(self):
+class TestDet2:
+    # A priori bound, set before it was measured: one rounding of the two
+    # leading products' difference, one of the error terms' difference and
+    # one of their sum, each at most eps/2 of what it rounds.
+    BOUND = 2 * EPS
+
+    def check(self, a, b, c, d) -> float:
+        """det2 of each entry against the exact Fraction value; returns the
+        worst error in eps of the exact value."""
+        worst = 0.0
+        for args, got in zip(zip(a, b, c, d), det2(a, b, c, d)):
+            ea, eb, ec, ed = map(frac, args)
+            exact = ea * ed - eb * ec
+            err = abs(frac(got) - exact)
+            assert err <= Fraction(self.BOUND) * abs(exact)
+            if exact:
+                worst = max(worst, float(err / abs(exact)) / EPS)
+        return worst
+
+    def test_uniform_draws_within_two_eps(self):
         rng = np.random.default_rng(3)
-        for _ in range(100):
-            d = int(rng.integers(2, 9))
-            u = rng.uniform(-10, 10, d)
-            v = rng.uniform(-10, 10, d)
-            hi, lo = dot2(u, v)
-            exact = sum(frac(x) * frac(y) for x, y in zip(u, v))
-            err = abs((frac(hi) + frac(lo)) - exact)
-            assert err <= Fraction(1, 10**25)
+        for scale in (1.0, 1e8, 1e-8):
+            self.check(*rng.uniform(-scale, scale, (4, 500)))
 
-    def test_cancellation_survives(self):
-        # ill-conditioned dot: the plain float sum loses everything
-        u = np.array([1e16, 1.0, -1e16])
-        v = np.array([1.0, 1.0, 1.0])
-        hi, lo = dot2(u, v)
-        assert hi + lo == 1.0
-
-    def test_batched(self):
+    def test_near_collinear_draws_within_two_eps(self):
+        # (c, d) = lam*(a, b) + eps*noise: a*d and b*c agree to about eps
+        # relative, and plain a*d - b*c keeps none of the digits of the rest.
         rng = np.random.default_rng(4)
-        U = rng.uniform(-10, 10, (40, 5))
-        V = rng.uniform(-10, 10, (40, 5))
-        hi, lo = dot2(U, V)
-        for i in range(40):
-            hi1, lo1 = dot2(U[i], V[i])
-            assert hi[i] == hi1 and lo[i] == lo1
-
-
-class TestDdDiv:
-    def test_accuracy(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            a = rng.uniform(-100, 100)
-            b = rng.uniform(0.1, 100)
-            th, tl = dd_div(two_sum(a, 0.0), two_sum(b, 0.0))
-            err = abs(frac(th) + frac(tl) - frac(a) / frac(b))
-            assert err <= abs(frac(a) / frac(b)) * Fraction(1, 10**30)
-
-
-class TestProjectionResidual:
-    @staticmethod
-    def exact_projection(u, v):
-        uf = [frac(x) for x in u]
-        vf = [frac(x) for x in v]
-        t = sum(a * b for a, b in zip(uf, vf)) / sum(b * b for b in vf)
-        return [a - t * b for a, b in zip(uf, vf)]
-
-    def test_generic_pairs(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            d = int(rng.integers(2, 9))
-            u = rng.uniform(-10, 10, d)
-            v = rng.uniform(-10, 10, d)
-            w = projection_residual(u, v)
-            w_exact = self.exact_projection(u, v)
-            for wi, we in zip(w, w_exact):
-                assert abs(frac(wi) - we) <= abs(we) * Fraction(5, 10**16) + Fraction(1, 10**24)
-
-    def test_near_collinear_direction_is_kept(self):
-        # the whole point of the compensated path: v = lam*u + eps*noise
-        rng = np.random.default_rng(7)
-        for eps in (1e-6, 1e-9):
-            for _ in range(30):
-                d = int(rng.integers(2, 9))
-                u = rng.uniform(-10, 10, d)
-                v = rng.uniform(0.5, 2.0) * u + eps * rng.standard_normal(d)
-                w = projection_residual(u, v)
-                w_exact = self.exact_projection(u, v)
-                norm_exact = sum(x * x for x in w_exact)
-                diff = sum((frac(a) - b) ** 2 for a, b in zip(w, w_exact))
-                # relative error in the full vector (hence its direction)
-                assert diff <= norm_exact * Fraction(1, 10**24)
+        for eps in (1e-6, 1e-9, 1e-12, 1e-15):
+            a, b = rng.uniform(-10, 10, (2, 500))
+            lam = rng.uniform(-2, 2, 500)
+            c, d = lam * a + eps * rng.standard_normal((2, 500))
+            self.check(a, b, c, d)
+            plain = a * d - b * c
+            exact = [frac(x) * frac(w) - frac(y) * frac(z) for x, y, z, w in zip(a, b, c, d)]
+            assert max(abs(frac(p) - e) / abs(e) for p, e in zip(plain, exact)) > self.BOUND
 
     def test_exactly_collinear_gives_zero(self):
-        u = np.array([3.0, -1.5, 0.25])
-        w = projection_residual(u, 2.0 * u)
-        assert np.all(w == 0.0)
+        rng = np.random.default_rng(5)
+        a, b = rng.uniform(-10, 10, (2, 200))
+        for lam in (1.0, -1.0, 2.0, -0.5, 0.25, 1024.0):
+            assert np.all(det2(a, b, lam * a, lam * b) == 0.0)
+        assert det2(6.0, 4.0, 9.0, 6.0) == 0.0
+        assert det2(0.1, 0.3, 0.1, 0.3) == 0.0
+
+    def test_swapping_rows_negates_exactly(self):
+        rng = np.random.default_rng(6)
+        a, b, c, d = rng.uniform(-10, 10, (4, 500))
+        assert np.array_equal(det2(c, d, a, b), -det2(a, b, c, d))
+
+    def test_batched_matches_scalar(self):
+        rng = np.random.default_rng(7)
+        a, b, c, d = rng.uniform(-10, 10, (4, 8, 5))
+        g = det2(a, b, c, d)
+        assert g.shape == (8, 5)
+        for i in np.ndindex(8, 5):
+            assert g[i] == det2(a[i], b[i], c[i], d[i])

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -107,6 +108,15 @@ def test_zero_iff_both_coefficients_zero():
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         QSqrt3(0.5, 0)
+
+
+def test_numpy_integer_coefficients_do_not_wrap():
+    # Read as Python ints: int8 arithmetic would give 43 + 88*sqrt(3) here,
+    # with a numpy overflow warning.
+    x = QSqrt3(np.int8(100), np.int8(3))
+    assert x * x == QSqrt3(10027, 600)
+    assert type(x.a.numerator) is int
+    assert QSqrt3(np.uint64(2**64 - 1), np.int64(-(2**63))) == QSqrt3(2**64 - 1, -(2**63))
 
 
 def test_string_coefficients():

@@ -41,10 +41,11 @@ def test_stress_pairs_injected_at_one_percent():
 
 
 # A priori error bounds of the float kernel, in float64 eps, for d <= 8 and
-# set before the comparison was first run. The wedge sums d^2 rounded 2x2
-# determinants, each off by a few eps times |u||v|. The conormal is the
-# double-double projection rounded once per component, rescaled by two
-# rounded norms: a few eps times |v| per component. Each defect adds a
+# set before the comparison was first run. The wedge sums the squares of
+# the d(d-1)/2 compensated 2x2 determinants G_ij, each within about one ulp,
+# and is off by a few eps times |u||v|. The conormal is G v, each coordinate
+# a sum of d - 1 products of those entries with v, rescaled by two rounded
+# norms: a few eps times |v| per component. Each defect adds a
 # handful of rounded terms of size <= 2*lhs, and the explicit one squares a
 # vector of size <= |u| + |v| that carries the conormal's error.
 EPS = float(np.finfo(float).eps)
@@ -106,8 +107,8 @@ def test_collinear_pairs_stay_near_eps(d):
     # v = lam*u is exactly collinear; v = fl(0.1*u) is mostly collinear only
     # up to the rounding of v, with |w| far below eps*|u| but not zero. A
     # COLLINEAR_RTOL far below eps sends some of the latter to the normal
-    # path, whose projection is only good to about eps**2*|u| (1e-27 reaches
-    # 57 eps here, 1e-12 and 1e-15 stay under 24 eps).
+    # path, whose conormal is only good to about eps**2*|u|/|w| (observed
+    # under 24 eps here at RTOL 1e-12, 1e-15 and 1e-27).
     if d == 2:
         grid = np.arange(-50.0, 51.0)
         U = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wkit.vectors import (
     SQRT3,
@@ -124,11 +127,44 @@ class TestPerpRotate:
             assert inner(u, c) == pytest.approx(-wedge(u, v), abs=1e-9 * max(1.0, scale))
 
     def test_frame_invariants_near_collinear(self):
-        # the regime that needs the compensated projection
+        # the regime that needs the compensated bivector
         for u, v in near_collinear_pairs(200):
             c, _ = perp_rotate(u, v)
             scale = norm(u) * norm(v)
             assert inner(u, c) == pytest.approx(-wedge(u, v), abs=1e-11 * max(1.0, scale))
+
+    @staticmethod
+    def direction_error(u, v) -> Fraction:
+        """sin^2 of the angle between the conormal and -w, w = u - (<u,v>/<v,v>) v
+        in exact Fraction arithmetic; asserts that c points along -w."""
+        c, _ = perp_rotate(u, v)
+        uf, vf, cf = ([Fraction(x) for x in z] for z in (u, v, c))
+        t = sum(a * b for a, b in zip(uf, vf)) / sum(b * b for b in vf)
+        w = [a - t * b for a, b in zip(uf, vf)]
+        cw = sum(a * b for a, b in zip(cf, w))
+        assert cw < 0
+        cc, ww = sum(a * a for a in cf), sum(a * a for a in w)
+        return 1 - cw * cw / (cc * ww)
+
+    def test_direction_matches_exact_projection(self):
+        # G v has condition number O(1): a few eps per coordinate for d <= 8.
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            d = int(rng.integers(2, 9))
+            u = rng.uniform(-10, 10, d)
+            v = rng.uniform(-10, 10, d)
+            assert self.direction_error(u, v) <= Fraction(16 * 16) * Fraction(np.finfo(float).eps) ** 2
+
+    def test_near_collinear_direction_is_kept(self):
+        # v = lam*u + eps*noise: the compensated entries of G keep the
+        # direction of the tiny w that plain float64 loses.
+        rng = np.random.default_rng(7)
+        for eps in (1e-6, 1e-9):
+            for _ in range(30):
+                d = int(rng.integers(2, 9))
+                u = rng.uniform(-10, 10, d)
+                v = rng.uniform(0.5, 2.0) * u + eps * rng.standard_normal(d)
+                assert self.direction_error(u, v) <= Fraction(1, 10**24)
 
     def test_stack_matches_single_pairs(self):
         # a stack runs the same elementwise arithmetic as its rows one by one
@@ -180,3 +216,30 @@ class TestRotatePi3:
                 continue
             np.testing.assert_allclose(rotate_pi3(u, v), rot @ v, atol=1e-12 * max(1.0, norm(v)))
             done += 1
+
+
+# Coordinates and results stay in the normal range, where scaling by a
+# power of two is exact.
+_coords = st.floats(-100.0, 100.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-6)
+
+
+@st.composite
+def _pairs(draw):
+    d = draw(st.integers(2, 8))
+    vec = st.lists(_coords, min_size=d, max_size=d).map(np.array)
+    return draw(vec), draw(vec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs(), st.integers(-500, 500), st.integers(-500, 500))
+def test_power_of_two_scaling_is_exact(pair, k, j):
+    # wedge(2^k u, 2^j v) = 2^(k+j) wedge(u, v) and the conormal scales by
+    # 2^j, bit for bit: the kernel works on u and v scaled to unit size.
+    u, v = pair
+    su, sv = np.ldexp(u, k), np.ldexp(v, j)
+    assert wedge(su, sv) == math.ldexp(wedge(u, v), k + j)
+    if v.any():
+        c, degenerate = perp_rotate(u, v)
+        sc, sdegenerate = perp_rotate(su, sv)
+        assert sdegenerate == degenerate
+        assert np.array_equal(sc, np.ldexp(c, j))
