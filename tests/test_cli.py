@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -226,7 +228,49 @@ class TestShape:
         assert a.stdout == b.stdout
 
 
+def _write_helix_csv(path, seed, n):
+    """n samples at step 0.01 of the unit-speed helix (cos wt, sin wt, 3wt),
+    w = 1/sqrt(10), from a start that the seed picks; coordinates in repr."""
+    k0 = random.Random(seed).randrange(100_000)
+    w = 1.0 / math.hypot(1.0, 3.0)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,x,y,z\n")
+        for k in range(n):
+            t = (k0 + k) / 100
+            fh.write(",".join(repr(x) for x in (t, math.cos(w * t), math.sin(w * t), 3.0 * w * t)))
+            fh.write("\n")
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestCurve:
+    # sha256 of the stdout (for csv the summary goes to stderr and is not
+    # hashed) of `wkit curve --builtin helix:1:3 --t 0:100:0.01`, 10001 rows.
+    @pytest.mark.parametrize("fmt, digest", [
+        ("text", "01934203cffe3016f904e06f8d9c6b224076d2f87b167108bfcdc1232fbe20f2"),
+        ("csv", "a1ae404c50bbe72356ef290280e0c7557fb01022a34c194eed025e5089dd0667"),
+        ("json", "c5f832808be90ca6c8aa536440b99513e06c5e8f037c15ae38702f7d7b368add"),
+    ])
+    def test_builtin_stdout_pinned(self, fmt, digest):
+        r = run_cli("curve", "--builtin", "helix:1:3", "--t", "0:100:0.01", "--format", fmt)
+        assert r.returncode == 0, r.stderr
+        assert _sha256(r.stdout) == digest
+
+    # The same for 1000 helix samples (998 jets) from seed 8, start t = 297.14.
+    @pytest.mark.parametrize("fmt, digest", [
+        ("text", "d01ca42c0385f33b8779e6c272c4607ab2d91d21ff137d705149e686178fdaac"),
+        ("csv", "c22732f9f7d76017a7aed52c5a440c1139b2e9886c4249737edfd41ac4eaf84e"),
+        ("json", "04f0c39375297466640801cf8ca98d9588edf596c944d4fd64766c945a18a3a6"),
+    ])
+    def test_input_stdout_pinned(self, fmt, digest, tmp_path):
+        path = tmp_path / "helix.csv"
+        _write_helix_csv(path, seed=8, n=1000)
+        r = run_cli("curve", "--input", str(path), "--format", fmt)
+        assert r.returncode == 0, r.stderr
+        assert _sha256(r.stdout) == digest
+
     def test_builtin_circle(self):
         r = run_cli("curve", "--builtin", "circle:2", "--t", "0:6.28:0.01", "--format", "json")
         assert r.returncode == 0

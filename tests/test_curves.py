@@ -268,3 +268,32 @@ class TestReadCurveCsv:
         text = "t,x,y,z\n0.0,1,0,0\n0.2,1,0,0\n0.1,1,0,0\n"
         with pytest.raises(ValueError, match="row 3"):
             read_curve_csv(io.StringIO(text))
+
+    # Each message is the one the per-row reader gave: rows count from the
+    # line after the header, blank lines included, and the first bad row wins.
+    @pytest.mark.parametrize("text, message", [
+        ("a,b,c,d\n0,0,0,0\n", "expected header 't,x,y,z', got 'a,b,c,d'"),
+        ("", "expected header 't,x,y,z', got ''"),
+        ("t,x,y,z\n0,1,0,0\n0.1,1,0\n0.2,1,0,0\n",
+         "malformed CSV at row 2: expected 4 fields, got 3"),
+        ("t,x,y,z\n0,1,0,0\n0.1,1,0,0\n0.2,1,0,0,7\n",
+         "malformed CSV at row 3: expected 4 fields, got 5"),
+        ("t,x,y,z\n0,1,0,0\n0.1,oops,0,0\n0.2,1,0,0\n",
+         "malformed CSV at row 2: could not convert string to float: 'oops'"),
+        ("t,x,y,z\n0,1,0,0\n0.1,,0,0\n", "malformed CSV at row 2: could not convert string to float: ''"),
+        ("t,x,y,z\n0,1,0,0\n0.2,1,0,0\n0.1,1,0,0\n", "parameter not strictly increasing at row 3"),
+        ("t,x,y,z\n0,1,0,0\n0.2,1,0,0\n0.2,1,0,0\n", "parameter not strictly increasing at row 3"),
+        ("t,x,y,z\n0,1,0,0\n-1,1,0,0\n0.2,1,0\n", "parameter not strictly increasing at row 2"),
+        ("t,x,y,z\n0,1,0,0\n0.1,1,0,0\n", "need at least 3 samples"),
+        ("t,x,y,z\n", "need at least 3 samples"),
+        ("t,x,y,z\n\n0,1,0,0\n\n0.1,1,0,0\n\n", "need at least 3 samples"),
+        ("t,x,y,z\n0,1,0,0\n\n   \n0.1,1,0,0\n\n0.05,1,0,0\n",
+         "parameter not strictly increasing at row 6"),
+        ("t,x,y,z\n0,1,0,0\n\n0.1,1,0\n", "malformed CSV at row 3: expected 4 fields, got 3"),
+    ], ids=["header", "no-header", "3-fields", "5-fields", "non-number", "empty-field",
+            "decreasing", "repeated", "decrease-before-short-row", "2-samples", "no-samples",
+            "blank-lines-not-samples", "blank-lines-counted", "blank-line-before-short-row"])
+    def test_error_messages(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            read_curve_csv(io.StringIO(text))
+        assert str(exc.value) == message
