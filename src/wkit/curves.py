@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TextIO
+from itertools import chain, repeat
+from typing import NoReturn, TextIO
 
 import numpy as np
 
@@ -254,10 +255,11 @@ def jet_from_samples(ts, positions, i) -> CurveJet:
     if pos.shape != (n, 3):
         raise ValueError(f"positions must have shape ({n}, 3), got {pos.shape}")
     steps = np.diff(ts)
-    if np.any(steps <= 0):
+    # Both checks are written so that a NaN step fails them.
+    if not np.all(steps > 0):
         raise ValueError("parameter values must be strictly increasing")
     h = float(steps[0])
-    if float(np.max(np.abs(steps - h))) > 1e-9 * h:
+    if not float(np.max(np.abs(steps - h))) <= 1e-9 * h:
         raise ValueError("sample spacing must be uniform to 1e-9 relative")
     i = np.asarray(i)
     outside = i[(i < 1) | (i > n - 2)]
@@ -269,13 +271,38 @@ def jet_from_samples(ts, positions, i) -> CurveJet:
 
 
 def read_curve_csv(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
-    """Parse curve samples from ``t,x,y,z`` CSV with strictly increasing t."""
+    """Parse curve samples from ``t,x,y,z`` CSV: finite values, strictly
+    increasing t, at least 3 samples.
+
+    Blank lines are skipped; rows are numbered from the line after the
+    header, blank lines included. The body is converted in one pass and
+    checked as an array; only rejected input is read again row by row, to
+    name the first bad row.
+    """
     header = stream.readline().strip()
     if [c.strip() for c in header.split(",")] != ["t", "x", "y", "z"]:
         raise ValueError(f"expected header 't,x,y,z', got {header!r}")
-    ts: list[float] = []
-    pos: list[list[float]] = []
-    for row, line in enumerate(stream, start=1):
+    lines = stream.read().split("\n")
+    rows = list(filter(None, map(str.strip, lines)))
+    data = np.empty((0, 4))
+    if set(map(str.count, rows, repeat(","))) == {3}:
+        # Split lazily: only one row's fields are alive at a time.
+        fields = chain.from_iterable(map(str.split, rows, repeat(",")))
+        try:
+            data = np.fromiter(map(float, fields), float, 4 * len(rows)).reshape(-1, 4)
+        except ValueError:
+            pass
+    ts = data[:, 0]
+    if len(ts) < 3 or not np.isfinite(data).all() or not (np.diff(ts) > 0).all():
+        _raise_first_bad_row(lines)
+    return ts, data[:, 1:]
+
+
+def _raise_first_bad_row(lines: list[str]) -> NoReturn:
+    """Raise the error of the first bad row of CSV body ``lines``, or the
+    sample count error when every row is good."""
+    last = -math.inf
+    for row, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
@@ -286,10 +313,9 @@ def read_curve_csv(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
             values = [float(x) for x in fields]
         except ValueError as exc:
             raise ValueError(f"malformed CSV at row {row}: {exc}") from None
-        if ts and values[0] <= ts[-1]:
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"malformed CSV at row {row}: non-finite value in {line!r}")
+        if values[0] <= last:
             raise ValueError(f"parameter not strictly increasing at row {row}")
-        ts.append(values[0])
-        pos.append(values[1:])
-    if len(ts) < 3:
-        raise ValueError("need at least 3 samples")
-    return np.asarray(ts), np.asarray(pos)
+        last = values[0]
+    raise ValueError("need at least 3 samples")

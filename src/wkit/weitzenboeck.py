@@ -98,7 +98,8 @@ class IdentityReport:
 
     ``residual`` is lhs - wedge_term - defect_explicit and should vanish to
     rounding; ``equality_case`` flags defects below tol relative to the
-    left-hand side (scale-aware: the defect grows quadratically).
+    left-hand side (scale-aware: the defect grows quadratically), and is
+    False when lhs or the defect is not finite.
     """
 
     lhs: float
@@ -118,7 +119,8 @@ def verify_identity(u, v, tol: float = 1e-9) -> IdentityReport:
         defect_intrinsic=d_int,
         defect_explicit=d_exp,
         residual=residual,
-        equality_case=d_exp <= tol * max(1.0, lhs),
+        # inf <= tol * inf holds, so an overflowed pair must not count.
+        equality_case=math.isfinite(lhs) and math.isfinite(d_exp) and d_exp <= tol * max(1.0, lhs),
     )
 
 

@@ -65,6 +65,13 @@ class TestDefect:
         assert r.returncode == 1
         assert json.loads(r.stdout.replace("NaN", "null"))["residual"] is None
 
+    def test_overflow_is_not_equality(self):
+        # lhs and defect_explicit overflow to inf, and inf <= tol * inf holds.
+        r = run_cli("defect", "--vectors", "1e200,0", "0,1e200")
+        assert r.returncode == 1
+        assert "lhs               inf\n" in r.stdout
+        assert r.stdout.endswith("equality          false\n")
+
     def test_huge_finite_result_passes(self):
         # lhs = 2e301 is finite, so every term must be, though squares of the
         # coordinates and the two_prod split overflow at this size.
@@ -252,7 +259,7 @@ class TestCurve:
         ("text", "01934203cffe3016f904e06f8d9c6b224076d2f87b167108bfcdc1232fbe20f2"),
         ("csv", "a1ae404c50bbe72356ef290280e0c7557fb01022a34c194eed025e5089dd0667"),
         ("json", "c5f832808be90ca6c8aa536440b99513e06c5e8f037c15ae38702f7d7b368add"),
-    ])
+    ], ids=["text", "csv", "json"])
     def test_builtin_stdout_pinned(self, fmt, digest):
         r = run_cli("curve", "--builtin", "helix:1:3", "--t", "0:100:0.01", "--format", fmt)
         assert r.returncode == 0, r.stderr
@@ -263,7 +270,7 @@ class TestCurve:
         ("text", "d01ca42c0385f33b8779e6c272c4607ab2d91d21ff137d705149e686178fdaac"),
         ("csv", "c22732f9f7d76017a7aed52c5a440c1139b2e9886c4249737edfd41ac4eaf84e"),
         ("json", "04f0c39375297466640801cf8ca98d9588edf596c944d4fd64766c945a18a3a6"),
-    ])
+    ], ids=["text", "csv", "json"])
     def test_input_stdout_pinned(self, fmt, digest, tmp_path):
         path = tmp_path / "helix.csv"
         _write_helix_csv(path, seed=8, n=1000)
@@ -321,6 +328,15 @@ class TestCurve:
         r = run_cli("curve", "--input", str(path))
         assert r.returncode == 2
         assert "unit-speed violated at row 1" in r.stderr
+
+    def test_non_finite_t_rejected(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("t,x,y,z\n" + "".join(
+            f"{t},{t},0.0,0.0\n" for t in ("0", "0.01", "0.02", "nan", "0.04", "0.05")))
+        r = run_cli("curve", "--input", str(path))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: malformed CSV at row 4")
 
     def test_missing_t_range(self):
         r = run_cli("curve", "--builtin", "circle:2")

@@ -240,6 +240,12 @@ class TestJetFromSamples:
         with pytest.raises(ValueError, match="uniform"):
             jet_from_samples(ts, np.zeros((3, 3)), 1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_parameter_rejected(self, bad):
+        ts = [0.0, 0.01, 0.02, bad, 0.04]
+        with pytest.raises(ValueError):
+            jet_from_samples(ts, np.zeros((5, 3)), [1, 2, 3])
+
     def test_interior_index_required(self):
         ts = [0.0, 1.0, 2.0]
         with pytest.raises(ValueError):
@@ -250,10 +256,11 @@ class TestJetFromSamples:
 
 class TestReadCurveCsv:
     def test_round_trip(self):
-        text = "t,x,y,z\n0.0,1.0,0.0,0.0\n0.1,0.9,0.1,0.0\n0.2,0.8,0.2,0.0\n"
+        # A blank line and blanks around a row are skipped.
+        text = "t,x,y,z\n0.0,1.0,0.0,0.0\n\n 0.1,0.9,0.1,0.0\t\n0.2,0.8,0.2,-1e-3\n"
         ts, pos = read_curve_csv(io.StringIO(text))
         assert ts.tolist() == [0.0, 0.1, 0.2]
-        assert pos.shape == (3, 3)
+        assert pos.tolist() == [[1.0, 0.0, 0.0], [0.9, 0.1, 0.0], [0.8, 0.2, -1e-3]]
 
     def test_bad_header(self):
         with pytest.raises(ValueError, match="header"):
@@ -278,9 +285,12 @@ class TestReadCurveCsv:
          "malformed CSV at row 2: expected 4 fields, got 3"),
         ("t,x,y,z\n0,1,0,0\n0.1,1,0,0\n0.2,1,0,0,7\n",
          "malformed CSV at row 3: expected 4 fields, got 5"),
+        ("t,x,y,z\n0,1,0,0\n0.1,1,0\n0.2,1,0,0,7\n",
+         "malformed CSV at row 2: expected 4 fields, got 3"),
         ("t,x,y,z\n0,1,0,0\n0.1,oops,0,0\n0.2,1,0,0\n",
          "malformed CSV at row 2: could not convert string to float: 'oops'"),
-        ("t,x,y,z\n0,1,0,0\n0.1,,0,0\n", "malformed CSV at row 2: could not convert string to float: ''"),
+        ("t,x,y,z\n0,1,0,0\n0.1,,0,0\n",
+         "malformed CSV at row 2: could not convert string to float: ''"),
         ("t,x,y,z\n0,1,0,0\n0.2,1,0,0\n0.1,1,0,0\n", "parameter not strictly increasing at row 3"),
         ("t,x,y,z\n0,1,0,0\n0.2,1,0,0\n0.2,1,0,0\n", "parameter not strictly increasing at row 3"),
         ("t,x,y,z\n0,1,0,0\n-1,1,0,0\n0.2,1,0\n", "parameter not strictly increasing at row 2"),
@@ -290,10 +300,19 @@ class TestReadCurveCsv:
         ("t,x,y,z\n0,1,0,0\n\n   \n0.1,1,0,0\n\n0.05,1,0,0\n",
          "parameter not strictly increasing at row 6"),
         ("t,x,y,z\n0,1,0,0\n\n0.1,1,0\n", "malformed CSV at row 3: expected 4 fields, got 3"),
-    ], ids=["header", "no-header", "3-fields", "5-fields", "non-number", "empty-field",
-            "decreasing", "repeated", "decrease-before-short-row", "2-samples", "no-samples",
+    ], ids=["header", "no-header", "3-fields", "5-fields", "3-then-5-fields", "non-number",
+            "empty-field", "decreasing", "repeated", "decrease-before-short-row", "2-samples", "no-samples",
             "blank-lines-not-samples", "blank-lines-counted", "blank-line-before-short-row"])
     def test_error_messages(self, text, message):
         with pytest.raises(ValueError) as exc:
             read_curve_csv(io.StringIO(text))
         assert str(exc.value) == message
+
+    # float() takes "nan" and "inf", and NaN fails no comparison.
+    @pytest.mark.parametrize("row4", ["nan,0,0,0", "inf,0,0,0", "-inf,0,0,0", "0.03,nan,0,0",
+                                      "0.03,0,0,-inf"])
+    def test_non_finite_field_rejected(self, row4):
+        text = f"t,x,y,z\n0,0,0,0\n0.01,0,0,0\n0.02,0,0,0\n{row4}\n0.04,0,0,0\n0.05,0,0,0\n"
+        with pytest.raises(ValueError) as exc:
+            read_curve_csv(io.StringIO(text))
+        assert str(exc.value) == f"malformed CSV at row 4: non-finite value in {row4!r}"

@@ -108,6 +108,13 @@ class TestVerifyIdentity:
             rep = verify_identity(u, v)
             assert abs(rep.residual) < 1e-9 * max(1.0, rep.lhs)
 
+    def test_overflow_is_not_equality(self):
+        # lhs = 4e400 overflows, and so does the defect: inf <= tol * inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = verify_identity([1e200, 0.0], [0.0, 1e200])
+        assert rep.lhs == math.inf and rep.defect_explicit == math.inf
+        assert rep.equality_case is False
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             verify_identity([1, float("nan")], [0, 1])
