@@ -15,9 +15,6 @@ import numpy as np
 
 from wkit import (
     Triangle,
-    defect_explicit,
-    defect_intrinsic,
-    lhs_sum,
     rotate_pi3,
     run_identity_sweep,
     triangle_defect,
@@ -42,11 +39,12 @@ print("2. The same defect from edge vectors, two independent ways")
 print("=" * 72)
 t = Triangle(3, 4, 5)
 u, v = triangle_to_vectors(t)
+rep = verify_identity(u, v)
 print(f"  u = {u}, v = {v}")
-print(f"  lhs            = |u|^2+|v|^2+|u+v|^2 = {lhs_sum(u, v)}")
+print(f"  lhs            = |u|^2+|v|^2+|u+v|^2 = {rep.lhs}")
 print(f"  wedge term     = 2*sqrt(3)*(u^v)     = {2*SQRT3*wedge(u, v)}")
-print(f"  defect (closed formula)              = {defect_intrinsic(u, v)}")
-print(f"  defect (explicit rotation)           = {defect_explicit(u, v)}")
+print(f"  defect (closed formula)              = {rep.defect_intrinsic}")
+print(f"  defect (explicit rotation)           = {rep.defect_explicit}")
 print(f"  triangle_defect for comparison       = {triangle_defect(t)}")
 
 print()

@@ -13,15 +13,15 @@ importable, also renders half_disk_figure.png.
 import math
 
 from wkit import (
+    TANGENT_SLOPE,
+    HalfDisk,
     Triangle,
     circle_of,
     circle_residual,
     classify,
     figure_dataset,
-    halfdisk,
     halfdisk_contains,
     shape_point,
-    tangent_line_slope,
     tangent_point,
     write_figure_csv,
 )
@@ -33,13 +33,13 @@ for sides in [(3, 4, 5), (1, 1, 1), (2, 2, 3), (2, 3, 4)]:
     t = Triangle(*sides)
     p = shape_point(t)
     c = circle_of(t.a, t.b)
-    d = halfdisk(t.a * t.a + t.b * t.b)
+    d = HalfDisk(t.a * t.a + t.b * t.b)
     print(f"  sides {sides}: point ({p.x:.6g}, {p.y:.6g})")
     print(f"    on its circle (center {c.center_x:.6g}, radius {c.radius:.6g}): "
           f"residual = {circle_residual(p, c):.2e}")
-    print(f"    inside half-disk for s = {d.s:.6g}: "
+    print(f"    inside half-disk for s = {d.center_x:.6g}: "
           f"{halfdisk_contains(p, d, tol=1e-9 * d.radius**2)}")
-    print(f"    slope y/x = {p.y / p.x:.9f} vs tangent slope {tangent_line_slope():.9f}")
+    print(f"    slope y/x = {p.y / p.x:.9f} vs tangent slope {TANGENT_SLOPE:.9f}")
     print(f"    classification: {classify(t)}")
 
 print()
@@ -47,11 +47,11 @@ print("=" * 72)
 print("2. The tangent point is the equilateral triangle")
 print("=" * 72)
 s = 2.0
-tp = tangent_point(halfdisk(s))
+tp = tangent_point(HalfDisk(s))
 p = shape_point(Triangle(1, 1, 1))
 print(f"  tangent point for s = {s}: ({tp.x}, {tp.y})")
 print(f"  shape point of (1,1,1):  ({p.x}, {p.y})")
-print(f"  tan(pi/6) = 1/sqrt(3) = {tangent_line_slope()}")
+print(f"  tan(pi/6) = 1/sqrt(3) = {TANGENT_SLOPE}")
 
 print()
 print("=" * 72)

@@ -19,7 +19,6 @@ from wkit import (
     CurveJet,
     circle_jet,
     circle_position,
-    curvature,
     helix_jet,
     jet_from_samples,
     line_jet,
@@ -68,6 +67,6 @@ for h in (1e-2, 1e-3, 1e-4):
     pos = np.stack([circle_position(radius, t) for t in ts])
     jet = jet_from_samples(ts, pos, 1)
     # coarse steps miss unit speed by O(h^2); loosen the gate accordingly
-    k = curvature(jet, tol=1e-4)
+    k = curvature_bound_report(jet, tol=1e-4).curvature
     print(f"  h = {h:g}: K_estimated = {k:.10f}, error = {abs(k - 1 / radius):.3e}, "
           f"unit-speed residual = {jet.unit_speed_residual:.3e}")

@@ -13,7 +13,6 @@ from .curves import (
     builtin_curve,
     circle_jet,
     circle_position,
-    curvature,
     helix_jet,
     helix_position,
     jet_from_samples,
@@ -26,7 +25,6 @@ from .shape_space import (
     EQUILATERAL_TANGENT,
     INTERIOR,
     ISOSCELES_LIMIT,
-    TANGENT_ANGLE,
     TANGENT_SLOPE,
     HalfDisk,
     ShapeCircle,
@@ -35,17 +33,14 @@ from .shape_space import (
     circle_residual,
     classify,
     figure_dataset,
-    halfdisk,
     halfdisk_contains,
     shape_point,
-    tangent_line_slope,
     tangent_point,
     write_figure_csv,
 )
 from .sweeps import (
     ExactSweepResult,
     SweepResult,
-    random_triangles,
     run_exact_sweep,
     run_identity_sweep,
 )
@@ -62,10 +57,7 @@ from .weitzenboeck import (
     IdentityReport,
     Triangle,
     area_heron,
-    defect_explicit,
-    defect_intrinsic,
     identity_batch,
-    lhs_sum,
     triangle_defect,
     triangle_to_vectors,
     verify_exact,

@@ -25,7 +25,7 @@ from typing import NoReturn, TextIO
 
 import numpy as np
 
-from .vectors import SQRT3, _item, wedge
+from .vectors import SQRT3, _item
 from .weitzenboeck import identity_batch
 
 #: Default unit-speed tolerance for finite-difference jets; analytic jets
@@ -80,16 +80,6 @@ def _require_unit_speed(jet: CurveJet, tol: float) -> None:
             f"unit-speed violated at t={np.ravel(jet.t)[i].item()!r}: "
             f"| |d1| - 1 | = {np.ravel(jet.unit_speed_residual)[i].item()!r} > {tol!r}"
         )
-
-
-def curvature(jet: CurveJet, tol: float = SAMPLED_SPEED_TOL):
-    """Curvature K = |d1 ^ d2| of a unit-speed jet, per row.
-
-    Valid only at unit speed (otherwise the wedge would need the |d1|^3
-    denominator); jets beyond ``tol`` are rejected.
-    """
-    _require_unit_speed(jet, tol)
-    return wedge(jet.d1, jet.d2)
 
 
 @dataclass(frozen=True)
@@ -199,40 +189,28 @@ def _unit_direction(direction) -> np.ndarray:
     return d
 
 
-def parse_curve_spec(spec: str):
-    """Split a builtin-curve spec into (kind, params).
+def builtin_curve(spec: str, t) -> CurveJet:
+    """Jet of a builtin curve at parameter t (a float or an array).
 
-    Accepted forms: ``circle:R``, ``helix:A:B``, ``line`` and
+    Accepted specs: ``circle:R``, ``helix:A:B``, ``line`` (along x) and
     ``line:dx,dy,dz``.
     """
-    parts = spec.split(":")
-    kind = parts[0]
+    kind, *params = spec.split(":")
     if kind == "circle":
-        if len(parts) != 2:
+        if len(params) != 1:
             raise ValueError("circle spec is circle:RADIUS")
-        return kind, (float(parts[1]),)
+        return circle_jet(float(params[0]), t)
     if kind == "helix":
-        if len(parts) != 3:
+        if len(params) != 2:
             raise ValueError("helix spec is helix:A:B")
-        return kind, (float(parts[1]), float(parts[2]))
+        return helix_jet(float(params[0]), float(params[1]), t)
     if kind == "line":
-        if len(parts) == 1:
-            return kind, (np.array([1.0, 0.0, 0.0]),)
-        if len(parts) == 2:
-            coords = [float(x) for x in parts[1].split(",")]
-            return kind, (np.asarray(coords, dtype=float),)
+        if not params:
+            return line_jet([1.0, 0.0, 0.0], t)
+        if len(params) == 1:
+            return line_jet([float(x) for x in params[0].split(",")], t)
         raise ValueError("line spec is line or line:dx,dy,dz")
     raise ValueError(f"unknown curve kind {kind!r} (expected circle, helix, or line)")
-
-
-def builtin_curve(spec: str, t) -> CurveJet:
-    """Jet of a builtin curve at parameter t (a float or an array), e.g. spec ``circle:2``."""
-    kind, params = parse_curve_spec(spec)
-    if kind == "circle":
-        return circle_jet(params[0], t)
-    if kind == "helix":
-        return helix_jet(params[0], params[1], t)
-    return line_jet(params[0], t)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +237,13 @@ def jet_from_samples(ts, positions, i) -> CurveJet:
     if not np.all(steps > 0):
         raise ValueError("parameter values must be strictly increasing")
     h = float(steps[0])
-    if not float(np.max(np.abs(steps - h))) <= 1e-9 * h:
-        raise ValueError("sample spacing must be uniform to 1e-9 relative")
+    uneven = np.flatnonzero(~(np.abs(steps - h) <= 1e-9 * h))
+    if uneven.size:
+        k = uneven[0]
+        raise ValueError(
+            f"sample spacing must be uniform to 1e-9 relative: the step from "
+            f"t={ts[k].item()!r} to t={ts[k + 1].item()!r} differs from the first, {h!r}"
+        )
     i = np.asarray(i)
     outside = i[(i < 1) | (i > n - 2)]
     if outside.size:

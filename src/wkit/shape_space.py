@@ -24,11 +24,9 @@ from typing import Iterable, TextIO
 
 from .weitzenboeck import Triangle, area_heron
 
-#: Slope of the tangent line from the origin, tan(pi/6) = 1/sqrt(3).
+#: Slope of the tangent line from the origin to any half-disk,
+#: tan(pi/6) = 1/sqrt(3).
 TANGENT_SLOPE = 1.0 / math.sqrt(3.0)
-
-#: Angle of that line above the horizontal axis.
-TANGENT_ANGLE = math.pi / 6.0
 
 INTERIOR = "interior"
 ISOSCELES_LIMIT = "isosceles_limit"
@@ -65,15 +63,6 @@ class HalfDisk:
     def radius(self) -> float:
         return self.center_x / 2.0
 
-    @property
-    def s(self) -> float:
-        return self.center_x
-
-
-def halfdisk(s: float) -> HalfDisk:
-    """Half-disk for a given s = a^2 + b^2."""
-    return HalfDisk(center_x=s)
-
 
 def shape_point(t: Triangle) -> ShapePoint:
     """Map a triangle to its shape-plane point ((a^2+b^2+c^2)/2, 2*area)."""
@@ -106,11 +95,6 @@ def halfdisk_contains(p: ShapePoint, d: HalfDisk, tol: float = 1e-9) -> bool:
     return p.x > 0.0 and p.y > 0.0 and dx * dx + p.y * p.y <= d.radius * d.radius + tol
 
 
-def tangent_line_slope() -> float:
-    """Slope of the tangent line from the origin to any half-disk: 1/sqrt(3)."""
-    return TANGENT_SLOPE
-
-
 def tangent_point(d: HalfDisk) -> ShapePoint:
     """Contact point T of the tangent line from the origin.
 
@@ -134,7 +118,7 @@ def classify(t: Triangle, tol: float = 1e-9) -> str:
     p = shape_point(t)
     if abs(p.y - TANGENT_SLOPE * p.x) <= tol * p.x:
         return EQUILATERAL_TANGENT
-    d = halfdisk(t.a * t.a + t.b * t.b)
+    d = HalfDisk(t.a * t.a + t.b * t.b)
     boundary = ShapeCircle(center_x=d.center_x, radius=d.radius)
     if abs(circle_residual(p, boundary)) <= tol * d.radius * d.radius:
         return ISOSCELES_LIMIT
@@ -174,7 +158,7 @@ def figure_dataset(s: float, samples: int) -> list[tuple[str, float, float]]:
         x = 1.5 * s * k / (samples - 1)
         rows.append(("tangent", x, TANGENT_SLOPE * x))
 
-    tp = tangent_point(halfdisk(s))
+    tp = tangent_point(HalfDisk(s))
     rows.append(("T", tp.x, tp.y))
     rows.append(("omega", s, 0.0))
 

@@ -33,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .weitzenboeck import Triangle, identity_batch, verify_exact
+from .weitzenboeck import identity_batch, verify_exact
 
 _DIMS = range(2, 9)
 _LOW, _HIGH = -10.0, 10.0
@@ -204,14 +204,3 @@ def run_exact_sweep(count: int, seed: int = 0, max_magnitude: int = 10**6) -> Ex
                 first_pair, first_residual = i, str(residual)
             nonzero += 1
     return ExactSweepResult(count, seed, nonzero, first_pair, first_residual)
-
-
-def random_triangles(count: int, seed: int = 0, low: float = 0.1, high: float = 10.0) -> list[Triangle]:
-    """Deterministic valid triangles with sides uniform in [low, high]."""
-    rng = np.random.default_rng(seed)
-    out: list[Triangle] = []
-    while len(out) < count:
-        a, b, c = rng.uniform(low, high, 3)
-        if a + b > c and b + c > a and c + a > b:
-            out.append(Triangle(float(a), float(b), float(c)))
-    return out

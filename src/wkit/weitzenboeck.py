@@ -10,8 +10,8 @@ with edge vectors u, v is from equilateral, and vanishes exactly when
 u = -R(v), i.e. when |u| = |v| = |u+v|.
 
 ``identity_batch`` is the one float evaluation: it works on (m, d) row
-stacks, and the single-pair functions below are one-row calls of it. It
-computes the defect along two deliberately independent paths:
+stacks, and ``verify_identity`` is its one-row call. It computes the defect
+along two deliberately independent paths:
 
 * ``defect_intrinsic`` - the closed coordinate-free formula
   2*(|u|^2 + |v|^2 + <u,v> - sqrt(3)*(u ^ v)), no rotation constructed;
@@ -63,43 +63,15 @@ def identity_batch(U, V):
     return lhs, w, d_int, d_exp, residual
 
 
-def _one_pair(u, v) -> list[float]:
-    """``identity_batch`` on the single pair (u, v), as Python floats."""
-    rows = identity_batch(np.asarray(u, dtype=float)[None], np.asarray(v, dtype=float)[None])
-    return [float(x[0]) for x in rows]
-
-
-def lhs_sum(u, v) -> float:
-    """|u|^2 + |v|^2 + |u+v|^2."""
-    return _one_pair(u, v)[0]
-
-
-def defect_intrinsic(u, v) -> float:
-    """Defect via the closed formula 2*(|u|^2 + |v|^2 + <u,v> - sqrt(3)*(u ^ v)).
-
-    Coordinate-free; no rotation is constructed. Nonnegative up to rounding
-    (that nonnegativity *is* the Weitzenbock inequality).
-    """
-    return _one_pair(u, v)[2]
-
-
-def defect_explicit(u, v) -> float:
-    """Defect via the rotation construction, 2*|u + R(v)|^2.
-
-    For v = 0 the rotation frame is undefined but the limit is plain:
-    R(0) = 0 and the defect is 2*|u|^2.
-    """
-    return _one_pair(u, v)[3]
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     """One evaluation of the identity and its bookkeeping.
 
-    ``residual`` is lhs - wedge_term - defect_explicit and should vanish to
-    rounding; ``equality_case`` flags defects below tol relative to the
-    left-hand side (scale-aware: the defect grows quadratically), and is
-    False when lhs or the defect is not finite.
+    The fields are the ``identity_batch`` outputs of one row as floats, with
+    wedge_term = 2*sqrt(3)*wedge. ``residual`` is lhs - wedge_term -
+    defect_explicit and should vanish to rounding; ``equality_case`` flags
+    defect_explicit <= tol*lhs (scale-aware: both grow quadratically), and
+    is False when lhs or the defect is not finite.
     """
 
     lhs: float
@@ -112,7 +84,8 @@ class IdentityReport:
 
 def verify_identity(u, v, tol: float = 1e-9) -> IdentityReport:
     """Evaluate both sides of the identity for one float pair."""
-    lhs, w, d_int, d_exp, residual = _one_pair(u, v)
+    rows = identity_batch(np.asarray(u, dtype=float)[None], np.asarray(v, dtype=float)[None])
+    lhs, w, d_int, d_exp, residual = (float(x[0]) for x in rows)
     return IdentityReport(
         lhs=lhs,
         wedge_term=2.0 * SQRT3 * w,
@@ -120,7 +93,7 @@ def verify_identity(u, v, tol: float = 1e-9) -> IdentityReport:
         defect_explicit=d_exp,
         residual=residual,
         # inf <= tol * inf holds, so an overflowed pair must not count.
-        equality_case=math.isfinite(lhs) and math.isfinite(d_exp) and d_exp <= tol * max(1.0, lhs),
+        equality_case=math.isfinite(lhs) and math.isfinite(d_exp) and d_exp <= tol * lhs,
     )
 
 
@@ -223,8 +196,8 @@ def triangle_to_vectors(t: Triangle) -> tuple[np.ndarray, np.ndarray]:
     """Edge vectors u = B - A, v = C - B of a planar placement of t.
 
     A = (0, 0), B = (c, 0), and C in the upper half-plane with |AB| = c,
-    |BC| = a, |CA| = b. Feeding the result to ``defect_intrinsic``
-    reproduces ``triangle_defect``.
+    |BC| = a, |CA| = b. The ``defect_intrinsic`` of ``verify_identity`` on
+    the result reproduces ``triangle_defect``.
     """
     a, b, c = t.a, t.b, t.c
     cx = (b * b - a * a + c * c) / (2.0 * c)

@@ -1,6 +1,9 @@
 """Sample helpers shared by the test modules."""
 
+import numpy as np
+
 from wkit.sweeps import pair_stacks
+from wkit.weitzenboeck import Triangle
 
 
 def random_pairs(count, seed=0):
@@ -13,3 +16,14 @@ def random_pairs(count, seed=0):
             u, v = stacks[j % len(stacks)]
             pairs.append((u[j // len(stacks)], v[j // len(stacks)]))
     return pairs
+
+
+def random_triangles(count, seed=0, low=0.1, high=10.0):
+    """Deterministic valid triangles with sides uniform in [low, high]."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        a, b, c = rng.uniform(low, high, 3)
+        if a + b > c and b + c > a and c + a > b:
+            out.append(Triangle(float(a), float(b), float(c)))
+    return out

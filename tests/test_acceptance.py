@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from samples import random_triangles
 
 from wkit.curves import circle_jet, circle_position, helix_jet, helix_position, jet_from_samples, curvature_bound_report
 from wkit.shape_space import (
@@ -17,21 +18,19 @@ from wkit.shape_space import (
     ISOSCELES_LIMIT,
     circle_of,
     circle_residual,
+    TANGENT_SLOPE,
+    HalfDisk,
     classify,
-    halfdisk,
     halfdisk_contains,
     shape_point,
-    tangent_line_slope,
     tangent_point,
 )
-from wkit.sweeps import random_triangles, run_exact_sweep, run_identity_sweep
+from wkit.sweeps import run_exact_sweep, run_identity_sweep
 from wkit.weitzenboeck import (
     Triangle,
-    defect_explicit,
-    defect_intrinsic,
-    lhs_sum,
     triangle_defect,
     triangle_to_vectors,
+    verify_identity,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -89,7 +88,8 @@ def test_criterion_4_oracle_equivalence(identity_sweep):
     for t in random_triangles(10_000, seed=1):
         u, v = triangle_to_vectors(t)
         scale = max(1.0, t.a**2 + t.b**2 + t.c**2)
-        worst_tri = max(worst_tri, abs(defect_intrinsic(u, v) - triangle_defect(t)) / scale)
+        d_int = verify_identity(u, v).defect_intrinsic
+        worst_tri = max(worst_tri, abs(d_int - triangle_defect(t)) / scale)
     ok = ok and worst_tri < 1e-9
     _report(
         "criterion 4 (oracle equivalence)",
@@ -106,10 +106,10 @@ def test_criterion_5_shape_space():
         p = shape_point(t)
         resid = abs(circle_residual(p, circle_of(t.a, t.b))) / (t.a * t.b) ** 2
         worst_resid = max(worst_resid, resid)
-        d = halfdisk(t.a * t.a + t.b * t.b)
+        d = HalfDisk(t.a * t.a + t.b * t.b)
         contained = contained and halfdisk_contains(p, d, tol=1e-9 * d.radius**2)
         worst_slope_excess = max(worst_slope_excess, p.y / p.x - 1 / SQRT3)
-    tp = tangent_point(halfdisk(2.0))
+    tp = tangent_point(HalfDisk(2.0))
     p111 = shape_point(Triangle(1.0, 1.0, 1.0))
     tp_ok = (
         abs(tp.x - 1.5) <= 1e-12
@@ -117,7 +117,7 @@ def test_criterion_5_shape_space():
         and abs(tp.x - p111.x) <= 1e-12
         and abs(tp.y - p111.y) <= 1e-12
     )
-    slope_ok = abs(tangent_line_slope() - 0.5773502691896258) <= 1e-15
+    slope_ok = abs(TANGENT_SLOPE - 0.5773502691896258) <= 1e-15
     ok = (
         worst_resid <= 1e-9
         and contained
@@ -212,8 +212,8 @@ def test_criterion_8_equality_characterization():
             positives += 1
         else:
             v = rng.uniform(-10.0, 10.0, d)
-        lhs = lhs_sum(u, v)
-        small_defect = defect_explicit(u, v) <= 1e-9 * lhs
+        rep = verify_identity(u, v)
+        small_defect = rep.defect_explicit <= 1e-9 * rep.lhs
         norms = sorted(
             (math.sqrt(float(u @ u)), math.sqrt(float(v @ v)), math.sqrt(float((u + v) @ (u + v))))
         )

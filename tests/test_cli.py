@@ -11,7 +11,7 @@ import pytest
 
 from wkit import cli, sweeps
 from wkit.qsqrt3 import QSqrt3
-from wkit.weitzenboeck import lhs_sum
+from wkit.weitzenboeck import verify_identity
 
 _ENV = {**os.environ, "PYTHONHASHSEED": "0"}
 
@@ -97,8 +97,8 @@ class TestDefect:
         r = run_cli("defect", "--vectors", u, v, "--format", "json")
         assert r.returncode == 0, r.stderr
         payload = json.loads(r.stdout)
-        assert payload["lhs"] == lhs_sum([float(x) for x in u.split(",")],
-                                         [float(x) for x in v.split(",")])
+        assert payload["lhs"] == verify_identity([float(x) for x in u.split(",")],
+                                                 [float(x) for x in v.split(",")]).lhs
         assert abs(payload["residual"]) < 1e-12
 
     def test_bad_vector(self):
@@ -327,7 +327,7 @@ class TestCurve:
                 fh.write(f"{k*0.1},{k*0.3},0.0,0.0\n")  # speed 3
         r = run_cli("curve", "--input", str(path))
         assert r.returncode == 2
-        assert "unit-speed violated at row 1" in r.stderr
+        assert "unit-speed violated at t=0.1:" in r.stderr
 
     def test_non_finite_t_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"
@@ -368,7 +368,15 @@ class TestCurve:
                 fh.write(f"{k*0.1},{x},0.0,0.0\n")
         r = run_cli("curve", "--input", str(path))
         assert r.returncode == 2
-        assert "unit-speed violated at row 4" in r.stderr
+        assert "unit-speed violated at t=0.4:" in r.stderr  # CSV row 5
+
+    def test_uneven_grid_names_the_step(self, tmp_path):
+        path = tmp_path / "uneven.csv"
+        path.write_text("t,x,y,z\n" + "".join(
+            f"{t},{t},0.0,0.0\n" for t in ("0", "0.1", "0.2", "0.35", "0.45")))
+        r = run_cli("curve", "--input", str(path))
+        assert r.returncode == 2
+        assert "from t=0.2 to t=0.35" in r.stderr
 
 
 class TestTolerancePlumbing:

@@ -9,12 +9,10 @@ from wkit.curves import (
     builtin_curve,
     circle_jet,
     circle_position,
-    curvature,
     helix_jet,
     helix_position,
     jet_from_samples,
     line_jet,
-    parse_curve_spec,
     read_curve_csv,
     curvature_bound_report,
 )
@@ -47,14 +45,13 @@ class TestBuiltinJets:
             line_jet([1, 1, 0], 0.0)  # not unit length
 
     def test_spec_parsing(self):
-        assert parse_curve_spec("circle:2")[0] == "circle"
-        assert parse_curve_spec("helix:1:3")[1] == (1.0, 3.0)
-        kind, (d,) = parse_curve_spec("line:0,0,1")
-        np.testing.assert_allclose(d, [0, 0, 1], atol=0)
-        with pytest.raises(ValueError):
-            parse_curve_spec("torus:1")
-        with pytest.raises(ValueError):
-            parse_curve_spec("circle")
+        assert builtin_curve("circle:2", 0.0).d2.tolist() == circle_jet(2.0, 0.0).d2.tolist()
+        assert builtin_curve("helix:1:3", 0.5).d1.tolist() == helix_jet(1.0, 3.0, 0.5).d1.tolist()
+        np.testing.assert_allclose(builtin_curve("line:0,0,1", 0.0).d1, [0, 0, 1], atol=0)
+        with pytest.raises(ValueError, match="unknown curve kind 'torus'"):
+            builtin_curve("torus:1", 0.0)
+        with pytest.raises(ValueError, match="circle spec is circle:RADIUS"):
+            builtin_curve("circle", 0.0)
 
     def test_builtin_dispatch(self):
         j = builtin_curve("circle:2", 0.0)
@@ -68,25 +65,23 @@ class TestCurvature:
         # K = 1/radius for the unit-speed circle
         for radius in (0.5, 1.0, 2.0, 10.0):
             for t in np.linspace(0, 4 * math.pi * radius, 20):
-                assert curvature(circle_jet(radius, t), 1e-12) == pytest.approx(
-                    1.0 / radius, rel=1e-12
-                )
+                rep = curvature_bound_report(circle_jet(radius, t), 1e-12)
+                assert rep.curvature == pytest.approx(1.0 / radius, rel=1e-12)
 
     def test_line_zero(self):
-        assert curvature(line_jet([0, 1, 0], 2.0), 1e-12) == 0.0
+        assert curvature_bound_report(line_jet([0, 1, 0], 2.0), 1e-12).curvature == 0.0
 
     def test_helix_closed_form(self):
         # K = a / (a^2 + b^2)
         for a, b in [(1, 1), (2, 1), (1, 3)]:
             for t in np.linspace(-5, 5, 20):
-                assert curvature(helix_jet(a, b, t), 1e-12) == pytest.approx(
-                    a / (a * a + b * b), rel=1e-12
-                )
+                rep = curvature_bound_report(helix_jet(a, b, t), 1e-12)
+                assert rep.curvature == pytest.approx(a / (a * a + b * b), rel=1e-12)
 
     def test_non_unit_speed_rejected(self):
         j = CurveJet(t=0.0, d1=[2, 0, 0], d2=[0, 1, 0])
         with pytest.raises(ValueError, match="unit-speed"):
-            curvature(j, 1e-6)
+            curvature_bound_report(j, 1e-6)
 
     def test_matches_wedge_of_derivatives(self):
         # curvature is the wedge; the cross product is the independent oracle
@@ -97,7 +92,9 @@ class TestCurvature:
             d2 = rng.normal(size=3)
             j = CurveJet(t=0.0, d1=d1, d2=d2)
             c = np.cross(d1, d2)
-            assert curvature(j, 1e-9) == pytest.approx(math.sqrt(float(c @ c)), abs=1e-12)
+            assert curvature_bound_report(j, 1e-9).curvature == pytest.approx(
+                math.sqrt(float(c @ c)), abs=1e-12
+            )
 
 
 class TestStackedJets:
@@ -220,7 +217,7 @@ class TestJetFromSamples:
         pos = np.stack([helix_position(1.0, 1.0, t) for t in ts])
         mid = len(ts) // 2
         j = jet_from_samples(ts, pos, mid)
-        assert curvature(j) == pytest.approx(0.5, abs=1e-5)
+        assert curvature_bound_report(j).curvature == pytest.approx(0.5, abs=1e-5)
 
     def test_truncation_order(self):
         # halving h shrinks the curvature error ~4x (O(h^2))
@@ -228,7 +225,7 @@ class TestJetFromSamples:
         for h in (2e-3, 1e-3):
             ts, pos = self._sample(lambda t: circle_position(1.0, t), [-h, 0.0, h])
             j = jet_from_samples(ts, pos, 1)
-            errors.append(abs(curvature(j) - 1.0))
+            errors.append(abs(curvature_bound_report(j).curvature - 1.0))
         assert errors[1] < errors[0] / 3.0
 
     def test_needs_three_samples(self):

@@ -2,12 +2,13 @@ import io
 import math
 
 import pytest
+from samples import random_triangles
 
 from wkit.shape_space import (
     EQUILATERAL_TANGENT,
     INTERIOR,
     ISOSCELES_LIMIT,
-    TANGENT_ANGLE,
+    TANGENT_SLOPE,
     HalfDisk,
     ShapeCircle,
     ShapePoint,
@@ -15,14 +16,11 @@ from wkit.shape_space import (
     circle_residual,
     classify,
     figure_dataset,
-    halfdisk,
     halfdisk_contains,
     shape_point,
-    tangent_line_slope,
     tangent_point,
     write_figure_csv,
 )
-from wkit.sweeps import random_triangles
 from wkit.weitzenboeck import Triangle, triangle_defect
 
 
@@ -65,51 +63,50 @@ class TestCircle:
 
 class TestHalfDisk:
     def test_radius_tied_to_center(self):
-        assert halfdisk(2.0).radius == 1.0
+        assert HalfDisk(2.0).radius == 1.0
         with pytest.raises(TypeError):
             HalfDisk(center_x=2.0, radius=0.9)
         with pytest.raises(ValueError):
-            halfdisk(-1.0)
+            HalfDisk(-1.0)
 
     def test_345_contained(self):
-        d = halfdisk(25.0)
+        d = HalfDisk(25.0)
         assert halfdisk_contains(ShapePoint(25.0, 12.0), d)  # 144 <= 156.25
 
     def test_equilateral_on_boundary(self):
-        d = halfdisk(2.0)
+        d = HalfDisk(2.0)
         assert halfdisk_contains(ShapePoint(1.5, math.sqrt(3) / 2), d, tol=1e-12)
 
     def test_point_outside(self):
-        d = halfdisk(25.0)
+        d = HalfDisk(25.0)
         assert not halfdisk_contains(ShapePoint(25.0, 13.0), d)  # 169 > 156.25
 
     def test_quadrant_required(self):
-        d = halfdisk(2.0)
+        d = HalfDisk(2.0)
         assert not halfdisk_contains(ShapePoint(1.0, -0.5), d)
         assert not halfdisk_contains(ShapePoint(0.0, 0.5), d)
 
     def test_all_triangles_contained(self):
         for t in random_triangles(500, seed=32):
-            d = halfdisk(t.a * t.a + t.b * t.b)
+            d = HalfDisk(t.a * t.a + t.b * t.b)
             p = shape_point(t)
             assert halfdisk_contains(p, d, tol=1e-9 * d.radius * d.radius)
 
 
 class TestTangent:
     def test_slope_value(self):
-        assert tangent_line_slope() == 0.5773502691896258
-        assert TANGENT_ANGLE == pytest.approx(math.pi / 6, abs=0)
+        assert TANGENT_SLOPE == 0.5773502691896258
 
     def test_equilateral_sits_on_the_line(self):
         p = shape_point(Triangle(1, 1, 1))
-        assert p.y / p.x == pytest.approx(tangent_line_slope(), abs=1e-15)
+        assert p.y / p.x == pytest.approx(TANGENT_SLOPE, abs=1e-15)
 
     def test_345_below_the_line(self):
         p = shape_point(Triangle(3, 4, 5))
-        assert p.y / p.x == 0.48 < tangent_line_slope()
+        assert p.y / p.x == 0.48 < TANGENT_SLOPE
 
     def test_slope_bound_over_random_triangles(self):
-        slope = tangent_line_slope()
+        slope = TANGENT_SLOPE
         for t in random_triangles(500, seed=33):
             p = shape_point(t)
             assert p.y / p.x <= slope + 1e-12
@@ -120,7 +117,7 @@ class TestTangent:
                 assert p.y / p.x == pytest.approx(slope, abs=1e-9)
 
     def test_slope_equality_tracks_side_spread(self):
-        slope = tangent_line_slope()
+        slope = TANGENT_SLOPE
         # nearly equilateral: the slope deviation is quadratic in the spread
         p = shape_point(Triangle(1.0, 1.0, 1.0 + 1e-10))
         assert abs(p.y / p.x - slope) <= 1e-9
@@ -131,22 +128,22 @@ class TestTangent:
 
 class TestTangentPoint:
     def test_s2_matches_unit_equilateral(self):
-        tp = tangent_point(halfdisk(2.0))
+        tp = tangent_point(HalfDisk(2.0))
         p = shape_point(Triangle(1, 1, 1))
         assert tp.x == pytest.approx(p.x, abs=1e-12)
         assert tp.y == pytest.approx(p.y, abs=1e-12)
 
     def test_linear_scaling(self):
-        tp = tangent_point(halfdisk(4.0))
+        tp = tangent_point(HalfDisk(4.0))
         assert (tp.x, tp.y) == (3.0, pytest.approx(math.sqrt(3), rel=1e-15))
 
     def test_on_boundary_circle_and_line(self):
         for s in (0.5, 2.0, 9.0, 100.0):
-            d = halfdisk(s)
+            d = HalfDisk(s)
             tp = tangent_point(d)
             boundary = ShapeCircle(center_x=d.center_x, radius=d.radius)
             assert abs(circle_residual(tp, boundary)) <= 1e-12 * d.radius**2
-            assert tp.y / tp.x == pytest.approx(tangent_line_slope(), abs=1e-12)
+            assert tp.y / tp.x == pytest.approx(TANGENT_SLOPE, abs=1e-12)
 
 
 class TestClassify:
@@ -205,7 +202,7 @@ class TestFigure:
 
     def test_triangle_points_inside_halfdisk(self):
         s = 5.0
-        d = halfdisk(s)
+        d = HalfDisk(s)
         rows = figure_dataset(s, 40)
         circle_rows = [r for r in rows if r[0].startswith("circle:")]
         assert circle_rows
@@ -226,7 +223,7 @@ class TestFigure:
     def test_tangent_series_has_the_right_slope(self):
         rows = figure_dataset(4.0, 30)
         for _, x, y in (r for r in rows if r[0] == "tangent"):
-            assert y == pytest.approx(tangent_line_slope() * x, abs=1e-12)
+            assert y == pytest.approx(TANGENT_SLOPE * x, abs=1e-12)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -4,19 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from mpmath import mp
-from samples import random_pairs
+from samples import random_pairs, random_triangles
 from test_vectors import near_collinear_pairs
 
 from wkit import sweeps
 from wkit.sweeps import (
     pair_stacks,
     random_rational_pairs,
-    random_triangles,
     run_exact_sweep,
     run_identity_sweep,
 )
 from wkit.vectors import perp_rotate, wedge
-from wkit.weitzenboeck import defect_explicit, defect_intrinsic, identity_batch, lhs_sum
+from wkit.weitzenboeck import identity_batch, verify_identity
 
 
 def test_generation_is_deterministic():
@@ -134,10 +133,9 @@ def _check_per_pair_reduction(count, seed):
     res = run_identity_sweep(count, seed=seed, tolerance=1e-9)
     max_res = max_neg = max_gap = 0.0
     for u, v in per_pair_sample(count, seed):
-        lhs = lhs_sum(u, v)
+        rep = verify_identity(u, v)
+        lhs, d_int, d_exp = rep.lhs, rep.defect_intrinsic, rep.defect_explicit
         denom = max(1.0, lhs)
-        d_int = defect_intrinsic(u, v)
-        d_exp = defect_explicit(u, v)
         residual = lhs - 2.0 * np.sqrt(3.0) * wedge(u, v) - d_exp
         max_res = max(max_res, abs(residual) / denom)
         max_neg = max(max_neg, -d_int / denom)

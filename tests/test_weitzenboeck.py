@@ -5,21 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from samples import random_pairs
+from samples import random_pairs, random_triangles
 
 from wkit import weitzenboeck
 from wkit.qsqrt3 import QSqrt3
-from wkit.sweeps import random_rational_pairs, random_triangles
+from wkit.sweeps import random_rational_pairs
 from wkit.vectors import SQRT3
 from wkit.weitzenboeck import (
     IdentityReport,
     Triangle,
     _scaled_pieces,
     area_heron,
-    defect_explicit,
-    defect_intrinsic,
     identity_batch,
-    lhs_sum,
     triangle_defect,
     triangle_to_vectors,
     verify_exact,
@@ -35,45 +32,51 @@ def heron_classic(a, b, c):
 
 class TestLhsSum:
     def test_unit_pair(self):
-        assert lhs_sum([1, 0], [0, 1]) == 4.0  # 1 + 1 + 2
+        assert verify_identity([1, 0], [0, 1]).lhs == 4.0  # 1 + 1 + 2
 
     def test_equilateral_configuration(self):
-        assert lhs_sum([1, 0], [-0.5, SQRT3 / 2]) == pytest.approx(3.0, abs=1e-15)
+        assert verify_identity([1, 0], [-0.5, SQRT3 / 2]).lhs == pytest.approx(3.0, abs=1e-15)
 
     def test_zero(self):
-        assert lhs_sum([0, 0], [0, 0]) == 0.0
+        assert verify_identity([0, 0], [0, 0]).lhs == 0.0
 
 
 class TestDefects:
     def test_intrinsic_unit_pair(self):
         # 2*(1 + 1 + 0 - sqrt(3))
-        assert defect_intrinsic([1, 0], [0, 1]) == pytest.approx(0.5358983848622456, abs=1e-15)
+        rep = verify_identity([1, 0], [0, 1])
+        assert rep.defect_intrinsic == pytest.approx(0.5358983848622456, abs=1e-15)
 
     def test_intrinsic_equality_case(self):
-        assert defect_intrinsic([1, 0], [-0.5, SQRT3 / 2]) == pytest.approx(0.0, abs=1e-15)
+        rep = verify_identity([1, 0], [-0.5, SQRT3 / 2])
+        assert rep.defect_intrinsic == pytest.approx(0.0, abs=1e-15)
 
     def test_intrinsic_quadratic_scaling(self):
         # the unit pair scaled by 3: defect scales by 9
-        assert defect_intrinsic([3, 0], [0, 3]) == pytest.approx(36 - 18 * SQRT3, abs=1e-12)
-        assert defect_intrinsic([3, 0], [0, 3]) == pytest.approx(4.823085463760211, abs=1e-12)
+        rep = verify_identity([3, 0], [0, 3])
+        assert rep.defect_intrinsic == pytest.approx(36 - 18 * SQRT3, abs=1e-12)
+        assert rep.defect_intrinsic == pytest.approx(4.823085463760211, abs=1e-12)
 
     def test_explicit_unit_pair(self):
         # 2*|(1 - sqrt(3)/2, 1/2)|^2 = 4 - 2*sqrt(3)
-        assert defect_explicit([1, 0], [0, 1]) == pytest.approx(4 - 2 * SQRT3, abs=1e-14)
+        rep = verify_identity([1, 0], [0, 1])
+        assert rep.defect_explicit == pytest.approx(4 - 2 * SQRT3, abs=1e-14)
 
     def test_explicit_equality_case(self):
         # u = -R(v): the defect vanishes
-        assert defect_explicit([1, 0], [-0.5, SQRT3 / 2]) == pytest.approx(0.0, abs=1e-15)
+        rep = verify_identity([1, 0], [-0.5, SQRT3 / 2])
+        assert rep.defect_explicit == pytest.approx(0.0, abs=1e-15)
 
     def test_explicit_collinear(self):
-        assert defect_explicit([1, 0, 0], [2, 0, 0]) == pytest.approx(14.0, abs=1e-14)
+        rep = verify_identity([1, 0, 0], [2, 0, 0])
+        assert rep.defect_explicit == pytest.approx(14.0, abs=1e-14)
 
     def test_explicit_zero_v(self):
-        assert defect_explicit([3, 4], [0, 0]) == 50.0
+        assert verify_identity([3, 4], [0, 0]).defect_explicit == 50.0
 
     def test_symmetry(self):
         for u, v in random_pairs(200, seed=2):
-            assert defect_intrinsic(u, v) == defect_intrinsic(v, u)
+            assert verify_identity(u, v).defect_intrinsic == verify_identity(v, u).defect_intrinsic
 
     def test_scaling(self):
         rng = np.random.default_rng(9)
@@ -82,8 +85,8 @@ class TestDefects:
             u = rng.uniform(-10, 10, d)
             v = rng.uniform(-10, 10, d)
             lam = rng.uniform(0.1, 10)
-            base = defect_intrinsic(u, v)
-            assert defect_intrinsic(lam * u, lam * v) == pytest.approx(
+            base = verify_identity(u, v).defect_intrinsic
+            assert verify_identity(lam * u, lam * v).defect_intrinsic == pytest.approx(
                 lam * lam * base, rel=1e-9
             )
 
@@ -99,6 +102,17 @@ class TestVerifyIdentity:
         rep = verify_identity([1, 0], [-0.5, SQRT3 / 2])
         assert rep.residual == pytest.approx(0.0, abs=1e-12)
         assert rep.equality_case
+
+    # The flag is relative to lhs at every scale: below unit scale an
+    # absolute test would call the 3-4-5 right triangle equilateral.
+    @pytest.mark.parametrize("u, v, scale, equal", [
+        ([3, 0], [0, 4], 1e-5, False),
+        ([1, 0], [-0.5, SQRT3 / 2], 1e-5, True),
+        ([1, 0], [-0.5, SQRT3 / 2], 1e5, True),
+    ])
+    def test_equality_flag_is_scale_free(self, u, v, scale, equal):
+        rep = verify_identity(np.multiply(u, scale), np.multiply(v, scale))
+        assert rep.equality_case is equal
 
     def test_random_dim5(self):
         rng = np.random.default_rng(17)
@@ -154,14 +168,14 @@ class TestIdentityBatch:
         U = [[3.0, 4.0], [1.0, 0.0], [0.0, 0.0]]
         V = [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
         lhs, w, d_int, d_exp, residual = identity_batch(U, V)
-        assert d_exp.tolist() == [50.0, defect_explicit([1, 0], [0, 1]), 0.0]
+        assert d_exp.tolist() == [50.0, verify_identity([1, 0], [0, 1]).defect_explicit, 0.0]
         assert d_int.tolist()[0] == 50.0 and w.tolist()[0] == 0.0
         assert residual.tolist()[0] == 0.0
 
     def test_single_pair_calls_return_floats(self):
         rep = verify_identity([1, 2], [2, -1])
-        assert all(type(x) is float for x in (rep.lhs, rep.wedge_term, rep.residual))
-        assert type(lhs_sum([1, 2], [2, -1])) is float
+        fields = (rep.lhs, rep.wedge_term, rep.defect_intrinsic, rep.defect_explicit, rep.residual)
+        assert all(type(x) is float for x in fields)
 
     def test_shapes_rejected(self):
         with pytest.raises(ValueError):
@@ -169,7 +183,7 @@ class TestIdentityBatch:
         with pytest.raises(ValueError):
             identity_batch(np.ones((2, 3)), np.ones((3, 3)))
         with pytest.raises(ValueError):
-            defect_explicit([[1.0, 0.0]], [[0.0, 1.0]])
+            verify_identity([[1.0, 0.0]], [[0.0, 1.0]])
 
 
 def qsqrt3_evaluation(u, v):
@@ -396,4 +410,4 @@ class TestTriangleToVectors:
         for t in random_triangles(300, seed=15):
             u, v = triangle_to_vectors(t)
             scale = max(1.0, t.a**2 + t.b**2 + t.c**2)
-            assert abs(defect_intrinsic(u, v) - triangle_defect(t)) <= 1e-9 * scale
+            assert abs(verify_identity(u, v).defect_intrinsic - triangle_defect(t)) <= 1e-9 * scale
