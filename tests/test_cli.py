@@ -101,6 +101,28 @@ class TestDefect:
                                                  [float(x) for x in v.split(",")]).lhs
         assert abs(payload["residual"]) < 1e-12
 
+    # sha256 of the stdout of `wkit defect --sides 3 4 5` and
+    # `wkit defect --vectors 1,0 0,1`.
+    @pytest.mark.parametrize("args, fmt, digest", [
+        (("--sides", "3", "4", "5"), "text",
+         "32ca26249542951e41386218595155875091f937141de0f65b79cb9fe18b4e8a"),
+        (("--sides", "3", "4", "5"), "json",
+         "14b59521ad1ded7c9ccaeb81660b37dc80a458a6cc320b8b530de3ca5a78c129"),
+        (("--sides", "3", "4", "5"), "csv",
+         "a04d21279edaece2631addaea25c90584afc2b1b2e75da2741f463b1228edf4d"),
+        (("--vectors", "1,0", "0,1"), "text",
+         "78108680158bd15c8f4e5c5c6676f9a1de858e10ad925f4878758348e1cbf138"),
+        (("--vectors", "1,0", "0,1"), "json",
+         "e1be22d03a8490f09d95fd8a45cf1038980e686439619e6527042299ea63b26a"),
+        (("--vectors", "1,0", "0,1"), "csv",
+         "99bf76d2356c1f49d5e6a2c98e965fb27b029f6c25a140c64bd0d5e84d806d6f"),
+    ], ids=["sides-text", "sides-json", "sides-csv", "vectors-text", "vectors-json",
+            "vectors-csv"])
+    def test_stdout_pinned(self, args, fmt, digest):
+        r = run_cli("defect", *args, "--format", fmt)
+        assert r.returncode == 0, r.stderr
+        assert _sha256(r.stdout) == digest
+
     def test_bad_vector(self):
         r = run_cli("defect", "--vectors", "1,zap", "0,1")
         assert r.returncode == 2
@@ -228,6 +250,23 @@ class TestShape:
         assert any(s.startswith("circle:") for s in series)
         t_line = next(line for line in lines if line.startswith("T,"))
         assert t_line == "T,1.5,0.8660254037844386"
+
+    # sha256 of the stdout of `wkit shape --sides 2 2 3`.
+    @pytest.mark.parametrize("fmt, digest", [
+        ("text", "7a0b258d119f7bf036c3e6a20e2d4cb4999efeff4e76ff0f1d17e4ba00a4bb08"),
+        ("json", "208cdca5507bd019108677e9d4061664761516f0fed0df3fd1230c81a6d64ffd"),
+        ("csv", "4b693bb6c8b9e4c7922c4fd9f3da94403d0d9022d9f9aa0544a045c7e3721ae3"),
+    ], ids=["text", "json", "csv"])
+    def test_sides_stdout_pinned(self, fmt, digest):
+        r = run_cli("shape", "--sides", "2", "2", "3", "--format", fmt)
+        assert r.returncode == 0, r.stderr
+        assert _sha256(r.stdout) == digest
+
+    # sha256 of the stdout of `wkit shape --figure 2 --samples 200`, 1202 rows.
+    def test_figure_stdout_pinned(self):
+        r = run_cli("shape", "--figure", "2", "--samples", "200")
+        assert r.returncode == 0, r.stderr
+        assert _sha256(r.stdout) == "1a0d9f689eb423d4f9f4eefdea478dc2c9f79b465599c8db24c1416d8ffd2f22"
 
     def test_figure_deterministic(self):
         a = run_cli("shape", "--figure", "3.5", "--samples", "64")
