@@ -12,7 +12,6 @@ from fractions import Fraction
 import numpy as np
 
 from wkit import QSqrt3, run_exact_sweep, verify_exact
-from wkit.qsqrt3 import ONE, SQRT3
 
 print("=" * 72)
 print("1. Arithmetic in Q[sqrt(3)]")
@@ -20,7 +19,8 @@ print("=" * 72)
 x = QSqrt3(1, 1)
 y = QSqrt3(2, -1)
 print(f"  ({x}) * ({y}) = {x * y}")
-print(f"  sqrt(3)^2 = {SQRT3 * SQRT3}")
+sqrt3 = QSqrt3(0, 1)
+print(f"  sqrt(3)^2 = {sqrt3 * sqrt3}")
 half = QSqrt3(Fraction(1, 2), Fraction(1, 2))
 print(f"  ({half}) + ({QSqrt3(Fraction(1, 2), Fraction(-1, 2))}) = {half + QSqrt3(Fraction(1, 2), Fraction(-1, 2))}")
 print(f"  sign(2 - sqrt(3)) = {QSqrt3(2, -1).sign()}   (4 > 3)")

@@ -23,7 +23,6 @@ from wkit import (
     halfdisk_contains,
     shape_point,
     tangent_point,
-    write_figure_csv,
 )
 
 print("=" * 72)
@@ -57,9 +56,10 @@ print()
 print("=" * 72)
 print("3. Figure dataset")
 print("=" * 72)
-rows = figure_dataset(2.0, 200)
+rows = list(figure_dataset(2.0, 200))
 with open("half_disk_figure.csv", "w", encoding="utf-8") as fh:
-    write_figure_csv(rows, fh)
+    fh.write("series,x,y\n")
+    fh.writelines("%s,%r,%r\n" % row for row in rows)
 series = sorted({r[0] for r in rows})
 print(f"  wrote half_disk_figure.csv: {len(rows)} points, series = {series}")
 

@@ -20,7 +20,7 @@ from .curves import (
     read_curve_csv,
     curvature_bound_report,
 )
-from .qsqrt3 import ONE, ZERO, QSqrt3
+from .qsqrt3 import QSqrt3
 from .shape_space import (
     EQUILATERAL_TANGENT,
     INTERIOR,
@@ -36,7 +36,6 @@ from .shape_space import (
     halfdisk_contains,
     shape_point,
     tangent_point,
-    write_figure_csv,
 )
 from .sweeps import (
     ExactSweepResult,
@@ -45,13 +44,9 @@ from .sweeps import (
     run_identity_sweep,
 )
 from .vectors import (
-    COLLINEAR_RTOL,
-    inner,
-    norm,
     perp_rotate,
     rotate_pi3,
     wedge,
-    wedge_signed,
 )
 from .weitzenboeck import (
     IdentityReport,

@@ -32,15 +32,14 @@ from .shape_space import (
     figure_dataset,
     halfdisk_contains,
     shape_point,
-    write_figure_csv,
 )
 from .sweeps import run_exact_sweep, run_identity_sweep
 from .weitzenboeck import Triangle, triangle_to_vectors, verify_identity
 
 _TOL_ENV = "WKIT_TOL"
 
-#: Most curve samples one --t range may ask for; checked on the computed
-#: count before anything is allocated.
+#: Most curve samples one --t range, or one series of --figure, may ask
+#: for; checked on the computed count before anything is allocated.
 MAX_CURVE_SAMPLES = 10**6
 
 #: The columns of ``wkit curve`` and the format of one of its rows, applied
@@ -49,6 +48,9 @@ MAX_CURVE_SAMPLES = 10**6
 _CURVE_HEADER = ["t", "curvature", "rhs_bound", "defect", "residual"]
 _CURVE_TEXT_ROW = "  ".join(["%22r"] * len(_CURVE_HEADER)) + "\n"
 _CURVE_CSV_ROW = ",".join(["%r"] * len(_CURVE_HEADER)) + "\n"
+
+#: One row of ``wkit shape --figure``: series name, then x and y as repr.
+_FIGURE_ROW = "%s,%r,%r\n"
 
 
 def _default_tol() -> float:
@@ -122,65 +124,56 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.exact:
         res = run_exact_sweep(args.count, args.seed)
+        fields = [
+            ("pairs", res.count),
+            ("seed", res.seed),
+            ("nonzero_residuals", res.nonzero_residuals),
+        ]
         # The witness appears only on failure, so passing stdout is unchanged.
-        witness = [("first_nonzero_pair", res.first_nonzero_pair),
-                   ("first_nonzero_residual", res.first_nonzero_residual)]
-        _emit_pairs(
-            [
-                ("pairs", res.count),
-                ("seed", res.seed),
-                ("nonzero_residuals", res.nonzero_residuals),
-                *([] if res.passed else witness),
-                ("result", "pass" if res.passed else "fail"),
-            ],
-            args.format,
-            sys.stdout,
-        )
-        return 0 if res.passed else 1
-    res = run_identity_sweep(args.count, args.seed, tol)
-    _emit_pairs(
-        [
+        if not res.passed:
+            fields += [("first_nonzero_pair", res.first_nonzero_pair),
+                       ("first_nonzero_residual", res.first_nonzero_residual)]
+    else:
+        res = run_identity_sweep(args.count, args.seed, tol)
+        fields = [
             ("pairs", res.count),
             ("seed", res.seed),
             ("tolerance", res.tolerance),
             ("max_scaled_residual", res.max_scaled_residual),
             ("max_scaled_negativity", res.max_scaled_negativity),
             ("max_scaled_path_gap", res.max_scaled_path_gap),
-            ("result", "pass" if res.passed else "fail"),
-        ],
-        args.format,
-        sys.stdout,
-    )
+        ]
+    _emit_pairs(fields + [("result", "pass" if res.passed else "fail")], args.format, sys.stdout)
     return 0 if res.passed else 1
 
 
 def cmd_shape(args) -> int:
     tol = _resolve_tol(args)
     if args.figure is not None:
+        if args.samples > MAX_CURVE_SAMPLES:
+            raise ValueError(f"--samples must be at most {MAX_CURVE_SAMPLES}, got {args.samples}")
         rows = figure_dataset(args.figure, args.samples)
-        write_figure_csv(rows, sys.stdout)
+        sys.stdout.write("series,x,y\n")
+        sys.stdout.writelines(map(_FIGURE_ROW.__mod__, rows))
         return 0
     t = Triangle(*args.sides)
     p = shape_point(t)
     circ = circle_of(t.a, t.b)
     d = HalfDisk(t.a * t.a + t.b * t.b)
-    _emit_pairs(
-        [
-            ("point_x", p.x),
-            ("point_y", p.y),
-            ("circle_center_x", circ.center_x),
-            ("circle_radius", circ.radius),
-            ("circle_residual", circle_residual(p, circ)),
-            ("halfdisk_s", d.center_x),
-            ("halfdisk_contains", halfdisk_contains(p, d, tol * max(1.0, d.radius * d.radius))),
-            ("slope_ratio", p.y / p.x),
-            ("tangent_slope", TANGENT_SLOPE),
-            ("classification", classify(t, tol)),
-        ],
-        args.format,
-        sys.stdout,
-    )
-    return 0
+    pairs = [
+        ("point_x", p.x),
+        ("point_y", p.y),
+        ("circle_center_x", circ.center_x),
+        ("circle_radius", circ.radius),
+        ("circle_residual", circle_residual(p, circ)),
+        ("halfdisk_s", d.center_x),
+        ("halfdisk_contains", halfdisk_contains(p, d, tol * max(1.0, d.radius * d.radius))),
+        ("slope_ratio", p.y / p.x),
+        ("tangent_slope", TANGENT_SLOPE),
+        ("classification", classify(t, tol)),
+    ]
+    _emit_pairs(pairs, args.format, sys.stdout)
+    return 0 if all(math.isfinite(x) for _, x in pairs if isinstance(x, float)) else 1
 
 
 def _parse_trange(text: str) -> list[float]:

@@ -21,7 +21,7 @@ def _coerce(x) -> Fraction:
     if type(x) is Fraction:
         return x
     if isinstance(x, float):
-        raise TypeError("QSqrt3 coefficients must be exact (int, Fraction, or str), not float")
+        raise TypeError("expected an exact rational (int, Fraction, or str), not float")
     if hasattr(x, "__index__"):
         x = operator.index(x)  # numpy integers would wrap around in the arithmetic
     return Fraction(x)
@@ -131,8 +131,3 @@ def _sgn(x: Fraction) -> int:
     if x < 0:
         return -1
     return 0
-
-
-ZERO = QSqrt3(0, 0)
-ONE = QSqrt3(1, 0)
-SQRT3 = QSqrt3(0, 1)

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterator
 
-from .weitzenboeck import Triangle, area_heron
+from .weitzenboeck import Triangle, _unit_scaled, area_heron
 
 #: Slope of the tangent line from the origin to any half-disk,
 #: tan(pi/6) = 1/sqrt(3).
@@ -113,8 +113,11 @@ def classify(t: Triangle, tol: float = 1e-9) -> str:
     (equivalent to a = b = c), else ``isosceles_limit`` if it is on the
     boundary half-circle of the disk for s = a^2 + b^2 (equivalent to
     a = b), else ``interior``. ``tol`` is relative to the natural scale of
-    each test (x for the line, (s/2)^2 for the circle).
+    each test (x for the line, (s/2)^2 for the circle). The sides are scaled
+    by an exact power of two first, so the answer does not depend on their
+    scale.
     """
+    t, _ = _unit_scaled(t)
     p = shape_point(t)
     if abs(p.y - TANGENT_SLOPE * p.x) <= tol * p.x:
         return EQUILATERAL_TANGENT
@@ -129,7 +132,7 @@ def classify(t: Triangle, tol: float = 1e-9) -> str:
 _FIGURE_RATIOS = (1.0, 0.75, 0.5, 0.25)
 
 
-def figure_dataset(s: float, samples: int) -> list[tuple[str, float, float]]:
+def figure_dataset(s: float, samples: int) -> Iterator[tuple[str, float, float]]:
     """Point series reproducing the half-disk figure for a given s = a^2 + b^2.
 
     Series emitted, in order:
@@ -142,25 +145,29 @@ def figure_dataset(s: float, samples: int) -> list[tuple[str, float, float]]:
       b/a in ``_FIGURE_RATIOS``, sampled strictly inside the open upper arc
       so every emitted point is a valid triangle's shape point.
 
-    Returns (series, x, y) rows; ``samples`` points per curve-like series.
+    Yields (series, x, y) rows, ``samples`` points per curve-like series,
+    one at a time. ``s`` and ``samples`` are checked at the call.
     """
     if not (s > 0):
         raise ValueError("figure needs s > 0")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    rows: list[tuple[str, float, float]] = []
+    return _figure_rows(s, samples)
+
+
+def _figure_rows(s: float, samples: int) -> Iterator[tuple[str, float, float]]:
     r = s / 2.0
 
     for k in range(samples):
         theta = math.pi * k / (samples - 1)
-        rows.append(("boundary", s + r * math.cos(theta), r * math.sin(theta)))
+        yield ("boundary", s + r * math.cos(theta), r * math.sin(theta))
     for k in range(samples):
         x = 1.5 * s * k / (samples - 1)
-        rows.append(("tangent", x, TANGENT_SLOPE * x))
+        yield ("tangent", x, TANGENT_SLOPE * x)
 
     tp = tangent_point(HalfDisk(s))
-    rows.append(("T", tp.x, tp.y))
-    rows.append(("omega", s, 0.0))
+    yield ("T", tp.x, tp.y)
+    yield ("omega", s, 0.0)
 
     for ratio in _FIGURE_RATIOS:
         a = math.sqrt(s / (1.0 + ratio * ratio))
@@ -170,12 +177,4 @@ def figure_dataset(s: float, samples: int) -> list[tuple[str, float, float]]:
         for k in range(samples):
             # Open arc: endpoints are degenerate triangles (y = 0).
             theta = math.pi * (k + 1) / (samples + 1)
-            rows.append((series, s + rad * math.cos(theta), rad * math.sin(theta)))
-    return rows
-
-
-def write_figure_csv(rows: Iterable[tuple[str, float, float]], stream: TextIO) -> None:
-    """Serialize figure rows as ``series,x,y`` CSV with round-trip decimals."""
-    stream.write("series,x,y\n")
-    for series, x, y in rows:
-        stream.write(f"{series},{x!r},{y!r}\n")
+            yield (series, s + rad * math.cos(theta), rad * math.sin(theta))

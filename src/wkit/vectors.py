@@ -53,18 +53,6 @@ def _item(x):
     return x.item() if np.ndim(x) == 0 else x
 
 
-def inner(u, v):
-    """Standard dot product <u, v>."""
-    u, v = _check_pair(u, v)
-    return _item(np.einsum("...j,...j->...", u, v))
-
-
-def norm(u):
-    """Euclidean length |u|."""
-    u, _ = _check_pair(u, u)
-    return _item(np.sqrt(np.einsum("...j,...j->...", u, u)))
-
-
 def _unit_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (d, m) transpose of an (m, d) stack with row i scaled by 2**-e[i],
     which brings its largest |coordinate| into [1/2, 1), and e."""
@@ -129,14 +117,6 @@ def wedge(u, v):
     regime where the Gram form |u|^2|v|^2 - <u,v>^2 cancels catastrophically.
     """
     return _item(_plane(*_check_pair(u, v))[0])
-
-
-def wedge_signed(u, v):
-    """Signed 2D determinant u_1 v_2 - u_2 v_1 (dimension exactly 2)."""
-    u, v = _check_pair(u, v)
-    if u.shape[-1] != 2:
-        raise ValueError("wedge_signed is defined for dimension 2 only")
-    return _item(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
 
 
 def _fallback_conormal(v: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qsqrt3 import QSqrt3
+from .qsqrt3 import QSqrt3, _coerce
 from .vectors import SQRT3, _check_pair, _plane
 
 
@@ -97,18 +97,11 @@ def verify_identity(u, v, tol: float = 1e-9) -> IdentityReport:
     )
 
 
-def _exact_ratio(x) -> tuple[int, int]:
-    if isinstance(x, float):
-        raise TypeError("verify_exact needs exact rational coordinates, not float")
-    n, d = (x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
-    return int(n), int(d)  # numpy integers would wrap around in the products below
-
-
 def _scaled_pieces(u, v) -> tuple[int, int, int, tuple[int, int], tuple[int, int]]:
     """The integer core of ``verify_exact``: ``(L, lhs, w, X, Y)`` of the pair
     scaled by L, as that docstring defines them."""
-    u = [_exact_ratio(x) for x in u]
-    v = [_exact_ratio(x) for x in v]
+    u = [_coerce(x).as_integer_ratio() for x in u]
+    v = [_coerce(x).as_integer_ratio() for x in v]
     if len(u) != 2 or len(v) != 2:
         raise ValueError("verify_exact is defined for dimension 2 only")
     (a0, b0), (a1, b1) = u
@@ -169,22 +162,37 @@ class Triangle:
         return (self.a, self.b, self.c)
 
 
+def _unit_scaled(t: Triangle) -> tuple[Triangle, int]:
+    """t with its sides scaled by 2**-e, which brings the largest into
+    [1/2, 1), and e. The scaling is exact, so a homogeneous function of the
+    sides gives the same bits on the result, scaled back, wherever nothing
+    over- or underflows at the original scale."""
+    _, e = math.frexp(max(t.a, t.b, t.c))
+    return Triangle(math.ldexp(t.a, -e), math.ldexp(t.b, -e), math.ldexp(t.c, -e)), e
+
+
 def area_heron(t: Triangle) -> float:
     """Triangle area from side lengths.
 
     Uses sqrt(4 a^2 b^2 - (a^2 + b^2 - c^2)^2) / 4, i.e. the relation
-    a^2 b^2 = ((a^2+b^2-c^2)/2)^2 + (2*area)^2 solved for the area. Tiny
-    negative radicands from rounding are clamped; anything materially
-    negative means inconsistent sides.
+    a^2 b^2 = ((a^2+b^2-c^2)/2)^2 + (2*area)^2 solved for the area, on the
+    sides scaled to unit size, and scales the area back: it is inf only if
+    the area itself exceeds the float range. Tiny negative radicands from
+    rounding are clamped; anything materially negative means inconsistent
+    sides.
     """
-    a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
+    u, e = _unit_scaled(t)
+    a2, b2, c2 = u.a * u.a, u.b * u.b, u.c * u.c
     scale = 4.0 * a2 * b2
     rad = scale - (a2 + b2 - c2) ** 2
     if rad < 0.0:
         if rad < -1e-12 * scale:
             raise ValueError(f"inconsistent side lengths {t.sides()}")
         rad = 0.0
-    return math.sqrt(rad) / 4.0
+    try:
+        return math.ldexp(math.sqrt(rad) / 4.0, 2 * e)
+    except OverflowError:  # math.ldexp raises where a product would give inf
+        return math.inf
 
 
 def triangle_defect(t: Triangle) -> float:

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -272,6 +274,58 @@ class TestShape:
         a = run_cli("shape", "--figure", "3.5", "--samples", "64")
         b = run_cli("shape", "--figure", "3.5", "--samples", "64")
         assert a.stdout == b.stdout
+
+    def test_figure_samples_capped(self, monkeypatch, capsys):
+        # The cap applies before any row is built or written.
+        monkeypatch.setattr(cli, "MAX_CURVE_SAMPLES", 10)
+        assert cli.main(["shape", "--figure", "2", "--samples", "10"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 6 * 10 + 2
+        assert cli.main(["shape", "--figure", "2", "--samples", "11"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --samples must be at most 10, got 11\n"
+
+    def test_bad_figure_writes_nothing(self):
+        for args in (("--figure", "-1"), ("--figure", "2", "--samples", "1")):
+            r = run_cli("shape", *args)
+            assert r.returncode == 2
+            assert r.stdout == ""
+
+    def test_figure_memory_does_not_grow(self):
+        # The rows are streamed: 100 times the samples, the same peak.
+        peaks = []
+        with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+            cli.main(["shape", "--figure", "2", "--samples", "10"])
+            tracemalloc.start()
+            try:
+                for samples in (1_000, 100_000):
+                    tracemalloc.reset_peak()
+                    base = tracemalloc.get_traced_memory()[0]
+                    assert cli.main(["shape", "--figure", "2", "--samples", str(samples)]) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0], peaks
+
+    def test_huge_sides(self):
+        # The squares of the sides are 1e300: every value but the circle
+        # residual, whose squares are near 1e600, is finite and right.
+        r = run_cli("shape", "--sides", "1e150", "1e150", "1e150", "--format", "json")
+        assert r.returncode == 1
+        assert r.stderr == ""
+        payload = json.loads(r.stdout.replace("NaN", "null"))
+        assert payload["point_x"] == pytest.approx(1.5e300, rel=1e-15)
+        assert payload["point_y"] == pytest.approx(3**0.5 / 2 * 1e300, rel=1e-15)
+        assert payload["circle_residual"] is None
+        assert payload["slope_ratio"] == pytest.approx(payload["tangent_slope"], rel=1e-15)
+        assert payload["classification"] == "equilateral_tangent"
+
+    def test_overflowing_sides_fail(self):
+        r = run_cli("shape", "--sides", "1e200", "1e200", "1e200")
+        assert r.returncode == 1
+        assert r.stderr == ""
+        assert "point_x            inf\n" in r.stdout
+        assert r.stdout.endswith("classification     equilateral_tangent\n")
 
 
 def _write_helix_csv(path, seed, n):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wkit.qsqrt3 import ONE, SQRT3, ZERO, QSqrt3
+from wkit.qsqrt3 import QSqrt3
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=1000
@@ -25,7 +25,7 @@ def test_add_cancellation():
 
 @given(elements)
 def test_add_identity(x):
-    assert ZERO + x == x
+    assert QSqrt3() + x == x
 
 
 def test_mul_expansion():
@@ -34,12 +34,12 @@ def test_mul_expansion():
 
 
 def test_sqrt3_squares_to_three():
-    assert SQRT3 * SQRT3 == QSqrt3(3, 0) == 3
+    assert QSqrt3(0, 1) * QSqrt3(0, 1) == QSqrt3(3, 0) == 3
 
 
 @given(elements)
 def test_mul_identity(x):
-    assert ONE * x == x
+    assert QSqrt3(1) * x == x
 
 
 @given(elements, elements)

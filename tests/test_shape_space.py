@@ -1,9 +1,11 @@
-import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from samples import random_triangles
 
+from wkit import cli
 from wkit.shape_space import (
     EQUILATERAL_TANGENT,
     INTERIOR,
@@ -19,7 +21,6 @@ from wkit.shape_space import (
     halfdisk_contains,
     shape_point,
     tangent_point,
-    write_figure_csv,
 )
 from wkit.weitzenboeck import Triangle, triangle_defect
 
@@ -170,6 +171,20 @@ class TestClassify:
         for a in (0.3, 1.0, 4.2):
             assert classify(Triangle(a, a, 1.5 * a)) == ISOSCELES_LIMIT
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([((3, 4, 5), INTERIOR), ((2, 2, 3), ISOSCELES_LIMIT),
+                            ((1, 1, 1), EQUILATERAL_TANGENT)]),
+           st.integers(-1000, 1000))
+    def test_scale_free(self, case, k):
+        # The squares of these sides leave the float range at |k| > ~510.
+        sides, expected = case
+        assert classify(Triangle(*(math.ldexp(x, k) for x in sides))) == expected
+
+    @pytest.mark.parametrize("scale", [3e-160, 1e-200, 1e150, 1e200])
+    def test_decimal_scales(self, scale):
+        assert classify(Triangle(3 * scale, 4 * scale, 5 * scale)) == INTERIOR
+        assert classify(Triangle(scale, scale, scale)) == EQUILATERAL_TANGENT
+
 
 class TestConsistencyWithDefect:
     def test_defect_from_shape_coordinates(self):
@@ -210,7 +225,7 @@ class TestFigure:
             assert halfdisk_contains(ShapePoint(x, y), d, tol=1e-9 * d.radius**2)
 
     def test_circle_series_on_their_circles(self):
-        rows = figure_dataset(2.0, 25)
+        rows = list(figure_dataset(2.0, 25))
         series = {r[0] for r in rows if r[0].startswith("circle:")}
         assert len(series) == 4
         for name in series:
@@ -231,11 +246,10 @@ class TestFigure:
         with pytest.raises(ValueError):
             figure_dataset(1.0, 1)
 
-    def test_csv_round_trip(self):
-        rows = figure_dataset(2.0, 5)
-        buf = io.StringIO()
-        write_figure_csv(rows, buf)
-        lines = buf.getvalue().splitlines()
+    def test_csv_round_trip(self, capsys):
+        rows = list(figure_dataset(2.0, 5))
+        assert cli.main(["shape", "--figure", "2", "--samples", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "series,x,y"
         assert len(lines) == len(rows) + 1
         for line, (series, x, y) in zip(lines[1:], rows):

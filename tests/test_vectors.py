@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 
 from wkit.vectors import (
     SQRT3,
-    inner,
-    norm,
     perp_rotate,
     rotate_pi3,
     wedge,
-    wedge_signed,
 )
 
 
@@ -33,25 +30,6 @@ def near_collinear_pairs(count, seed=1):
         yield u, rng.uniform(-2, 2) * u + eps * rng.standard_normal(d)
 
 
-class TestInner:
-    def test_orthogonal(self):
-        assert inner([1, 0], [0, 1]) == 0.0
-
-    def test_direct_sum(self):
-        assert inner([1, 2], [3, 4]) == 11.0
-
-    def test_3d(self):
-        assert inner([1, 0, 0], [1, 1, 0]) == 1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            inner([1, 0], [1, 0, 0])
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            inner([1, float("nan")], [1, 0])
-
-
 class TestWedge:
     def test_collinear_is_exactly_zero(self):
         assert wedge([2, 0, 0], [3, 0, 0]) == 0.0
@@ -61,6 +39,14 @@ class TestWedge:
 
     def test_unit_square(self):
         assert wedge([1, 0], [0, 1]) == 1.0
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            wedge([1, 0], [1, 0, 0])
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            wedge([1, float("nan")], [1, 0])
 
     def test_gram_value(self):
         # |u|^2 |v|^2 - <u,v>^2 = 1*2 - 1 = 1
@@ -75,16 +61,10 @@ class TestWedge:
         # Gram form is the independent oracle.
         for u, v in random_pairs(500):
             gram = float(u @ u) * float(v @ v) - float(u @ v) ** 2
-            assert wedge(u, v) ** 2 + inner(u, v) ** 2 == pytest.approx(
+            assert wedge(u, v) ** 2 + float(u @ v) ** 2 == pytest.approx(
                 float(u @ u) * float(v @ v), rel=1e-9
             )
             assert wedge(u, v) ** 2 == pytest.approx(gram, rel=1e-9, abs=1e-9)
-
-    def test_signed_2d(self):
-        assert wedge_signed([1, 0], [0, 1]) == 1.0
-        assert wedge_signed([0, 1], [1, 0]) == -1.0
-        with pytest.raises(ValueError):
-            wedge_signed([1, 0, 0], [0, 1, 0])
 
 
 class TestPerpRotate:
@@ -96,7 +76,7 @@ class TestPerpRotate:
     def test_reversed_orientation(self):
         # <u, c> = -wedge = -1 forces c = (0, -1) here
         c, _ = perp_rotate([0, 1], [1, 0])
-        assert inner([0, 1], c) == pytest.approx(-1.0, abs=1e-15)
+        assert np.dot([0, 1], c) == pytest.approx(-1.0, abs=1e-15)
         np.testing.assert_allclose(c, [0.0, -1.0], atol=1e-15)
 
     def test_collinear_fallback(self):
@@ -107,8 +87,8 @@ class TestPerpRotate:
     def test_zero_u_is_degenerate(self):
         c, degenerate = perp_rotate([0, 0, 0], [0, 3, 0])
         assert degenerate
-        assert norm(c) == pytest.approx(3.0, rel=1e-15)
-        assert inner(c, [0, 3, 0]) == pytest.approx(0.0, abs=1e-12)
+        assert np.linalg.norm(c) == pytest.approx(3.0, rel=1e-15)
+        assert np.dot(c, [0, 3, 0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_v_rejected(self):
         with pytest.raises(ValueError):
@@ -120,18 +100,18 @@ class TestPerpRotate:
     def test_frame_invariants_random(self):
         for u, v in random_pairs(300, seed=7):
             c, _ = perp_rotate(u, v)
-            nv = norm(v)
-            assert norm(c) == pytest.approx(nv, rel=1e-12)
-            assert inner(c, v) == pytest.approx(0.0, abs=1e-12 * nv * nv)
-            scale = norm(u) * nv
-            assert inner(u, c) == pytest.approx(-wedge(u, v), abs=1e-9 * max(1.0, scale))
+            nv = np.linalg.norm(v)
+            assert np.linalg.norm(c) == pytest.approx(nv, rel=1e-12)
+            assert np.dot(c, v) == pytest.approx(0.0, abs=1e-12 * nv * nv)
+            scale = np.linalg.norm(u) * nv
+            assert np.dot(u, c) == pytest.approx(-wedge(u, v), abs=1e-9 * max(1.0, scale))
 
     def test_frame_invariants_near_collinear(self):
         # the regime that needs the compensated bivector
         for u, v in near_collinear_pairs(200):
             c, _ = perp_rotate(u, v)
-            scale = norm(u) * norm(v)
-            assert inner(u, c) == pytest.approx(-wedge(u, v), abs=1e-11 * max(1.0, scale))
+            scale = np.linalg.norm(u) * np.linalg.norm(v)
+            assert np.dot(u, c) == pytest.approx(-wedge(u, v), abs=1e-11 * max(1.0, scale))
 
     @staticmethod
     def direction_error(u, v) -> Fraction:
@@ -190,7 +170,8 @@ class TestRotatePi3:
 
     def test_preserves_norm(self):
         for u, v in random_pairs(300, seed=3):
-            assert norm(rotate_pi3(u, v)) == pytest.approx(norm(v), rel=1e-12)
+            nv = np.linalg.norm(v)
+            assert np.linalg.norm(rotate_pi3(u, v)) == pytest.approx(nv, rel=1e-12)
 
     def test_stays_in_span(self):
         rng = np.random.default_rng(11)
@@ -202,7 +183,7 @@ class TestRotatePi3:
             # project r onto span(u, v) and check the residual
             q, _ = np.linalg.qr(np.stack([u, v], axis=1))
             resid = r - q @ (q.T @ r)
-            assert norm(resid) <= 1e-9 * norm(v)
+            assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(v)
 
     def test_matches_2d_rotation_matrix(self):
         c, s = 0.5, SQRT3 / 2
@@ -212,9 +193,10 @@ class TestRotatePi3:
         while done < 200:
             u = rng.uniform(-10, 10, 2)
             v = rng.uniform(-10, 10, 2)
-            if wedge_signed(u, v) <= 0:
+            if u[0] * v[1] - u[1] * v[0] <= 0:
                 continue
-            np.testing.assert_allclose(rotate_pi3(u, v), rot @ v, atol=1e-12 * max(1.0, norm(v)))
+            np.testing.assert_allclose(rotate_pi3(u, v), rot @ v,
+                                       atol=1e-12 * max(1.0, np.linalg.norm(v)))
             done += 1
 
 

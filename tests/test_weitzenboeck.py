@@ -363,6 +363,19 @@ class TestAreaHeron:
         for t in random_triangles(300, seed=4):
             assert area_heron(t) == pytest.approx(heron_classic(*t.sides()), rel=1e-9)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([(3, 4, 5), (2, 2, 3), (1, 1, 1), (2, 3, 4)]),
+           st.integers(-500, 500))
+    def test_power_of_two_scaling_is_exact(self, sides, k):
+        # The squares of these sides leave the float range at |k| > ~510.
+        area = area_heron(Triangle(*(math.ldexp(x, k) for x in sides)))
+        assert area == math.ldexp(area_heron(Triangle(*sides)), 2 * k)
+
+    def test_huge_sides(self):
+        assert area_heron(Triangle(3e150, 4e150, 5e150)) == pytest.approx(6e300, rel=1e-15)
+        # The area itself, about 4.3e399, is beyond the float range.
+        assert area_heron(Triangle(1e200, 1e200, 1e200)) == math.inf
+
 
 class TestTriangleDefect:
     def test_equilateral_zero(self):
