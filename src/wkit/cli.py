@@ -26,14 +26,14 @@ from .curves import (
 from .shape_space import (
     TANGENT_SLOPE,
     HalfDisk,
-    circle_of,
+    _unit_shape,
     circle_residual,
     classify,
     figure_dataset,
     halfdisk_contains,
-    shape_point,
 )
 from .sweeps import run_exact_sweep, run_identity_sweep
+from .vectors import _scale
 from .weitzenboeck import Triangle, triangle_to_vectors, verify_identity
 
 _TOL_ENV = "WKIT_TOL"
@@ -156,18 +156,19 @@ def cmd_shape(args) -> int:
         sys.stdout.write("series,x,y\n")
         sys.stdout.writelines(map(_FIGURE_ROW.__mod__, rows))
         return 0
+    # Computed at unit scale; only the values of degree 2 are scaled back.
     t = Triangle(*args.sides)
-    p = shape_point(t)
-    circ = circle_of(t.a, t.b)
-    d = HalfDisk(t.a * t.a + t.b * t.b)
+    p, circ, e = _unit_shape(t)
+    d = HalfDisk(circ.center_x)
+    x, y, center, radius = (float(_scale(z, 2 * e)) for z in (p.x, p.y, d.center_x, circ.radius))
     pairs = [
-        ("point_x", p.x),
-        ("point_y", p.y),
-        ("circle_center_x", circ.center_x),
-        ("circle_radius", circ.radius),
-        ("circle_residual", circle_residual(p, circ)),
-        ("halfdisk_s", d.center_x),
-        ("halfdisk_contains", halfdisk_contains(p, d, tol * max(1.0, d.radius * d.radius))),
+        ("point_x", x),
+        ("point_y", y),
+        ("circle_center_x", center),
+        ("circle_radius", radius),
+        ("circle_residual", circle_residual(p, circ) / (circ.radius * circ.radius)),
+        ("halfdisk_s", center),
+        ("halfdisk_contains", halfdisk_contains(p, d, tol * d.radius * d.radius)),
         ("slope_ratio", p.y / p.x),
         ("tangent_slope", TANGENT_SLOPE),
         ("classification", classify(t, tol)),

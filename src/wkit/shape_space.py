@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .weitzenboeck import Triangle, _unit_scaled, area_heron
+from .vectors import _scale
+from .weitzenboeck import Triangle, _unit_triangle
 
 #: Slope of the tangent line from the origin to any half-disk,
 #: tan(pi/6) = 1/sqrt(3).
@@ -64,12 +65,17 @@ class HalfDisk:
         return self.center_x / 2.0
 
 
+def _unit_shape(t: Triangle) -> tuple[ShapePoint, ShapeCircle, int]:
+    """t's shape point and (a, b) circle at ``_unit_triangle`` scale (4**-e of
+    their values), and e."""
+    a, b, c, area, e = _unit_triangle(t)
+    return ShapePoint((a * a + b * b + c * c) / 2.0, 2.0 * area), circle_of(a, b), e
+
+
 def shape_point(t: Triangle) -> ShapePoint:
     """Map a triangle to its shape-plane point ((a^2+b^2+c^2)/2, 2*area)."""
-    return ShapePoint(
-        x=(t.a * t.a + t.b * t.b + t.c * t.c) / 2.0,
-        y=2.0 * area_heron(t),
-    )
+    p, _, e = _unit_shape(t)
+    return ShapePoint(*(float(_scale(x, 2 * e)) for x in (p.x, p.y)))
 
 
 def circle_of(a: float, b: float) -> ShapeCircle:
@@ -113,17 +119,14 @@ def classify(t: Triangle, tol: float = 1e-9) -> str:
     (equivalent to a = b = c), else ``isosceles_limit`` if it is on the
     boundary half-circle of the disk for s = a^2 + b^2 (equivalent to
     a = b), else ``interior``. ``tol`` is relative to the natural scale of
-    each test (x for the line, (s/2)^2 for the circle). The sides are scaled
-    by an exact power of two first, so the answer does not depend on their
-    scale.
+    each test (x for the line, (s/2)^2 for the circle). Both are decided at
+    unit scale, so the answer does not depend on the scale of the sides.
     """
-    t, _ = _unit_scaled(t)
-    p = shape_point(t)
+    p, circle, _ = _unit_shape(t)
     if abs(p.y - TANGENT_SLOPE * p.x) <= tol * p.x:
         return EQUILATERAL_TANGENT
-    d = HalfDisk(t.a * t.a + t.b * t.b)
-    boundary = ShapeCircle(center_x=d.center_x, radius=d.radius)
-    if abs(circle_residual(p, boundary)) <= tol * d.radius * d.radius:
+    boundary = ShapeCircle(center_x=circle.center_x, radius=circle.center_x / 2.0)
+    if abs(circle_residual(p, boundary)) <= tol * boundary.radius * boundary.radius:
         return ISOSCELES_LIMIT
     return INTERIOR
 

@@ -11,11 +11,15 @@ from compensated 2x2 determinants.
 Every function takes one pair of vectors of shape (d,) or two matching
 stacks of shape (..., d) and works row by row over the leading axes. A
 per-pair result is a Python scalar for one pair and an array for stacks.
+
+Pairs and triangles are computed at unit size, reached by the exact power of
+two of ``_exponent``, and every result is scaled back once by ``_scale``.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -53,13 +57,17 @@ def _item(x):
     return x.item() if np.ndim(x) == 0 else x
 
 
-def _unit_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (d, m) transpose of an (m, d) stack with row i scaled by 2**-e[i],
-    which brings its largest |coordinate| into [1/2, 1), and e."""
-    out = a.T.copy()
-    _, e = np.frexp(np.abs(out).max(axis=0))
-    np.ldexp(out, -e, out=out)
-    return out, e
+def _exponent(*parts):
+    """Elementwise e such that 2**-e brings the largest |part| into [1/2, 1);
+    -1075, below the exponent of every nonzero double, where all are 0."""
+    top = reduce(np.maximum, map(np.abs, parts))
+    return np.where(top > 0.0, np.frexp(top)[1], -1075)
+
+
+def _scale(x, e, out=None):
+    """x * 2**e, rounded once (to 0, a subnormal or inf) with no warning."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, e, out=out)
 
 
 def _plane(u: np.ndarray, v: np.ndarray):
@@ -69,18 +77,22 @@ def _plane(u: np.ndarray, v: np.ndarray):
     bivector once, each with ``det2``. The wedge is sqrt(sum G_ij^2). Since
     G v = |v|^2 w, with w the part of u orthogonal to v, the conormal is
     c = -|v| G v/|G v|, and G v has condition number O(1). A row is
-    degenerate when |G v| <= COLLINEAR_RTOL*|u||v|^2 and then takes
-    ``_fallback_conormal``; a row with v = 0 gets c = 0.
+    degenerate when |G v| <= COLLINEAR_RTOL*|u||v|^2 and then takes the part
+    of e_k orthogonal to v, rescaled to |v|, for the k with the smallest
+    |v_k|: that part has length >= sqrt(1 - 1/d). A row with v = 0 gets c = 0.
 
-    Rows are scaled to unit size by exact powers of two first and the
-    results scaled back, so they scale exactly with the input and nothing
-    overflows before they do. The work runs on (d, m) arrays and every sum
-    has a fixed order, so a row gives the same bits alone as in any stack.
+    Rows of u and v are scaled to unit size by 2**-a and 2**-b
+    (``_exponent``). Returns ``(wedge, conormal, degenerate, a, b)``, the
+    wedge still scaled by 2**-(a + b) and the conormal by 2**-b. The work
+    runs on (d, m) arrays and every sum has a fixed order, so a row gives
+    the same bits alone as in any stack.
     """
     shape = u.shape[:-1]
     d = u.shape[-1]
-    X, a = _unit_columns(u.reshape(-1, d))
-    Y, b = _unit_columns(v.reshape(-1, d))
+    X, Y = (z.reshape(-1, d).T.copy() for z in (u, v))
+    a, b = _exponent(*X), _exponent(*Y)
+    _scale(X, -a, out=X)
+    _scale(Y, -b, out=Y)
     gv = np.zeros_like(Y)
     gg = np.zeros(Y.shape[1])
     for k in range(1, d):
@@ -93,10 +105,15 @@ def _plane(u: np.ndarray, v: np.ndarray):
     nu, nv, ngv = (np.sqrt(_sum_rows(Z * Z)) for Z in (X, Y, gv))
     degenerate = ngv <= COLLINEAR_RTOL * nu * nv * nv
     gv *= -nv / np.where(degenerate, 1.0, ngv)
-    for i in (degenerate & (nv > 0.0)).nonzero()[0]:
-        gv[:, i] = _fallback_conormal(Y[:, i])
-    c = np.ldexp(gv, b, out=gv).T.reshape(shape + (d,))
-    return np.ldexp(np.sqrt(gg), a + b).reshape(shape), c, degenerate.reshape(shape)
+    i = (degenerate & (nv > 0.0)).nonzero()[0]
+    Z = Y[:, i]
+    at = np.abs(Z).argmin(axis=0), np.arange(i.size)
+    f = -(Z[at] / (nv[i] * nv[i])) * Z
+    f[at] += 1.0
+    gv[:, i] = f * (nv[i] / np.sqrt(_sum_rows(f * f)))
+    c = gv.T.reshape(shape + (d,))
+    return (np.sqrt(gg).reshape(shape), c, degenerate.reshape(shape),
+            a.reshape(shape), b.reshape(shape))
 
 
 def _sum_rows(Z: np.ndarray) -> np.ndarray:
@@ -116,20 +133,8 @@ def wedge(u, v):
     exactly collinear inputs, and stays accurate in the near-collinear
     regime where the Gram form |u|^2|v|^2 - <u,v>^2 cancels catastrophically.
     """
-    return _item(_plane(*_check_pair(u, v))[0])
-
-
-def _fallback_conormal(v: np.ndarray) -> np.ndarray:
-    # First standard basis vector that is not (numerically) parallel to v,
-    # orthogonalized against v and rescaled to |v|.
-    nv2 = float(v @ v)
-    for k in range(v.size):
-        f = -(v[k] / nv2) * v
-        f[k] += 1.0
-        nf = math.sqrt(float(f @ f))
-        if nf > 1e-6:
-            return (math.sqrt(nv2) / nf) * f
-    raise AssertionError("no basis vector separated from v")
+    w, _, _, a, b = _plane(*_check_pair(u, v))
+    return _item(_scale(w, a + b))
 
 
 def perp_rotate(u, v):
@@ -149,8 +154,8 @@ def perp_rotate(u, v):
     u, v = _check_pair(u, v)
     if not np.all(np.any(v != 0.0, axis=-1)):
         raise ValueError("cannot orient a plane around v = 0")
-    _, c, degenerate = _plane(u, v)
-    return c, _item(degenerate)
+    _, c, degenerate, _, b = _plane(u, v)
+    return _scale(c, b[..., None]), _item(degenerate)
 
 
 def rotate_pi3(u, v) -> np.ndarray:

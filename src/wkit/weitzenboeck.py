@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .qsqrt3 import QSqrt3, _coerce
-from .vectors import SQRT3, _check_pair, _plane
+from .vectors import SQRT3, _check_pair, _exponent, _plane, _scale
 
 
 def identity_batch(U, V):
@@ -47,20 +47,35 @@ def identity_batch(U, V):
     other, so each is the other's oracle. A row with v = 0 has no plane to
     turn in; there R(0) = 0 and its explicit defect is 2*|u|^2.
     """
+    unit, w, k = _unit_identity(U, V)
+    lhs, d_int, d_exp, residual = (_scale(x, 2 * k) for x in unit)
+    return lhs, w, d_int, d_exp, residual
+
+
+def _unit_identity(U, V):
+    """``((lhs, d_int, d_exp, residual), wedge, k)`` of two (m, d) stacks: row
+    i computed on u and v scaled by one 2**-k[i] that brings the larger to
+    unit size, so all but the wedge are 4**-k of their value. The wedge keeps
+    ``_plane``'s own scales, so v negligible beside u does not zero it."""
     U, V = _check_pair(U, V)
     if U.ndim != 2:
         raise ValueError(f"expected (m, d) row stacks, got shape {U.shape}")
+    r, conormal, _, a, b = _plane(U, V)
+    k = np.maximum(a, b)
+    w = _scale(r, a + b)
+    _scale(r, a + b - 2 * k, out=r)
+    _scale(conormal, (b - k)[:, None], out=conormal)
+    U, V = (_scale(Z, -k[:, None]) for Z in (U, V))
     uu = np.einsum("ij,ij->i", U, U)
     vv = np.einsum("ij,ij->i", V, V)
     uv = np.einsum("ij,ij->i", U, V)
     s = U + V
     lhs = uu + vv + np.einsum("ij,ij->i", s, s)
-    w, conormal, _ = _plane(U, V)
-    d_int = 2.0 * (uu + vv + uv - SQRT3 * w)
+    d_int = 2.0 * (uu + vv + uv - SQRT3 * r)
     x = U + 0.5 * V + (SQRT3 / 2.0) * conormal
     d_exp = 2.0 * np.einsum("ij,ij->i", x, x)
-    residual = lhs - 2.0 * SQRT3 * w - d_exp
-    return lhs, w, d_int, d_exp, residual
+    residual = lhs - 2.0 * SQRT3 * r - d_exp
+    return (lhs, d_int, d_exp, residual), w, k
 
 
 @dataclass(frozen=True)
@@ -70,8 +85,9 @@ class IdentityReport:
     The fields are the ``identity_batch`` outputs of one row as floats, with
     wedge_term = 2*sqrt(3)*wedge. ``residual`` is lhs - wedge_term -
     defect_explicit and should vanish to rounding; ``equality_case`` flags
-    defect_explicit <= tol*lhs (scale-aware: both grow quadratically), and
-    is False when lhs or the defect is not finite.
+    defect_explicit <= tol*lhs, decided at unit scale, so it is the same
+    for the pair at any power-of-two scale, whether or not lhs and the
+    defect over- or underflow at the printed one.
     """
 
     lhs: float
@@ -84,17 +100,10 @@ class IdentityReport:
 
 def verify_identity(u, v, tol: float = 1e-9) -> IdentityReport:
     """Evaluate both sides of the identity for one float pair."""
-    rows = identity_batch(np.asarray(u, dtype=float)[None], np.asarray(v, dtype=float)[None])
-    lhs, w, d_int, d_exp, residual = (float(x[0]) for x in rows)
-    return IdentityReport(
-        lhs=lhs,
-        wedge_term=2.0 * SQRT3 * w,
-        defect_intrinsic=d_int,
-        defect_explicit=d_exp,
-        residual=residual,
-        # inf <= tol * inf holds, so an overflowed pair must not count.
-        equality_case=math.isfinite(lhs) and math.isfinite(d_exp) and d_exp <= tol * lhs,
-    )
+    unit, w, k = _unit_identity(*(np.asarray(x, dtype=float)[None] for x in (u, v)))
+    lhs, d_int, d_exp, residual = (float(_scale(x[0], 2 * k[0])) for x in unit)
+    equal = bool(unit[2][0] <= tol * unit[0][0])
+    return IdentityReport(lhs, 2.0 * SQRT3 * float(w[0]), d_int, d_exp, residual, equal)
 
 
 def _scaled_pieces(u, v) -> tuple[int, int, int, tuple[int, int], tuple[int, int]]:
@@ -162,42 +171,35 @@ class Triangle:
         return (self.a, self.b, self.c)
 
 
-def _unit_scaled(t: Triangle) -> tuple[Triangle, int]:
-    """t with its sides scaled by 2**-e, which brings the largest into
-    [1/2, 1), and e. The scaling is exact, so a homogeneous function of the
-    sides gives the same bits on the result, scaled back, wherever nothing
-    over- or underflows at the original scale."""
-    _, e = math.frexp(max(t.a, t.b, t.c))
-    return Triangle(math.ldexp(t.a, -e), math.ldexp(t.b, -e), math.ldexp(t.c, -e)), e
-
-
-def area_heron(t: Triangle) -> float:
-    """Triangle area from side lengths.
-
-    Uses sqrt(4 a^2 b^2 - (a^2 + b^2 - c^2)^2) / 4, i.e. the relation
-    a^2 b^2 = ((a^2+b^2-c^2)/2)^2 + (2*area)^2 solved for the area, on the
-    sides scaled to unit size, and scales the area back: it is inf only if
-    the area itself exceeds the float range. Tiny negative radicands from
-    rounding are clamped; anything materially negative means inconsistent
-    sides.
-    """
-    u, e = _unit_scaled(t)
-    a2, b2, c2 = u.a * u.a, u.b * u.b, u.c * u.c
+def _unit_triangle(t: Triangle) -> tuple[float, float, float, float, int]:
+    """``(a, b, c, area, e)``: the sides of t scaled by 2**-e, the longest
+    into [1/2, 1), and their area sqrt(4 a^2 b^2 - (a^2 + b^2 - c^2)^2) / 4
+    (from a^2 b^2 = ((a^2+b^2-c^2)/2)^2 + (2*area)^2). Each triangle function
+    uses this one evaluation and scales a result of degree n by 2**(n*e).
+    A tiny negative radicand from rounding is clamped to 0."""
+    e = int(_exponent(*t.sides()))
+    a, b, c = _scale(t.sides(), -e).tolist()
+    a2, b2, c2 = a * a, b * b, c * c
     scale = 4.0 * a2 * b2
     rad = scale - (a2 + b2 - c2) ** 2
     if rad < 0.0:
         if rad < -1e-12 * scale:
             raise ValueError(f"inconsistent side lengths {t.sides()}")
         rad = 0.0
-    try:
-        return math.ldexp(math.sqrt(rad) / 4.0, 2 * e)
-    except OverflowError:  # math.ldexp raises where a product would give inf
-        return math.inf
+    return a, b, c, math.sqrt(rad) / 4.0, e
+
+
+def area_heron(t: Triangle) -> float:
+    """Triangle area from side lengths, through ``_unit_triangle``: inf only
+    if the area itself exceeds the float range."""
+    _, _, _, area, e = _unit_triangle(t)
+    return float(_scale(area, 2 * e))
 
 
 def triangle_defect(t: Triangle) -> float:
     """a^2 + b^2 + c^2 - 4*sqrt(3)*area: nonnegative, zero iff equilateral."""
-    return (t.a * t.a + t.b * t.b + t.c * t.c) - 4.0 * SQRT3 * area_heron(t)
+    a, b, c, area, e = _unit_triangle(t)
+    return float(_scale((a * a + b * b + c * c) - 4.0 * SQRT3 * area, 2 * e))
 
 
 def triangle_to_vectors(t: Triangle) -> tuple[np.ndarray, np.ndarray]:
@@ -205,16 +207,14 @@ def triangle_to_vectors(t: Triangle) -> tuple[np.ndarray, np.ndarray]:
 
     A = (0, 0), B = (c, 0), and C in the upper half-plane with |AB| = c,
     |BC| = a, |CA| = b. The ``defect_intrinsic`` of ``verify_identity`` on
-    the result reproduces ``triangle_defect``.
+    the result reproduces ``triangle_defect``. The placement is computed at
+    the unit scale of ``_unit_triangle`` and scaled back.
     """
-    a, b, c = t.a, t.b, t.c
+    a, b, c, _, e = _unit_triangle(t)
     cx = (b * b - a * a + c * c) / (2.0 * c)
     rad = b * b - cx * cx
     if rad < 0.0:
         if rad < -1e-12 * b * b:
             raise ValueError(f"inconsistent side lengths {t.sides()}")
         rad = 0.0
-    cy = math.sqrt(rad)
-    u = np.array([c, 0.0])
-    v = np.array([cx - c, cy])
-    return u, v
+    return _scale(np.array([c, 0.0]), e), _scale(np.array([cx - c, math.sqrt(rad)]), e)

@@ -1,6 +1,9 @@
 """Sample helpers shared by the test modules."""
 
+import math
+
 import numpy as np
+from hypothesis import strategies as st
 
 from wkit.sweeps import pair_stacks
 from wkit.weitzenboeck import Triangle
@@ -27,3 +30,16 @@ def random_triangles(count, seed=0, low=0.1, high=10.0):
         if a + b > c and b + c > a and c + a > b:
             out.append(Triangle(float(a), float(b), float(c)))
     return out
+
+
+#: Integer side triples: four fixed shapes and any valid triangle of sides <= 1000.
+INTEGER_TRIANGLES = st.one_of(
+    st.sampled_from([(3, 4, 5), (2, 2, 3), (1, 1, 1), (7, 7, 7)]),
+    st.tuples(*[st.integers(1, 1000)] * 3).filter(lambda t: 2 * max(t) < sum(t)),
+)
+
+
+def power_of_two_range(values):
+    """(lo, hi): every k for which 2**k times each nonzero integer of values
+    is an exact, finite, nonzero double, subnormals included."""
+    return -1074, 1024 - math.frexp(max(map(abs, values)))[1]

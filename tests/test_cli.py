@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,6 +11,9 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from samples import INTEGER_TRIANGLES, power_of_two_range
 
 from wkit import cli, sweeps
 from wkit.qsqrt3 import QSqrt3
@@ -18,7 +22,24 @@ from wkit.weitzenboeck import verify_identity
 _ENV = {**os.environ, "PYTHONHASHSEED": "0"}
 
 
-def run_cli(*args, env=None):
+def run_cli(*args):
+    """Run ``wkit`` in this process, under the test run's warning filters.
+
+    Returns its exit code, stdout and stderr as a CompletedProcess; the
+    SystemExit of an argparse error becomes the exit code. Set WKIT_TOL
+    with ``monkeypatch.setenv``.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_subprocess(*args, env=None):
+    """Run ``python -m wkit.cli`` in a fresh interpreter."""
     return subprocess.run(
         [sys.executable, "-m", "wkit.cli", *args],
         capture_output=True,
@@ -63,9 +84,32 @@ class TestDefect:
         assert len(lines) == 2
 
     def test_non_finite_result_fails(self):
+        # lhs = 2e400 overflows. Each term is computed at unit scale and
+        # scaled back once, so it prints as a number or inf, never NaN.
         r = run_cli("defect", "--vectors", "1e200,0", "0,1e200", "--format", "json")
         assert r.returncode == 1
-        assert json.loads(r.stdout.replace("NaN", "null"))["residual"] is None
+        assert r.stderr == ""
+        assert "NaN" not in r.stdout
+        payload = json.loads(r.stdout)
+        assert payload["lhs"] == math.inf
+        assert not any(math.isnan(x) for x in payload.values() if isinstance(x, float))
+
+    def test_scaled_equilateral_sides_are_equality(self):
+        # The placement of the triangle is computed at unit scale: at 1e-170
+        # its squares underflow, at 1e160 lhs overflows (exit 1).
+        for side, code in (("1e-170", 0), ("1e160", 1)):
+            r = run_cli("defect", "--sides", side, side, side)
+            assert r.returncode == code
+            assert r.stderr == ""
+            assert r.stdout.endswith("equality          true\n")
+
+    def test_tiny_pair_is_not_equality(self):
+        # lhs = 2e-339 rounds to 0 at this scale, but the flag is decided at
+        # unit scale: u and v are orthogonal, not an equilateral pair.
+        r = run_cli("defect", "--vectors", "1e-170,2e-170", "2e-170,-1e-170")
+        assert r.returncode == 0
+        assert r.stderr == ""
+        assert r.stdout.endswith("equality          false\n")
 
     def test_overflow_is_not_equality(self):
         # lhs and defect_explicit overflow to inf, and inf <= tol * inf holds.
@@ -308,17 +352,52 @@ class TestShape:
         assert peaks[1] <= peaks[0], peaks
 
     def test_huge_sides(self):
-        # The squares of the sides are 1e300: every value but the circle
-        # residual, whose squares are near 1e600, is finite and right.
+        # The squares of the sides are 1e300. The circle residual, whose
+        # squares would be near 1e600, is printed relative to radius^2.
         r = run_cli("shape", "--sides", "1e150", "1e150", "1e150", "--format", "json")
-        assert r.returncode == 1
+        assert r.returncode == 0
         assert r.stderr == ""
-        payload = json.loads(r.stdout.replace("NaN", "null"))
+        payload = json.loads(r.stdout)
         assert payload["point_x"] == pytest.approx(1.5e300, rel=1e-15)
         assert payload["point_y"] == pytest.approx(3**0.5 / 2 * 1e300, rel=1e-15)
-        assert payload["circle_residual"] is None
+        assert abs(payload["circle_residual"]) <= 4 * 2.0**-52
         assert payload["slope_ratio"] == pytest.approx(payload["tangent_slope"], rel=1e-15)
         assert payload["classification"] == "equilateral_tangent"
+
+    def test_tiny_sides(self):
+        # The squares of the sides are subnormal (1e-160) or 0 (1e-165);
+        # the ratio and the flags are decided at unit scale.
+        slope = 0.5773502691896258
+        r = run_cli("shape", "--sides", "1e-160", "1e-160", "1e-160", "--format", "json")
+        assert r.returncode == 0
+        assert r.stderr == ""
+        assert abs(json.loads(r.stdout)["slope_ratio"] - slope) <= 2 * math.ulp(slope)
+        r = run_cli("shape", "--sides", "1e-165", "1e-165", "1e-165", "--format", "json")
+        assert r.returncode == 0
+        assert r.stderr == ""
+        payload = json.loads(r.stdout)
+        assert payload["point_x"] == 0.0
+        assert payload["classification"] == "equilateral_tangent"
+        assert payload["halfdisk_contains"] is True
+
+    @settings(max_examples=150, deadline=None)
+    @given(INTEGER_TRIANGLES, st.data())
+    def test_scale_free_answers(self, sides, data):
+        # slope_ratio and classification are the same at 2**k for every k
+        # where the sides stay exact, including both ends of that range.
+        lo, hi = power_of_two_range(sides)
+        k = data.draw(st.integers(lo, hi))
+
+        def answers(k):
+            r = run_cli("shape", "--sides", *(repr(math.ldexp(x, k)) for x in sides),
+                        "--format", "json")
+            assert r.stderr == ""
+            payload = json.loads(r.stdout)
+            return payload["slope_ratio"], payload["classification"]
+
+        expected = answers(0)
+        for scale in (k, lo, hi):
+            assert answers(scale) == expected
 
     def test_overflowing_sides_fail(self):
         r = run_cli("shape", "--sides", "1e200", "1e200", "1e200")
@@ -474,13 +553,15 @@ class TestCurve:
 
 class TestTolerancePlumbing:
     def test_env_var_override(self):
+        # Through a fresh `python -m wkit.cli`, so the variable comes from
+        # the process environment.
         env = {**_ENV, "WKIT_TOL": "1e-30"}
-        r = run_cli("sweep", "--count", "200", "--seed", "0", env=env)
+        r = run_subprocess("sweep", "--count", "200", "--seed", "0", env=env)
         assert r.returncode == 1  # absurd tolerance now fails
 
-    def test_flag_beats_env(self):
-        env = {**_ENV, "WKIT_TOL": "1e-30"}
-        r = run_cli("sweep", "--count", "200", "--seed", "0", "--tol", "1e-9", env=env)
+    def test_flag_beats_env(self, monkeypatch):
+        monkeypatch.setenv("WKIT_TOL", "1e-30")
+        r = run_cli("sweep", "--count", "200", "--seed", "0", "--tol", "1e-9")
         assert r.returncode == 0
 
     def test_exit_code_is_2_for_unknown_command(self):
@@ -492,11 +573,13 @@ class TestTolerancePlumbing:
         assert r.returncode == 2
         assert "positive" in r.stderr
 
-    def test_infinite_tolerance_rejected(self):
+    def test_infinite_tolerance_rejected(self, monkeypatch):
         r = run_cli("sweep", "--count", "10", "--tol", "inf")
         assert r.returncode == 2
         assert "finite" in r.stderr
-        r = run_cli("sweep", "--count", "10", env={**_ENV, "WKIT_TOL": "inf"})
+        with monkeypatch.context() as m:
+            m.setenv("WKIT_TOL", "inf")
+            r = run_cli("sweep", "--count", "10")
         assert r.returncode == 2
         r = run_cli("curve", "--builtin", "line", "--t", "0:1:0.5", "--unit-tol", "inf")
         assert r.returncode == 2

@@ -158,6 +158,25 @@ class TestPerpRotate:
             assert degenerate[k] == dk
         assert wedge(u, v).tolist() == [wedge(a, b) for a, b in zip(u, v)]
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_collinear_stack_matches_rows(self, d):
+        # Every row is exactly collinear (u = lam*v with lam a power of two
+        # or 0), so the whole stack takes the fallback frame at once.
+        rng = np.random.default_rng(d)
+        v = rng.uniform(-10, 10, (60, d))
+        v[::5, rng.integers(d)] = 0.0  # ties and zeros in |v_k|
+        v[1::7] = rng.integers(-3, 4, (len(v[1::7]), d)) + 0.5
+        u = rng.choice([-2.0, -1.0, 0.0, 0.25, 4.0], (60, 1)) * v
+        c, degenerate = perp_rotate(u, v)
+        assert degenerate.all()
+        for k in range(len(v)):
+            ck, dk = perp_rotate(u[k], v[k])
+            assert dk is True
+            assert ck.tobytes() == c[k].tobytes()
+        nv = np.linalg.norm(v, axis=1)
+        np.testing.assert_allclose(np.linalg.norm(c, axis=1), nv, rtol=4e-16)
+        assert (np.abs(np.einsum("ij,ij->i", c, v)) <= 4e-16 * nv * nv).all()
+
 
 class TestRotatePi3:
     def test_example(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from samples import random_pairs, random_triangles
+from samples import INTEGER_TRIANGLES, power_of_two_range, random_pairs, random_triangles
 
 from wkit import weitzenboeck
 from wkit.qsqrt3 import QSqrt3
@@ -124,10 +124,34 @@ class TestVerifyIdentity:
 
     def test_overflow_is_not_equality(self):
         # lhs = 4e400 overflows, and so does the defect: inf <= tol * inf.
-        with np.errstate(over="ignore", invalid="ignore"):
-            rep = verify_identity([1e200, 0.0], [0.0, 1e200])
+        # Both round to inf once, at the end, with no overflow warning.
+        rep = verify_identity([1e200, 0.0], [0.0, 1e200])
         assert rep.lhs == math.inf and rep.defect_explicit == math.inf
         assert rep.equality_case is False
+        assert not any(map(math.isnan, (rep.defect_intrinsic, rep.residual)))
+
+    def test_underflow_is_not_equality(self):
+        # lhs = 2e-339 rounds to 0, and so does the defect: 0 <= tol * 0.
+        rep = verify_identity([1e-170, 2e-170], [2e-170, -1e-170])
+        assert rep.lhs == 0.0 and rep.defect_explicit == 0.0
+        assert rep.equality_case is False
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        # u, v, u + v: the edges of the equilateral triangle of e1, e2, e3.
+        st.just(((-1, 1, 0), (0, -1, 1))),
+        st.integers(2, 5).flatmap(lambda d: st.tuples(
+            *[st.lists(st.integers(-20, 20), min_size=d, max_size=d).map(tuple)] * 2)),
+    ).filter(lambda uv: any(uv[0]) or any(uv[1])), st.data())
+    def test_equality_flag_under_powers_of_two(self, uv, data):
+        # The same flag at 2**k for every k where the pair stays exact,
+        # including both ends of that range.
+        lo, hi = power_of_two_range(uv[0] + uv[1])
+        k = data.draw(st.integers(lo, hi))
+        u, v = (np.array(x, dtype=float) for x in uv)
+        expected = verify_identity(u, v).equality_case
+        for scale in (k, lo, hi):
+            assert verify_identity(np.ldexp(u, scale), np.ldexp(v, scale)).equality_case is expected
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
@@ -163,6 +187,12 @@ class TestIdentityBatch:
             assert rep.defect_intrinsic == d_int[k]
             assert rep.defect_explicit == d_exp[k]
             assert rep.residual == residual[k]
+
+    def test_wedge_keeps_the_scale_of_each_vector(self):
+        # One common scale for the row would take v to 0 beside u; the
+        # wedge takes u and v to unit size separately.
+        _, w, _, _, _ = identity_batch([[1e150, 0.0]], [[3e-300, 1e-300]])
+        assert w.tolist() == [1e-150]
 
     def test_zero_v_rows_among_others(self):
         U = [[3.0, 4.0], [1.0, 0.0], [0.0, 0.0]]
@@ -400,6 +430,28 @@ class TestTriangleDefect:
                 assert abs(triangle_defect(Triangle(*p)) - base) <= 1e-12 * scale
 
 
+    def test_huge_sides(self):
+        # a^2 + b^2 + c^2 = 3e320 overflows; the defect of an equilateral
+        # triangle is 0 to rounding at unit scale, and stays finite.
+        d = triangle_defect(Triangle(1e160, 1e160, 1e160))
+        assert math.isfinite(d) and d >= 0.0
+        assert d / 1e160 / 1e160 <= 1e-15
+
+    @settings(max_examples=150, deadline=None)
+    @given(INTEGER_TRIANGLES, st.data())
+    def test_sign_under_powers_of_two(self, sides, data):
+        # At 2**k the defect is the k = 0 one times 4**k, rounded once, so
+        # its sign (the sign bit where it rounds to 0) never changes.
+        lo, hi = power_of_two_range(sides)
+        k = data.draw(st.integers(lo, hi))
+        d0 = triangle_defect(Triangle(*sides))
+        for scale in (k, lo, hi):
+            d = triangle_defect(Triangle(*(math.ldexp(x, scale) for x in sides)))
+            assert math.copysign(1.0, d) == math.copysign(1.0, d0)
+            with np.errstate(over="ignore"):
+                assert d == np.ldexp(d0, 2 * scale)
+
+
 class TestTriangleToVectors:
     def test_equilateral_placement(self):
         u, v = triangle_to_vectors(Triangle(1, 1, 1))
@@ -424,3 +476,16 @@ class TestTriangleToVectors:
             u, v = triangle_to_vectors(t)
             scale = max(1.0, t.a**2 + t.b**2 + t.c**2)
             assert abs(verify_identity(u, v).defect_intrinsic - triangle_defect(t)) <= 1e-9 * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(INTEGER_TRIANGLES, st.data())
+    def test_power_of_two_scaling_is_exact(self, sides, data):
+        # The placement is computed at unit scale, so at 2**k it is the
+        # k = 0 one times 2**k, rounded once, subnormals included.
+        lo, hi = power_of_two_range(sides)
+        k = data.draw(st.integers(lo, hi))
+        base = triangle_to_vectors(Triangle(*sides))
+        for scale in (k, lo, hi):
+            scaled = triangle_to_vectors(Triangle(*(math.ldexp(x, scale) for x in sides)))
+            for got, want in zip(scaled, base):
+                assert got.tobytes() == np.ldexp(want, scale).tobytes()
