@@ -15,6 +15,8 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from .curves import (
     ANALYTIC_SPEED_TOL,
     SAMPLED_SPEED_TOL,
@@ -214,9 +216,10 @@ def cmd_curve(args) -> int:
     # be checked down to the unit-speed slack of the data itself.
     budget = tol + 3.0 * jet.unit_speed_residual.max().item()
     violations = int((2.0 * math.sqrt(3.0) * rep.curvature > rep.rhs_bound + budget).sum())
-    clean = max_residual <= budget and violations == 0
-
     columns = (jet.t, rep.curvature, rep.rhs_bound, rep.defect, rep.residual)
+    finite = all(np.isfinite(c).all() for c in columns)
+    clean = finite and max_residual <= budget and violations == 0
+
     rows = zip(*(c.tolist() for c in columns))
     summary = [
         ("samples", len(jet.t)),

@@ -25,8 +25,8 @@ from typing import NoReturn, TextIO
 
 import numpy as np
 
-from .vectors import SQRT3, _item
-from .weitzenboeck import identity_batch
+from .vectors import SQRT3, _item, _scale
+from .weitzenboeck import _unit_identity
 
 #: Default unit-speed tolerance for finite-difference jets; analytic jets
 #: should be held to ~1e-12 instead.
@@ -112,18 +112,31 @@ def curvature_bound_report(jet: CurveJet, tol: float = SAMPLED_SPEED_TOL) -> Cur
     -R'(-d2) for the same-angle rotation R', so the explicit term
     2*|d1 - R(d2)|^2 is exactly the explicit defect of the pair (d1, -d2),
     whose wedge is the curvature.
+
+    rhs_bound and the residual are computed at the unit scale of the pair,
+    4**-e with e = max(k, 0) for ``_unit_identity``'s k (the constant term
+    keeps rhs_bound >= 1, so no row needs e < 0), and each is scaled back
+    once: a huge curvature gives rhs_bound inf, never a NaN residual.
     """
     _require_unit_speed(jet, tol)
-    d1, d2 = jet.d1, jet.d2
-    _, k, _, defect, _ = identity_batch(np.atleast_2d(d1), -np.atleast_2d(d2))
-    k, defect = k.reshape(d1.shape[:-1]), defect.reshape(d1.shape[:-1])
-    diff = d1 - d2
-    rhs_bound = 1.0 + np.einsum("...j,...j->...", d2, d2) + np.einsum("...j,...j->...", diff, diff)
+    shape = jet.d1.shape[:-1]
+    d1, v = np.atleast_2d(jet.d1), -np.atleast_2d(jet.d2)
+    (_, wedge, _, defect, _), curvature, k = _unit_identity(d1, v)
+    e = np.maximum(k, 0)
+    wedge, defect = (_scale(x, 2 * (k - e)) for x in (wedge, defect))
+    diff = d1 + v  # d1 - d2
+    for z in (diff, v):
+        _scale(z, -e[:, None], out=z)
+    rhs_bound = (_scale(1.0, -2 * e) + np.einsum("ij,ij->i", v, v)
+                 + np.einsum("ij,ij->i", diff, diff))
+    residual = 2.0 * SQRT3 * wedge - rhs_bound + defect
+    rhs_bound, defect, residual = (_scale(x, 2 * e).reshape(shape)
+                                   for x in (rhs_bound, defect, residual))
     return CurvatureBoundReport(
-        curvature=_item(k),
+        curvature=_item(curvature.reshape(shape)),
         rhs_bound=_item(rhs_bound),
         defect=_item(defect),
-        residual=_item(2.0 * SQRT3 * k - rhs_bound + defect),
+        residual=_item(residual),
     )
 
 

@@ -2,7 +2,7 @@
 
 Dekker's error-free product (Veltkamp splitting) and the compensated 2x2
 determinant built on it: Kahan's algorithm in the symmetric form of
-Cornea, Harrison and Tang, with both products error-free. Both are
+Cornea, Harrison and Tang, with both products error-free. All are
 branch-free and work elementwise on numpy arrays, so the same code serves
 single vectors and large batches.
 
@@ -11,6 +11,12 @@ entries u_i v_j - u_j v_i cancel almost completely for nearly collinear
 pairs, and plain float64 then keeps none of their digits. ``det2`` keeps
 each entry accurate to about one ulp, which is what the direction of the
 conormal G v needs.
+
+Veltkamp's split of a double is a fixed function of that double, so the
+kernel splits each coordinate of a stack once, with ``split``, and builds
+every entry of G from the parts through ``_det2``. ``two_prod`` and
+``det2`` split their operands and run the same code, so they give the
+kernel's bits.
 """
 
 from __future__ import annotations
@@ -19,19 +25,43 @@ from __future__ import annotations
 _SPLITTER = 134217729.0
 
 
+def split(a):
+    """Veltkamp's split: (hi, lo) with hi + lo = a exactly and each part of
+    at most 26 significant bits, so a product of two parts is exact.
+    Overflows above ~2**996."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_prod(a, ah, al, b, bh, bl):
+    """``two_prod`` of a and b from their splits a = ah + al, b = bh + bl."""
+    # ((ah*bh - p) + ah*bl + al*bh) + al*bl, in that order, with fewer
+    # temporaries: the in-place form gives the same bits.
+    p = a * b
+    e = ah * bh - p
+    e += ah * bl
+    e += al * bh
+    e += al * bl
+    return p, e
+
+
 def two_prod(a, b):
     """Error-free product: returns (p, e) with p = fl(a*b) and p + e = a*b exactly.
 
     Exact unless a product underflows; the split overflows above ~2**996.
     """
-    p = a * b
-    c = _SPLITTER * a
-    ah = c - (c - a)
-    al = a - ah
-    c = _SPLITTER * b
-    bh = c - (c - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return _two_prod(a, *split(a), b, *split(b))
+
+
+def _det2(a, b, c, d):
+    """``det2`` of operands given as split triples (x, hi, lo)."""
+    p1, e1 = _two_prod(*a, *d)
+    p2, e2 = _two_prod(*b, *c)
+    p1 -= p2
+    e1 -= e2
+    p1 += e1
+    return p1
 
 
 def det2(a, b, c, d):
@@ -41,6 +71,4 @@ def det2(a, b, c, d):
     (p1 - p2) + (e1 - e2): accurate to about one ulp of the result, exactly
     antisymmetric in its two products, and exactly 0 when a*d = b*c.
     """
-    p1, e1 = two_prod(a, d)
-    p2, e2 = two_prod(b, c)
-    return (p1 - p2) + (e1 - e2)
+    return _det2(*((x, *split(x)) for x in (a, b, c, d)))

@@ -23,7 +23,7 @@ from functools import reduce
 
 import numpy as np
 
-from .numerics import det2
+from .numerics import _det2, split
 
 SQRT3 = math.sqrt(3.0)
 
@@ -74,12 +74,14 @@ def _plane(u: np.ndarray, v: np.ndarray):
     """Wedge, conormal and degenerate flag of each row of two (..., d) stacks.
 
     Builds the upper entries G_ij = u_i v_j - u_j v_i (i < j) of the
-    bivector once, each with ``det2``. The wedge is sqrt(sum G_ij^2). Since
-    G v = |v|^2 w, with w the part of u orthogonal to v, the conormal is
-    c = -|v| G v/|G v|, and G v has condition number O(1). A row is
-    degenerate when |G v| <= COLLINEAR_RTOL*|u||v|^2 and then takes the part
-    of e_k orthogonal to v, rescaled to |v|, for the k with the smallest
-    |v_k|: that part has length >= sqrt(1 - 1/d). A row with v = 0 gets c = 0.
+    bivector once, with ``det2``'s arithmetic on coordinates split once per
+    call (``numerics.split``), so each G_ij has ``det2``'s bits. The wedge
+    is sqrt(sum G_ij^2). Since G v = |v|^2 w, with w the part of u
+    orthogonal to v, the conormal is c = -|v| G v/|G v|, and G v has
+    condition number O(1). A row is degenerate when
+    |G v| <= COLLINEAR_RTOL*|u||v|^2 and then takes the part of e_k
+    orthogonal to v, rescaled to |v|, for the k with the smallest |v_k|:
+    that part has length >= sqrt(1 - 1/d). A row with v = 0 gets c = 0.
 
     Rows of u and v are scaled to unit size by 2**-a and 2**-b
     (``_exponent``). Returns ``(wedge, conormal, degenerate, a, b)``, the
@@ -89,14 +91,23 @@ def _plane(u: np.ndarray, v: np.ndarray):
     """
     shape = u.shape[:-1]
     d = u.shape[-1]
-    X, Y = (z.reshape(-1, d).T.copy() for z in (u, v))
+    # P[0] = X and Q[0] = Y hold the unit-scaled coordinates of u and v,
+    # P[1:] and Q[1:] their Veltkamp halves. The outputs gv and gg are
+    # allocated first, so that they do not pin the heap above P and Q
+    # (0.3 MB less peak RSS on a 10^4-jet curve).
+    m = math.prod(shape)
+    gv = np.zeros((d, m))
+    gg = np.zeros(m)
+    P, Q = np.empty((2, 3, d, m))
+    X, Y = P[0], Q[0]
+    X[:], Y[:] = (z.reshape(-1, d).T for z in (u, v))
     a, b = _exponent(*X), _exponent(*Y)
     _scale(X, -a, out=X)
     _scale(Y, -b, out=Y)
-    gv = np.zeros_like(Y)
-    gg = np.zeros(Y.shape[1])
+    P[1], P[2] = split(X)
+    Q[1], Q[2] = split(Y)
     for k in range(1, d):
-        g = det2(X[:-k], X[k:], Y[:-k], Y[k:])  # G_{i,i+k}, i < d - k
+        g = _det2(P[:, :-k], P[:, k:], Q[:, :-k], Q[:, k:])  # G_{i,i+k}, i < d - k
         gv[:-k] += g * Y[k:]
         gv[k:] -= g * Y[:-k]
         g *= g

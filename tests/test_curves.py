@@ -171,6 +171,15 @@ class TestCurvatureBoundReport:
         assert rep.defect == pytest.approx(2.0, abs=1e-15)
         assert rep.residual == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("size", [0.0, 1e-200, 2.0**-1074])
+    def test_still_jet_keeps_the_constant_term(self, size):
+        # A unit-speed tolerance of 2 admits |d1| near 0, where the pair's
+        # unit scale 2**-k has k far below 0: the constant 1 of rhs_bound
+        # must not be scaled up by 4**-k there.
+        rep = curvature_bound_report(CurveJet(t=0.0, d1=[size, 0, 0], d2=[0, size, 0]), 2.0)
+        assert rep.rhs_bound == 1.0
+        assert rep.residual == -1.0
+
     def test_identity_and_bound_on_grids(self):
         jets = []
         for radius in (0.5, 1.0, 2.0, 10.0):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from wkit.numerics import det2, two_prod
+from wkit.numerics import det2, split, two_prod
 
 EPS = float(np.finfo(float).eps)
 
@@ -11,7 +11,27 @@ def frac(x: float) -> Fraction:
     return Fraction(x)  # exact binary value of the float
 
 
+def significant_bits(x: float) -> int:
+    """Bits from the leading to the last nonzero bit of x's significand."""
+    n = abs(Fraction(x).numerator)
+    return n.bit_length() - (n & -n).bit_length() + 1 if n else 0
+
+
 class TestErrorFreeTransforms:
+    def test_split_is_exact_in_two_halves(self):
+        # Magnitudes from 2**-400 to 2**400, plus edge values: hi + lo = a
+        # exactly, each part has at most 26 significant bits, so the
+        # products of parts are exact and two_prod is error-free there.
+        rng = np.random.default_rng(0)
+        a, b = np.ldexp(rng.uniform(-1, 1, (2, 2000)), rng.integers(-400, 400, (2, 2000)))
+        a[:6] = [0.0, 1.0, -1.0, 1 - EPS / 2, 1 + EPS, float(2**53 - 1)]
+        hi, lo = split(a)
+        for x, h, l, y in zip(a, hi, lo, b):
+            assert frac(h) + frac(l) == frac(x)
+            assert significant_bits(h) <= 26 and significant_bits(l) <= 26
+            p, e = two_prod(x, y)
+            assert frac(p) + frac(e) == frac(x) * frac(y)
+
     def test_two_prod_is_error_free(self):
         rng = np.random.default_rng(1)
         for scale in (1.0, 1e8, 1e-8):

@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wkit import vectors
+from wkit.numerics import det2
 from wkit.vectors import (
     SQRT3,
     perp_rotate,
     rotate_pi3,
     wedge,
 )
+
+EPS = float(np.finfo(float).eps)
 
 
 def random_pairs(count, seed=0, dims=(2, 3, 4, 5, 6, 7, 8)):
@@ -176,6 +180,52 @@ class TestPerpRotate:
         nv = np.linalg.norm(v, axis=1)
         np.testing.assert_allclose(np.linalg.norm(c, axis=1), nv, rtol=4e-16)
         assert (np.abs(np.einsum("ij,ij->i", c, v)) <= 4e-16 * nv * nv).all()
+
+
+class TestBivectorEntries:
+    @staticmethod
+    def stacks(d):
+        """60 rows: 20 seeded, 20 near-collinear (noise 1e-6 and 1e-9), and
+        20 exactly collinear with u = p*w and v = s*w for integers w, p, s
+        below 2**26. Those coordinates are exact and their products u_i*v_j
+        are not, so each zero entry of G rests on exact error terms."""
+        rng = np.random.default_rng(100 + d)
+        u, v = rng.uniform(-10, 10, (2, 60, d))
+        v[20:40] = rng.uniform(-2, 2, (20, 1)) * u[20:40]
+        v[20:40] += np.repeat([1e-6, 1e-9], 10)[:, None] * rng.standard_normal((20, d))
+        w = rng.integers(-2**26, 2**26, (20, d))
+        p, s = rng.integers(2**25, 2**26, (2, 20, 1))
+        u[40:], v[40:] = p * w, s * w
+        return u, v
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_entries_are_det2_bit_for_bit(self, d, monkeypatch):
+        # The kernel splits each coordinate once; every G_ij it builds must
+        # still be det2 of the unit-scaled coordinates, within det2's 2 eps
+        # of the exact value, and exactly 0 on the collinear rows.
+        u, v = self.stacks(d)
+        entries = []
+        real = vectors._det2
+
+        def spy(*args):
+            g = real(*args)
+            entries.append(g.copy())
+            return g
+
+        monkeypatch.setattr(vectors, "_det2", spy)
+        vectors._plane(u, v)
+        x, y = (np.ldexp(z, -np.frexp(np.abs(z).max(axis=1))[1][:, None]).T for z in (u, v))
+        assert len(entries) == d - 1
+        for k, g in enumerate(entries, start=1):
+            assert g.shape == (d - k, 60)
+            for i in range(d - k):
+                j = i + k
+                assert g[i].tobytes() == det2(x[i], x[j], y[i], y[j]).tobytes()
+                for r in range(60):
+                    exact = (Fraction(x[i, r]) * Fraction(y[j, r])
+                             - Fraction(x[j, r]) * Fraction(y[i, r]))
+                    assert abs(Fraction(g[i, r]) - exact) <= Fraction(2 * EPS) * abs(exact)
+        assert not np.concatenate(entries, axis=0)[:, 40:].any()
 
 
 class TestRotatePi3:
