@@ -2,8 +2,8 @@
 
 Output is deterministic: identical command lines (including seed) produce
 byte-identical stdout. Exit codes: 0 all checks pass, 1 verification
-failure, 2 input error. The env var WKIT_TOL overrides the default
-tolerance (1e-9) wherever --tol is not given.
+failure or a printed value that is not finite, 2 input error. The env var
+WKIT_TOL overrides the default tolerance (1e-9) wherever --tol is not given.
 """
 
 from __future__ import annotations
@@ -44,19 +44,14 @@ _TOL_ENV = "WKIT_TOL"
 #: for; checked on the computed count before anything is allocated.
 MAX_CURVE_SAMPLES = 10**6
 
-#: The columns of ``wkit curve`` and the format of one of its rows, applied
-#: to a whole row at once: each value as its repr, right-aligned to 22
-#: characters in text and bare in CSV.
+#: The columns of ``wkit curve``, and per table format the separator, the
+#: header cell and the value cell, joined into one %-format per row: each
+#: value as its repr, right-aligned to 22 characters in text, bare in CSV.
 _CURVE_HEADER = ["t", "curvature", "rhs_bound", "defect", "residual"]
-_CURVE_TEXT_ROW = "  ".join(["%22r"] * len(_CURVE_HEADER)) + "\n"
-_CURVE_CSV_ROW = ",".join(["%r"] * len(_CURVE_HEADER)) + "\n"
+_CURVE_TABLES = {"text": ("  ", "{:>22}", "%22r"), "csv": (",", "{}", "%r")}
 
 #: One row of ``wkit shape --figure``: series name, then x and y as repr.
 _FIGURE_ROW = "%s,%r,%r\n"
-
-
-def _default_tol() -> float:
-    return float(os.environ.get(_TOL_ENV, "1e-9"))
 
 
 def _positive(value: float, name: str) -> float:
@@ -65,22 +60,16 @@ def _positive(value: float, name: str) -> float:
     return value
 
 
-def _resolve_tol(args) -> float:
-    return _positive(args.tol if args.tol is not None else _default_tol(), "tolerance")
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
-def _emit_pairs(pairs, fmt: str, stream) -> None:
+def _emit_pairs(pairs, fmt: str, stream) -> bool:
+    """Write (key, value) pairs in ``fmt``; True when every float is finite."""
     if fmt == "json":
-        json.dump(dict(pairs), stream)
-        stream.write("\n")
+        print(json.dumps(dict(pairs)), file=stream)
     elif fmt == "csv":
         stream.write(",".join(k for k, _ in pairs) + "\n")
         stream.write(",".join(_fmt(v) for _, v in pairs) + "\n")
@@ -88,6 +77,7 @@ def _emit_pairs(pairs, fmt: str, stream) -> None:
         width = max(len(k) for k, _ in pairs)
         for k, v in pairs:
             stream.write(f"{k:<{width}}  {_fmt(v)}\n")
+    return all(math.isfinite(v) for _, v in pairs if isinstance(v, float))
 
 
 def _parse_vector(text: str):
@@ -98,59 +88,49 @@ def _parse_vector(text: str):
 
 
 def cmd_defect(args) -> int:
-    tol = _resolve_tol(args)
     if args.sides is not None:
         t = Triangle(*args.sides)
         u, v = triangle_to_vectors(t)
     else:
-        u = _parse_vector(args.vectors[0])
-        v = _parse_vector(args.vectors[1])
-    rep = verify_identity(u, v, tol)
-    values = [
+        u, v = map(_parse_vector, args.vectors)
+    rep = verify_identity(u, v, args.tol)
+    finite = _emit_pairs([
         ("lhs", rep.lhs),
         ("wedge_term", rep.wedge_term),
         ("defect_intrinsic", rep.defect_intrinsic),
         ("defect_explicit", rep.defect_explicit),
         ("residual", rep.residual),
-    ]
-    _emit_pairs(values + [("equality", rep.equality_case)], args.format, sys.stdout)
-    finite = all(math.isfinite(x) for _, x in values)
-    return 0 if finite and abs(rep.residual) <= tol * max(1.0, rep.lhs) else 1
+        ("equality", rep.equality_case),
+    ], args.format, sys.stdout)
+    return 0 if finite and abs(rep.residual) <= args.tol * max(1.0, rep.lhs) else 1
 
 
 def cmd_sweep(args) -> int:
-    tol = _resolve_tol(args)
     if args.count < 1:
         raise ValueError(f"count must be >= 1, got {args.count}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.exact:
         res = run_exact_sweep(args.count, args.seed)
-        fields = [
-            ("pairs", res.count),
-            ("seed", res.seed),
-            ("nonzero_residuals", res.nonzero_residuals),
-        ]
+        fields = [("nonzero_residuals", res.nonzero_residuals)]
         # The witness appears only on failure, so passing stdout is unchanged.
         if not res.passed:
             fields += [("first_nonzero_pair", res.first_nonzero_pair),
                        ("first_nonzero_residual", res.first_nonzero_residual)]
     else:
-        res = run_identity_sweep(args.count, args.seed, tol)
+        res = run_identity_sweep(args.count, args.seed, args.tol)
         fields = [
-            ("pairs", res.count),
-            ("seed", res.seed),
             ("tolerance", res.tolerance),
             ("max_scaled_residual", res.max_scaled_residual),
             ("max_scaled_negativity", res.max_scaled_negativity),
             ("max_scaled_path_gap", res.max_scaled_path_gap),
         ]
-    _emit_pairs(fields + [("result", "pass" if res.passed else "fail")], args.format, sys.stdout)
+    _emit_pairs([("pairs", res.count), ("seed", res.seed), *fields,
+                 ("result", "pass" if res.passed else "fail")], args.format, sys.stdout)
     return 0 if res.passed else 1
 
 
 def cmd_shape(args) -> int:
-    tol = _resolve_tol(args)
     if args.figure is not None:
         if args.samples > MAX_CURVE_SAMPLES:
             raise ValueError(f"--samples must be at most {MAX_CURVE_SAMPLES}, got {args.samples}")
@@ -163,20 +143,19 @@ def cmd_shape(args) -> int:
     p, circ, e = _unit_shape(t)
     d = HalfDisk(circ.center_x)
     x, y, center, radius = (float(_scale(z, 2 * e)) for z in (p.x, p.y, d.center_x, circ.radius))
-    pairs = [
+    finite = _emit_pairs([
         ("point_x", x),
         ("point_y", y),
         ("circle_center_x", center),
         ("circle_radius", radius),
         ("circle_residual", circle_residual(p, circ) / (circ.radius * circ.radius)),
         ("halfdisk_s", center),
-        ("halfdisk_contains", halfdisk_contains(p, d, tol * d.radius * d.radius)),
+        ("halfdisk_contains", halfdisk_contains(p, d, args.tol * d.radius * d.radius)),
         ("slope_ratio", p.y / p.x),
         ("tangent_slope", TANGENT_SLOPE),
-        ("classification", classify(t, tol)),
-    ]
-    _emit_pairs(pairs, args.format, sys.stdout)
-    return 0 if all(math.isfinite(x) for _, x in pairs if isinstance(x, float)) else 1
+        ("classification", classify(t, args.tol)),
+    ], args.format, sys.stdout)
+    return 0 if finite else 1
 
 
 def _parse_trange(text: str) -> list[float]:
@@ -196,15 +175,15 @@ def _parse_trange(text: str) -> list[float]:
 
 
 def cmd_curve(args) -> int:
-    tol = _resolve_tol(args)
     default_unit_tol = SAMPLED_SPEED_TOL if args.builtin is None else ANALYTIC_SPEED_TOL
-    unit_tol = _positive(
-        args.unit_tol if args.unit_tol is not None else default_unit_tol, "unit-speed tolerance"
-    )
+    unit_tol = args.unit_tol if args.unit_tol is not None else default_unit_tol
+    _positive(unit_tol, "unit-speed tolerance")
     if args.builtin is not None:
         if args.t is None:
             raise ValueError("--builtin needs --t START:STOP:STEP")
         jet = builtin_curve(args.builtin, _parse_trange(args.t))
+    elif args.t is not None:
+        raise ValueError("--t goes with --builtin; --input takes t from its file")
     else:
         with open(args.input, encoding="utf-8") as fh:
             ts, pos = read_curve_csv(fh)
@@ -214,7 +193,7 @@ def cmd_curve(args) -> int:
     max_residual = abs(rep.residual).max().item()
     # The identity's constant term assumes |d1| = 1 exactly, so it can only
     # be checked down to the unit-speed slack of the data itself.
-    budget = tol + 3.0 * jet.unit_speed_residual.max().item()
+    budget = args.tol + 3.0 * jet.unit_speed_residual.max().item()
     violations = int((2.0 * math.sqrt(3.0) * rep.curvature > rep.rhs_bound + budget).sum())
     columns = (jet.t, rep.curvature, rep.rhs_bound, rep.defect, rep.residual)
     finite = all(np.isfinite(c).all() for c in columns)
@@ -230,19 +209,16 @@ def cmd_curve(args) -> int:
     ]
     if args.format == "json":
         # json.dumps runs the C encoder; json.dump would run the Python one.
-        sys.stdout.write(json.dumps({
+        print(json.dumps({
             "rows": [dict(zip(_CURVE_HEADER, row)) for row in rows],
             "summary": dict(summary),
         }))
-        sys.stdout.write("\n")
-    elif args.format == "csv":
-        sys.stdout.write(",".join(_CURVE_HEADER) + "\n")
-        sys.stdout.writelines(map(_CURVE_CSV_ROW.__mod__, rows))
-        _emit_pairs(summary, "text", sys.stderr)
     else:
-        sys.stdout.write("  ".join(f"{h:>22}" for h in _CURVE_HEADER) + "\n")
-        sys.stdout.writelines(map(_CURVE_TEXT_ROW.__mod__, rows))
-        _emit_pairs(summary, "text", sys.stdout)
+        sep, head, cell = _CURVE_TABLES[args.format]
+        sys.stdout.write(sep.join(map(head.format, _CURVE_HEADER)) + "\n")
+        sys.stdout.writelines(map((sep.join([cell] * len(_CURVE_HEADER)) + "\n").__mod__, rows))
+        # CSV stdout holds the table alone, so its summary goes to stderr.
+        _emit_pairs(summary, "text", sys.stderr if args.format == "csv" else sys.stdout)
     return 0 if clean else 1
 
 
@@ -254,10 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, func):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--tol", type=float, default=None,
                        help=f"tolerance (default 1e-9, or ${_TOL_ENV})")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("defect", help="defect of a triangle or a vector pair")
     # Read a comma list of numbers such as -0.47,-1e1 as a value, not as an
@@ -267,16 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--sides", type=float, nargs=3, metavar=("A", "B", "C"))
     group.add_argument("--vectors", nargs=2, metavar=("U", "V"),
                        help="comma-separated coordinates, e.g. 1,0 0,1")
-    common(p)
-    p.set_defaults(func=cmd_defect)
+    common(p, cmd_defect)
 
     p = sub.add_parser("sweep", help="randomized identity verification")
     p.add_argument("--count", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exact", action="store_true",
                    help="bit-exact symbolic sweep over rational planar pairs")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
+    common(p, cmd_sweep)
 
     p = sub.add_parser("shape", help="shape-plane point, classification, or figure")
     group = p.add_mutually_exclusive_group(required=True)
@@ -284,25 +259,26 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--figure", type=float, metavar="S",
                        help="emit the half-disk figure CSV for s = a^2 + b^2")
     p.add_argument("--samples", type=int, default=100)
-    common(p)
-    p.set_defaults(func=cmd_shape)
+    common(p, cmd_shape)
 
     p = sub.add_parser("curve", help="curvature bound along a curve")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin", metavar="SPEC",
                        help="circle:R, helix:A:B, line, or line:dx,dy,dz")
     group.add_argument("--input", metavar="FILE", help="t,x,y,z CSV samples")
-    p.add_argument("--t", metavar="START:STOP:STEP", default=None)
+    p.add_argument("--t", metavar="START:STOP:STEP", help="range of t, with --builtin only")
     p.add_argument("--unit-tol", type=float, default=None,
                    help="unit-speed tolerance (default 1e-12 builtin, 1e-6 CSV)")
-    common(p)
-    p.set_defaults(func=cmd_curve)
+    common(p, cmd_curve)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Resolved before any command runs, so its errors come first.
+        tol = args.tol if args.tol is not None else float(os.environ.get(_TOL_ENV, "1e-9"))
+        args.tol = _positive(tol, "tolerance")
         return args.func(args)
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from typing import NoReturn, TextIO
 
 import numpy as np
 
-from .vectors import SQRT3, _item, _scale
+from .vectors import SQRT3, _exponent, _item, _scale
 from .weitzenboeck import _unit_identity
 
 #: Default unit-speed tolerance for finite-difference jets; analytic jets
@@ -145,8 +145,7 @@ def curvature_bound_report(jet: CurveJet, tol: float = SAMPLED_SPEED_TOL) -> Cur
 
 def circle_position(radius: float, t: float) -> np.ndarray:
     """Point of the unit-speed circle (R cos(t/R), R sin(t/R), 0)."""
-    if not (radius > 0):
-        raise ValueError("circle needs radius > 0")
+    _circle_radius(radius)
     return np.array([
         radius * math.cos(t / radius),
         radius * math.sin(t / radius),
@@ -156,12 +155,26 @@ def circle_position(radius: float, t: float) -> np.ndarray:
 
 def circle_jet(radius: float, t) -> CurveJet:
     """Exact jet of the unit-speed circle; K = 1/radius."""
-    if not (radius > 0):
-        raise ValueError("circle needs radius > 0")
-    a = np.asarray(t, dtype=float) / radius
-    zero = np.zeros_like(a)
-    d1 = np.stack([-np.sin(a), np.cos(a), zero], axis=-1)
-    d2 = np.stack([-np.cos(a) / radius, -np.sin(a) / radius, zero], axis=-1)
+    _circle_radius(radius)
+    with np.errstate(all="ignore"):
+        a = np.asarray(t, dtype=float) / radius
+        zero = np.zeros_like(a)
+        d1 = np.stack([-np.sin(a), np.cos(a), zero], axis=-1)
+        d2 = np.stack([-np.cos(a) / radius, -np.sin(a) / radius, zero], axis=-1)
+    return _in_range_jet(f"circle radius {radius!r}", t, a, d1, d2)
+
+
+def _circle_radius(radius: float) -> None:
+    if not (0 < radius < math.inf):
+        raise ValueError(f"circle needs a finite radius > 0, got {radius!r}")
+
+
+def _in_range_jet(curve: str, t, phase, d1, d2) -> CurveJet:
+    """The closed-form jet, unless its phase or d2 overflowed at some t."""
+    bad = np.flatnonzero(~(np.isfinite(phase) & np.isfinite(d2).all(axis=-1)))
+    if bad.size:
+        raise ValueError(f"{curve} out of range: the phase or the second "
+                         f"derivative overflows at t={np.ravel(t)[bad[0]].item()!r}")
     return CurveJet(t=t, d1=d1, d2=d2)
 
 
@@ -174,16 +187,22 @@ def helix_position(a: float, b: float, t: float) -> np.ndarray:
 def helix_jet(a: float, b: float, t) -> CurveJet:
     """Exact jet of the unit-speed helix; K = a / (a^2 + b^2)."""
     w = _helix_rate(a, b)
-    wt = w * np.asarray(t, dtype=float)
-    d1 = np.stack([-a * w * np.sin(wt), a * w * np.cos(wt), np.full_like(wt, b * w)], axis=-1)
-    d2 = np.stack([-a * w * w * np.cos(wt), -a * w * w * np.sin(wt), np.zeros_like(wt)], axis=-1)
-    return CurveJet(t=t, d1=d1, d2=d2)
+    with np.errstate(all="ignore"):
+        wt = w * np.asarray(t, dtype=float)
+        d1 = np.stack([-a * w * np.sin(wt), a * w * np.cos(wt), np.full_like(wt, b * w)], axis=-1)
+        d2 = np.stack([-a * w * w * np.cos(wt), -a * w * w * np.sin(wt), np.zeros_like(wt)], axis=-1)
+    return _in_range_jet(f"helix a={a!r}, b={b!r}", t, wt, d1, d2)
 
 
 def _helix_rate(a: float, b: float) -> float:
+    """1/sqrt(a^2 + b^2), squared at unit scale and scaled back once."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"helix needs finite a and b, got {a!r} and {b!r}")
     if a == 0 and b == 0:
         raise ValueError("helix needs (a, b) != (0, 0)")
-    return 1.0 / math.sqrt(a * a + b * b)
+    e = _exponent(a, b)
+    a, b = _scale(a, -e), _scale(b, -e)
+    return float(_scale(1.0 / math.sqrt(a * a + b * b), -e))
 
 
 def line_jet(direction, t) -> CurveJet:

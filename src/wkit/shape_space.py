@@ -149,10 +149,11 @@ def figure_dataset(s: float, samples: int) -> Iterator[tuple[str, float, float]]
       so every emitted point is a valid triangle's shape point.
 
     Yields (series, x, y) rows, ``samples`` points per curve-like series,
-    one at a time. ``s`` and ``samples`` are checked at the call.
+    one at a time. ``s`` and ``samples`` are checked at the call: s > 0
+    with 1.5*s finite, so that every row is finite.
     """
-    if not (s > 0):
-        raise ValueError("figure needs s > 0")
+    if not (0 < 1.5 * s < math.inf):
+        raise ValueError(f"figure needs s > 0 with 1.5*s finite, got {s!r}")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     return _figure_rows(s, samples)
@@ -164,8 +165,10 @@ def _figure_rows(s: float, samples: int) -> Iterator[tuple[str, float, float]]:
     for k in range(samples):
         theta = math.pi * k / (samples - 1)
         yield ("boundary", s + r * math.cos(theta), r * math.sin(theta))
+    # 1.5*s*k can overflow: form it on the mantissa of s, then scale back.
+    m, e = math.frexp(s)
     for k in range(samples):
-        x = 1.5 * s * k / (samples - 1)
+        x = math.ldexp(1.5 * m * k / (samples - 1), e)
         yield ("tangent", x, TANGENT_SLOPE * x)
 
     tp = tangent_point(HalfDisk(s))

@@ -330,10 +330,21 @@ class TestShape:
         assert err == "error: --samples must be at most 10, got 11\n"
 
     def test_bad_figure_writes_nothing(self):
-        for args in (("--figure", "-1"), ("--figure", "2", "--samples", "1")):
+        for args in (("--figure", "-1"), ("--figure", "2", "--samples", "1"),
+                     ("--figure", "inf"), ("--figure", "1.5e308")):
             r = run_cli("shape", *args)
             assert r.returncode == 2
             assert r.stdout == ""
+
+    def test_huge_figure_rows_are_finite(self):
+        # 1.5*s*k overflows at s = 1e307 although no row exceeds 1.5*s.
+        r = run_cli("shape", "--figure", "1e307", "--samples", "200")
+        assert r.returncode == 0, r.stderr
+        rows = [line.split(",") for line in r.stdout.splitlines()[1:]]
+        assert len(rows) == 6 * 200 + 2
+        assert all(math.isfinite(float(v)) for row in rows for v in row[1:])
+        tangent = [float(x) for name, x, _ in rows if name == "tangent"]
+        assert tangent[-1] == pytest.approx(1.5e307, rel=1e-15) and tangent == sorted(tangent)
 
     def test_figure_memory_does_not_grow(self):
         # The rows are streamed: 10 times the samples, the same peak. (A
@@ -484,6 +495,45 @@ class TestCurve:
         assert all(math.isfinite(float(row[4])) for row in rows)
         assert r.stdout.splitlines()[-1].split() == ["result", "fail"]
 
+    # a^2 + b^2 underflows for the first helix and overflows for the second.
+    def test_tiny_helix_prints_inf(self):
+        r = run_cli("curve", "--builtin", "helix:1e-170:0", "--t", "0:0:1")
+        assert r.returncode == 1
+        assert r.stderr == ""
+        assert r.stdout.splitlines()[1].split()[1:4] == ["1e+170", "inf", "inf"]
+
+    def test_huge_helix_passes(self):
+        r = run_cli("curve", "--builtin", "helix:1e200:1e200", "--t", "0:1:1", "--format", "json")
+        assert r.returncode == 0, r.stderr
+        payload = json.loads(r.stdout)
+        assert payload["summary"]["result"] == "pass"
+        for row in payload["rows"]:
+            assert row["curvature"] == pytest.approx(1e200 / 2e400, rel=1e-12)
+
+    # The phase t/R or the second derivative overflows, or the spec is not
+    # finite: one error line, nothing on stdout (run_cli turns a
+    # RuntimeWarning into an exception).
+    @pytest.mark.parametrize("spec, trange, message", [
+        ("circle:1e-310", "0:0.02:0.01", "circle radius 1e-310 out of range: "
+         "the phase or the second derivative overflows at t=0.0"),
+        ("circle:1e-300", "0:1e10:1e5", "circle radius 1e-300 out of range: "
+         "the phase or the second derivative overflows at t=179800000.0"),
+        ("helix:1e-310:0", "0:0:1", "helix a=1e-310, b=0.0 out of range: "
+         "the phase or the second derivative overflows at t=0.0"),
+        ("circle:inf", "0:1:1", "circle needs a finite radius > 0, got inf"),
+        ("helix:1:nan", "0:1:1", "helix needs finite a and b, got 1.0 and nan"),
+    ], ids=["circle-d2", "circle-phase", "helix-d2", "circle-inf", "helix-nan"])
+    def test_closed_form_out_of_range_rejected(self, spec, trange, message):
+        r = run_cli("curve", "--builtin", spec, "--t", trange)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+
+    def test_input_rejects_t_range(self, tmp_path):
+        path = tmp_path / "helix.csv"
+        _write_helix_csv(path, seed=8, n=20)
+        r = run_cli("curve", "--input", str(path), "--t", "0:5:1")
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == "error: --t goes with --builtin; --input takes t from its file\n"
+
     def test_csv_format_has_rows(self):
         r = run_cli("curve", "--builtin", "helix:1:1", "--t", "0:1:0.5", "--format", "csv")
         lines = r.stdout.splitlines()
@@ -599,6 +649,19 @@ class TestTolerancePlumbing:
         assert r.returncode == 2
         r = run_cli("curve", "--builtin", "line", "--t", "0:1:0.5", "--unit-tol", "inf")
         assert r.returncode == 2
+
+    # The tolerance is checked before anything else a command checks.
+    @pytest.mark.parametrize("env, args, message", [
+        (None, ["sweep", "--count", "0", "--tol", "0"],
+         "tolerance must be positive and finite, got 0.0"),
+        ("inf", ["curve", "--builtin", "line"], "tolerance must be positive and finite, got inf"),
+        ("abc", ["sweep", "--exact", "--count", "1"], "could not convert string to float: 'abc'"),
+    ], ids=["flag-zero", "env-inf", "env-abc"])
+    def test_tolerance_error_comes_first(self, env, args, message, monkeypatch):
+        if env is not None:
+            monkeypatch.setenv("WKIT_TOL", env)
+        r = run_cli(*args)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
 
     def test_count_below_one_rejected(self):
         r = run_cli("sweep", "--count", "0")

@@ -245,6 +245,10 @@ class TestFigure:
             figure_dataset(-1.0, 10)
         with pytest.raises(ValueError):
             figure_dataset(1.0, 1)
+        # 1.5*s, the end of the tangent series, must be finite.
+        for s in (math.inf, 1.5e308):
+            with pytest.raises(ValueError, match="1.5\\*s finite"):
+                figure_dataset(s, 10)
 
     def test_csv_round_trip(self, capsys):
         rows = list(figure_dataset(2.0, 5))
