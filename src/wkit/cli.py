@@ -35,7 +35,7 @@ from .shape_space import (
     halfdisk_contains,
 )
 from .sweeps import run_exact_sweep, run_identity_sweep
-from .vectors import _scale
+from .vectors import SQRT3, _scale
 from .weitzenboeck import Triangle, triangle_to_vectors, verify_identity
 
 _TOL_ENV = "WKIT_TOL"
@@ -194,7 +194,7 @@ def cmd_curve(args) -> int:
     # The identity's constant term assumes |d1| = 1 exactly, so it can only
     # be checked down to the unit-speed slack of the data itself.
     budget = args.tol + 3.0 * jet.unit_speed_residual.max().item()
-    violations = int((2.0 * math.sqrt(3.0) * rep.curvature > rep.rhs_bound + budget).sum())
+    violations = int((2.0 * SQRT3 * rep.curvature > rep.rhs_bound + budget).sum())
     columns = (jet.t, rep.curvature, rep.rhs_bound, rep.defect, rep.residual)
     finite = all(np.isfinite(c).all() for c in columns)
     clean = finite and max_residual <= budget and violations == 0

@@ -146,11 +146,10 @@ def curvature_bound_report(jet: CurveJet, tol: float = SAMPLED_SPEED_TOL) -> Cur
 def circle_position(radius: float, t: float) -> np.ndarray:
     """Point of the unit-speed circle (R cos(t/R), R sin(t/R), 0)."""
     _circle_radius(radius)
-    return np.array([
-        radius * math.cos(t / radius),
-        radius * math.sin(t / radius),
-        0.0,
-    ])
+    # In Python floats an overflow gives inf with no numpy warning.
+    phase = float(t) / float(radius)
+    _in_range(f"circle radius {radius!r}", t, phase)
+    return np.array([radius * math.cos(phase), radius * math.sin(phase), 0.0])
 
 
 def circle_jet(radius: float, t) -> CurveJet:
@@ -161,7 +160,8 @@ def circle_jet(radius: float, t) -> CurveJet:
         zero = np.zeros_like(a)
         d1 = np.stack([-np.sin(a), np.cos(a), zero], axis=-1)
         d2 = np.stack([-np.cos(a) / radius, -np.sin(a) / radius, zero], axis=-1)
-    return _in_range_jet(f"circle radius {radius!r}", t, a, d1, d2)
+    _in_range(f"circle radius {radius!r}", t, a, d2)
+    return CurveJet(t=t, d1=d1, d2=d2)
 
 
 def _circle_radius(radius: float) -> None:
@@ -169,18 +169,24 @@ def _circle_radius(radius: float) -> None:
         raise ValueError(f"circle needs a finite radius > 0, got {radius!r}")
 
 
-def _in_range_jet(curve: str, t, phase, d1, d2) -> CurveJet:
-    """The closed-form jet, unless its phase or d2 overflowed at some t."""
-    bad = np.flatnonzero(~(np.isfinite(phase) & np.isfinite(d2).all(axis=-1)))
+def _in_range(curve: str, t, phase, d2=None) -> None:
+    """Raise unless the phase of a closed-form curve, and the second
+    derivative d2 of a jet, are finite at every t; name the first bad t."""
+    finite = np.isfinite(phase)
+    what = "the phase"
+    if d2 is not None:
+        finite = finite & np.isfinite(d2).all(axis=-1)
+        what += " or the second derivative"
+    bad = np.flatnonzero(~finite)
     if bad.size:
-        raise ValueError(f"{curve} out of range: the phase or the second "
-                         f"derivative overflows at t={np.ravel(t)[bad[0]].item()!r}")
-    return CurveJet(t=t, d1=d1, d2=d2)
+        raise ValueError(f"{curve} out of range: {what} overflows at "
+                         f"t={np.ravel(t)[bad[0]].item()!r}")
 
 
 def helix_position(a: float, b: float, t: float) -> np.ndarray:
     """Point of the unit-speed helix (a cos wt, a sin wt, b w t), w = 1/sqrt(a^2+b^2)."""
-    w = _helix_rate(a, b)
+    w, t = _helix_rate(a, b), float(t)
+    _in_range(f"helix a={a!r}, b={b!r}", t, w * t)
     return np.array([a * math.cos(w * t), a * math.sin(w * t), b * w * t])
 
 
@@ -191,7 +197,8 @@ def helix_jet(a: float, b: float, t) -> CurveJet:
         wt = w * np.asarray(t, dtype=float)
         d1 = np.stack([-a * w * np.sin(wt), a * w * np.cos(wt), np.full_like(wt, b * w)], axis=-1)
         d2 = np.stack([-a * w * w * np.cos(wt), -a * w * w * np.sin(wt), np.zeros_like(wt)], axis=-1)
-    return _in_range_jet(f"helix a={a!r}, b={b!r}", t, wt, d1, d2)
+    _in_range(f"helix a={a!r}, b={b!r}", t, wt, d2)
+    return CurveJet(t=t, d1=d1, d2=d2)
 
 
 def _helix_rate(a: float, b: float) -> float:
@@ -207,18 +214,14 @@ def _helix_rate(a: float, b: float) -> float:
 
 def line_jet(direction, t) -> CurveJet:
     """Exact jet of a unit-speed line; K = 0, second derivative zero."""
-    d = _unit_direction(direction)
-    d2 = np.zeros(np.shape(t) + (3,))
-    return CurveJet(t=t, d1=d2 + d, d2=d2)
-
-
-def _unit_direction(direction) -> np.ndarray:
     d = _as_vec3(direction, "direction")
     if d.ndim != 1:
         raise ValueError(f"line direction must be one 3-vector, got shape {d.shape}")
-    if abs(math.sqrt(float(d @ d)) - 1.0) > 1e-9:
-        raise ValueError(f"line direction must be a unit vector, got |d| = {math.sqrt(float(d @ d))!r}")
-    return d
+    norm = math.sqrt(float(d @ d))
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"line direction must be a unit vector, got |d| = {norm!r}")
+    d2 = np.zeros(np.shape(t) + (3,))
+    return CurveJet(t=t, d1=d2 + d, d2=d2)
 
 
 def builtin_curve(spec: str, t) -> CurveJet:

@@ -22,12 +22,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .vectors import _scale
+from .vectors import SQRT3, _scale
 from .weitzenboeck import Triangle, _unit_triangle
 
 #: Slope of the tangent line from the origin to any half-disk,
 #: tan(pi/6) = 1/sqrt(3).
-TANGENT_SLOPE = 1.0 / math.sqrt(3.0)
+TANGENT_SLOPE = 1.0 / SQRT3
 
 INTERIOR = "interior"
 ISOSCELES_LIMIT = "isosceles_limit"
@@ -109,7 +109,7 @@ def tangent_point(d: HalfDisk) -> ShapePoint:
     point of the equilateral triangle with a^2 + b^2 = s.
     """
     s = d.center_x
-    return ShapePoint(x=0.75 * s, y=(math.sqrt(3.0) / 4.0) * s)
+    return ShapePoint(x=0.75 * s, y=(SQRT3 / 4.0) * s)
 
 
 def classify(t: Triangle, tol: float = 1e-9) -> str:

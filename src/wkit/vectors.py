@@ -173,8 +173,7 @@ def rotate_pi3(u, v) -> np.ndarray:
     """Rotate v by pi/3 in the plane span(u, v) oriented from u to v.
 
     R(v) = v/2 + (sqrt(3)/2) * conormal; an isometry of the span, so
-    |R(v)| = |v|.
+    |R(v)| = |v|. ``perp_rotate`` validates the pair.
     """
-    u, v = _check_pair(u, v)
     c, _ = perp_rotate(u, v)
-    return 0.5 * v + (SQRT3 / 2.0) * c
+    return 0.5 * np.asarray(v, dtype=float) + (SQRT3 / 2.0) * c

@@ -9,9 +9,10 @@ right-most term is the nonnegative defect: it measures how far the triangle
 with edge vectors u, v is from equilateral, and vanishes exactly when
 u = -R(v), i.e. when |u| = |v| = |u+v|.
 
-``identity_batch`` is the one float evaluation: it works on (m, d) row
-stacks, and ``verify_identity`` is its one-row call. It computes the defect
-along two deliberately independent paths:
+``_unit_identity`` is the one float evaluation: it works on (m, d) row
+stacks at unit scale. ``identity_batch`` is its scaled view, and
+``verify_identity`` and the curve report call it directly. It computes the
+defect along two deliberately independent paths:
 
 * ``defect_intrinsic`` - the closed coordinate-free formula
   2*(|u|^2 + |v|^2 + <u,v> - sqrt(3)*(u ^ v)), no rotation constructed;
@@ -182,17 +183,12 @@ def _unit_triangle(t: Triangle) -> tuple[float, float, float, float, int]:
     into [1/2, 1), and their area sqrt(4 a^2 b^2 - (a^2 + b^2 - c^2)^2) / 4
     (from a^2 b^2 = ((a^2+b^2-c^2)/2)^2 + (2*area)^2). Each triangle function
     uses this one evaluation and scales a result of degree n by 2**(n*e).
-    A tiny negative radicand from rounding is clamped to 0."""
+    ``Triangle`` keeps the exact radicand positive; rounding below 0 is clamped."""
     e = int(_exponent(*t.sides()))
     a, b, c = _scale(t.sides(), -e).tolist()
     a2, b2, c2 = a * a, b * b, c * c
-    scale = 4.0 * a2 * b2
-    rad = scale - (a2 + b2 - c2) ** 2
-    if rad < 0.0:
-        if rad < -1e-12 * scale:
-            raise ValueError(f"inconsistent side lengths {t.sides()}")
-        rad = 0.0
-    return a, b, c, math.sqrt(rad) / 4.0, e
+    rad = 4.0 * a2 * b2 - (a2 + b2 - c2) ** 2
+    return a, b, c, math.sqrt(max(rad, 0.0)) / 4.0, e
 
 
 def area_heron(t: Triangle) -> float:
@@ -214,13 +210,10 @@ def triangle_to_vectors(t: Triangle) -> tuple[np.ndarray, np.ndarray]:
     A = (0, 0), B = (c, 0), and C in the upper half-plane with |AB| = c,
     |BC| = a, |CA| = b. The ``defect_intrinsic`` of ``verify_identity`` on
     the result reproduces ``triangle_defect``. The placement is computed at
-    the unit scale of ``_unit_triangle`` and scaled back.
+    the unit scale of ``_unit_triangle`` and scaled back, with C's height
+    clamped at 0 like the area.
     """
     a, b, c, _, e = _unit_triangle(t)
     cx = (b * b - a * a + c * c) / (2.0 * c)
-    rad = b * b - cx * cx
-    if rad < 0.0:
-        if rad < -1e-12 * b * b:
-            raise ValueError(f"inconsistent side lengths {t.sides()}")
-        rad = 0.0
-    return _scale(np.array([c, 0.0]), e), _scale(np.array([cx - c, math.sqrt(rad)]), e)
+    cy = math.sqrt(max(b * b - cx * cx, 0.0))
+    return _scale(np.array([c, 0.0]), e), _scale(np.array([cx - c, cy]), e)

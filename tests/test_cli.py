@@ -174,6 +174,14 @@ class TestDefect:
         assert r.returncode == 2
         assert "error" in r.stderr
 
+    # Valid sides whose area radicand rounds to -1.06e-12*4a^2b^2 (exact:
+    # +6.4e-12*4a^2b^2): the area is clamped to 0, and both commands answer.
+    @pytest.mark.parametrize("command", ["defect", "shape"])
+    def test_nearly_flat_triangle_answered(self, command):
+        sides = ("4.20395609887174e-05", "1.7333339934435588", "1.7333760330045473")
+        r = run_cli(command, "--sides", *sides)
+        assert (r.returncode, r.stderr) == (0, "")
+
 
 class TestSweep:
     def test_small_pass(self):
@@ -439,14 +447,21 @@ def _sha256(text):
 
 class TestCurve:
     # sha256 of the stdout (for csv the summary goes to stderr and is not
-    # hashed) of `wkit curve --builtin helix:1:3 --t 0:100:0.01`, 10001 rows.
-    @pytest.mark.parametrize("fmt, digest", [
-        ("text", "01934203cffe3016f904e06f8d9c6b224076d2f87b167108bfcdc1232fbe20f2"),
-        ("csv", "a1ae404c50bbe72356ef290280e0c7557fb01022a34c194eed025e5089dd0667"),
-        ("json", "c5f832808be90ca6c8aa536440b99513e06c5e8f037c15ae38702f7d7b368add"),
-    ], ids=["text", "csv", "json"])
-    def test_builtin_stdout_pinned(self, fmt, digest):
-        r = run_cli("curve", "--builtin", "helix:1:3", "--t", "0:100:0.01", "--format", fmt)
+    # hashed) of `wkit curve --builtin SPEC --t 0:100:0.01`, 10001 rows.
+    @pytest.mark.parametrize("spec, fmt, digest", [
+        ("helix:1:3", "text", "01934203cffe3016f904e06f8d9c6b224076d2f87b167108bfcdc1232fbe20f2"),
+        ("helix:1:3", "csv", "a1ae404c50bbe72356ef290280e0c7557fb01022a34c194eed025e5089dd0667"),
+        ("helix:1:3", "json", "c5f832808be90ca6c8aa536440b99513e06c5e8f037c15ae38702f7d7b368add"),
+        ("circle:3", "text", "bcc3a298b1a834939cf901e4621f0c0b603941cc455f18c82ef9bb7b42f2e318"),
+        ("circle:3", "csv", "d1095673c1bb29a02af12efd5d146e449ec81481d04d988c8dd0035bb7b62271"),
+        ("circle:3", "json", "47c5f4d38e1058346cd50904a66cc7802d5d9cd8e33c131c455eadd721fb8e2e"),
+        ("line:0.6,0.8,0", "text", "98b7826eecd5f64bac1ed76b28bc5811db1704e2d81108fe43e776cb1ad6dbe7"),
+        ("line:0.6,0.8,0", "csv", "4f44ce6c3bb2d7cab63d0ca04fce0a207a14a32c14e15e2541b2c3c8a8f4c744"),
+        ("line:0.6,0.8,0", "json", "e4d5df1a361bbd48c68f40165db92bbebcacdbc3ef16e805157d6d3606189879"),
+    ], ids=["text", "csv", "json", "circle-text", "circle-csv", "circle-json",
+            "line-text", "line-csv", "line-json"])
+    def test_builtin_stdout_pinned(self, spec, fmt, digest):
+        r = run_cli("curve", "--builtin", spec, "--t", "0:100:0.01", "--format", fmt)
         assert r.returncode == 0, r.stderr
         assert _sha256(r.stdout) == digest
 
@@ -586,6 +601,15 @@ class TestCurve:
         r = run_cli("curve", "--builtin", "line", f"--t={trange}")
         assert r.returncode == 2
         assert r.stderr.startswith("error: bad range")
+
+    @pytest.mark.parametrize("trange, message", [
+        ("0:1", "bad range '0:1': expected START:STOP:STEP"),
+        ("1:0:1", "bad range '1:0:1': need step > 0 and stop >= start"),
+        ("0:1:0", "bad range '0:1:0': need step > 0 and stop >= start"),
+    ], ids=["two-fields", "stop-below-start", "zero-step"])
+    def test_malformed_range_rejected(self, trange, message):
+        r = run_cli("curve", "--builtin", "line", "--t", trange)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
 
     def test_range_size_capped(self, monkeypatch):
         # The cap applies to the computed count; no capped range is built.

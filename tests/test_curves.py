@@ -59,6 +59,52 @@ class TestBuiltinJets:
         p = helix_position(1.0, 1.0, 0.0)
         np.testing.assert_allclose(p, [1, 0, 0], atol=0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: CurveJet(t=0.0, d1=[1.0, 0.0], d2=[0.0, 0.0, 0.0]),
+         "d1 must be a 3-vector or an (n, 3) stack, got shape (2,)"),
+        (lambda: CurveJet(t=0.0, d1=[1.0, math.nan, 0.0], d2=[0.0, 0.0, 0.0]),
+         "d1 has non-finite coordinates"),
+        (lambda: line_jet([[1, 0, 0]], 0.0), "line direction must be one 3-vector, got shape (1, 3)"),
+        (lambda: line_jet([1, 1, 0], 0.0),
+         "line direction must be a unit vector, got |d| = 1.4142135623730951"),
+        (lambda: builtin_curve("helix:1", 0.0), "helix spec is helix:A:B"),
+        (lambda: builtin_curve("line:1,0,0:2", 0.0), "line spec is line or line:dx,dy,dz"),
+        (lambda: jet_from_samples([0.0, 1.0, 2.0], np.zeros((3, 2)), 1),
+         "positions must have shape (3, 3), got (3, 2)"),
+    ], ids=["d1-shape", "d1-nan", "line-stack", "line-length", "helix-spec", "line-spec",
+            "positions-shape"])
+    def test_rejection_messages(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    # The phase t/R or w*t overflows, or is inf*0 = NaN: one error naming the
+    # curve and t, no NaN position and no warning (the test run turns a
+    # RuntimeWarning into an error).
+    @pytest.mark.parametrize("position, args, message", [
+        (helix_position, (1e-310, 0.0, 0.0), "helix a=1e-310, b=0.0 out of range: "
+         "the phase overflows at t=0.0"),
+        (helix_position, (1e-310, 0.0, 1.0), "helix a=1e-310, b=0.0 out of range: "
+         "the phase overflows at t=1.0"),
+        (circle_position, (1e-310, 1.0), "circle radius 1e-310 out of range: "
+         "the phase overflows at t=1.0"),
+        (circle_position, (1e-300, 1e10), "circle radius 1e-300 out of range: "
+         "the phase overflows at t=10000000000.0"),
+        (circle_position, (np.float64(1e-300), np.float64(1e10)),
+         f"circle radius {np.float64(1e-300)!r} out of range: the phase overflows at t=10000000000.0"),
+    ], ids=["helix-nan-phase", "helix-inf-phase", "circle-tiny-radius", "circle-huge-t",
+            "circle-numpy-scalars"])
+    def test_position_out_of_range_rejected(self, position, args, message):
+        with pytest.raises(ValueError) as exc:
+            position(*args)
+        assert str(exc.value) == message
+
+    def test_tiny_radius_in_range(self):
+        # The phase t/R = 1 is finite, so the position is returned.
+        expected = [1e-300 * math.cos(1.0), 1e-300 * math.sin(1.0), 0.0]
+        assert circle_position(1e-300, 1e-300).tolist() == expected
+        assert helix_position(1e-300, 0.0, 1e-300).tolist() == pytest.approx(expected, rel=1e-15)
+
 
 class TestCurvature:
     def test_circle_closed_form(self):

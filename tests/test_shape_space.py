@@ -56,6 +56,12 @@ class TestCircle:
         c = ShapeCircle(center_x=7.0, radius=2.5)
         assert circle_residual(ShapePoint(9.5, 0.0), c) == 0.0
 
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0)])
+    def test_nonpositive_sides_rejected(self, a, b):
+        with pytest.raises(ValueError) as exc:
+            circle_of(a, b)
+        assert str(exc.value) == "circle needs positive a, b"
+
     def test_every_triangle_on_its_own_circle(self):
         for t in random_triangles(500, seed=31):
             resid = circle_residual(shape_point(t), circle_of(t.a, t.b))

@@ -237,6 +237,18 @@ class TestRotatePi3:
     def test_collinear_fallback_value(self):
         np.testing.assert_allclose(rotate_pi3([1, 0], [2, 0]), [1.0, SQRT3], atol=1e-15)
 
+    # rotate_pi3 leaves the checks to perp_rotate and keeps its messages.
+    @pytest.mark.parametrize("u, v, message", [
+        ([1, 0], [1, 0, 0], "expected matching vectors of dimension >= 2, got shapes (2,) and (3,)"),
+        ([1, math.nan], [1, 0], "vector has non-finite coordinates"),
+        ([1, 0], [0, 0], "cannot orient a plane around v = 0"),
+    ], ids=["shapes", "nan", "zero-v"])
+    def test_rejection_messages(self, u, v, message):
+        for rotate in (rotate_pi3, perp_rotate):
+            with pytest.raises(ValueError) as exc:
+                rotate(u, v)
+            assert str(exc.value) == message
+
     def test_preserves_norm(self):
         for u, v in random_pairs(300, seed=3):
             nv = np.linalg.norm(v)

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from samples import INTEGER_TRIANGLES, power_of_two_range, random_pairs, random_triangles
 
 from wkit import weitzenboeck
 from wkit.qsqrt3 import QSqrt3
+from wkit.shape_space import classify, shape_point
 from wkit.sweeps import random_rational_pairs
 from wkit.vectors import SQRT3
 from wkit.weitzenboeck import (
@@ -378,6 +379,17 @@ class TestTriangle:
         with pytest.raises(ValueError):
             Triangle(*sides)
 
+    @pytest.mark.parametrize("sides, message", [
+        ((math.inf, 1, 1), "sides must be finite"),
+        ((1, math.nan, 1), "sides must be finite"),
+        ((1, 1, 0), "sides must be positive"),
+        ((1, 1, 2), "triangle inequality violated by sides (1, 1, 2)"),
+    ], ids=["inf", "nan", "zero", "flat"])
+    def test_rejection_messages(self, sides, message):
+        with pytest.raises(ValueError) as exc:
+            Triangle(*sides)
+        assert str(exc.value) == message
+
 
 class TestAreaHeron:
     def test_right_triangle(self):
@@ -489,3 +501,55 @@ class TestTriangleToVectors:
             scaled = triangle_to_vectors(Triangle(*(math.ldexp(x, scale) for x in sides)))
             for got, want in zip(scaled, base):
                 assert got.tobytes() == np.ldexp(want, scale).tobytes()
+
+
+@st.composite
+def _nearly_flat_sides(draw):
+    """Sides (b, y, b + y) or (b, y, b - y), y = 10**U(-15, 0), with the
+    third moved 1 to 5 ulps inward so that ``Triangle`` accepts them. b is 1
+    or in [1, 2): next to 1 the squares round with a structure that hides
+    most of their error."""
+    b = draw(st.one_of(st.just(1.0), st.floats(1.0, 2.0, exclude_max=True)))
+    y = 10.0 ** draw(st.floats(-15.0, 0.0))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    c = b + sign * y
+    for _ in range(draw(st.integers(1, 5))):
+        c = math.nextafter(c, -sign * math.inf)
+    try:
+        return Triangle(b, y, c).sides()
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nearly_flat_sides(), st.permutations(range(3)), st.integers(-300, 300))
+# The CLI's clamp cases: the area and then the placement of C.
+@example((1.0, 0.9999974804076605, 2.519592339657155e-06), [0, 1, 2], 0)
+@example((1.0, 1.4461827241441012, 0.4461827241441013), [0, 1, 2], 0)
+# Valid sides whose area radicand rounds to -1.06e-12*4a^2b^2 (exact:
+# +6.4e-12*4a^2b^2): no threshold on that scale tells them from bad sides.
+@example((4.20395609887174e-05, 1.7333339934435588, 1.7333760330045473), [0, 1, 2], 0)
+def test_nearly_flat_triangles(sides, order, j):
+    # Every triangle function takes a nearly flat triangle, in any side
+    # order and at any scale 2**j. The radicand implied by the area,
+    # 16*area^2, and the placement's y^2 are compared with the exact
+    # radicands of the float sides (a, b, c):
+    #   R  = 4a^2b^2 - (a^2 + b^2 - c^2)^2,   Y2 = b^2 - ((b^2 - a^2 + c^2)/(2c))^2.
+    # Both sums of squares lose up to about 1.5*eps*I, I = a^2 + b^2 + c^2,
+    # and |a^2 + b^2 - c^2| <= 2ab, |cx| <= b; to first order that bounds
+    # |16*area^2 - R| by about 12*eps*I*ab and |y^2 - Y2| by about
+    # 3.25*eps*I*b/c, clamp included. The test allows 16 and 4. The scales
+    # eps*4a^2b^2 and eps*b^2 would not do: a short side among a, b makes
+    # them far smaller than the rounding of the other squares.
+    t = Triangle(*(math.ldexp(sides[i], j) for i in order))
+    triangle_defect(t)
+    shape_point(t)
+    classify(t)
+    eps = Fraction(np.finfo(float).eps)
+    a, b, c = map(Fraction, t.sides())
+    big = a * a + b * b + c * c
+    radicand = 4 * a * a * b * b - (a * a + b * b - c * c) ** 2
+    assert abs(16 * Fraction(area_heron(t)) ** 2 - radicand) <= 16 * eps * big * a * b
+    height2 = b * b - ((b * b - a * a + c * c) / (2 * c)) ** 2
+    _, v = triangle_to_vectors(t)
+    assert abs(Fraction(v[1]) ** 2 - height2) <= 4 * eps * big * b / c
