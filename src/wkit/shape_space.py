@@ -92,13 +92,13 @@ def circle_residual(p: ShapePoint, c: ShapeCircle) -> float:
 
 
 def halfdisk_contains(p: ShapePoint, d: HalfDisk, tol: float = 1e-9) -> bool:
-    """Membership in the open-quadrant half-disk, with slack tol on the radius^2.
+    """Membership in the half-disk x > 0, y >= 0, with slack tol on the radius^2.
 
     ``tol`` is absolute; pass a value scaled by d.radius**2 when the disks
     get large.
     """
     dx = p.x - d.center_x
-    return p.x > 0.0 and p.y > 0.0 and dx * dx + p.y * p.y <= d.radius * d.radius + tol
+    return p.x > 0.0 and p.y >= 0.0 and dx * dx + p.y * p.y <= d.radius * d.radius + tol
 
 
 def tangent_point(d: HalfDisk) -> ShapePoint:

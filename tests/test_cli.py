@@ -290,6 +290,18 @@ class TestShape:
         r = run_cli("shape", "--sides", "2", "2", "3", "--format", "json")
         assert json.loads(r.stdout)["classification"] == "isosceles_limit"
 
+    # Valid sides whose area rounds to 0: the shape point lies on the
+    # diameter y = 0, which belongs to the half-disk.
+    @pytest.mark.parametrize("sides", [
+        ("1.0", "0.9999974804076605", "2.519592339657155e-06"),
+        ("4.20395609887174e-05", "1.7333339934435588", "1.7333760330045473"),
+    ])
+    def test_flat_triangle_inside_its_half_disk(self, sides):
+        r = run_cli("shape", "--sides", *sides)
+        assert (r.returncode, r.stderr) == (0, "")
+        assert "point_y            0.0\n" in r.stdout
+        assert "halfdisk_contains  true\n" in r.stdout
+
     def test_invalid_triangle(self):
         r = run_cli("shape", "--sides", "9", "1", "1")
         assert r.returncode == 2

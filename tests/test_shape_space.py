@@ -93,6 +93,13 @@ class TestHalfDisk:
         assert not halfdisk_contains(ShapePoint(1.0, -0.5), d)
         assert not halfdisk_contains(ShapePoint(0.0, 0.5), d)
 
+    def test_diameter_included(self):
+        # A nearly flat triangle whose area rounds to 0 has its shape point
+        # on the diameter y = 0; anything below it is outside.
+        d = HalfDisk(2.0)
+        assert halfdisk_contains(ShapePoint(1.5, 0.0), d)
+        assert not halfdisk_contains(ShapePoint(1.5, -5e-324), d)
+
     def test_all_triangles_contained(self):
         for t in random_triangles(500, seed=32):
             d = HalfDisk(t.a * t.a + t.b * t.b)

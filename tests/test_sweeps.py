@@ -202,8 +202,8 @@ def test_stacks_match_per_pair_stream(count, seed, monkeypatch):
     pairs = per_pair_sample(count, seed)
     expected = [tuple(np.array([p[k] for p in pairs[i::7]]).reshape(-1, i + 2) for k in (0, 1))
                 for i in range(7)]
-    # The default chunk holds every count here; 700 and 1400 split the
-    # larger ones inside the run.
+    # The default chunk of 28,000 pairs splits the largest count too, into
+    # 4 chunks; 700 and 1400 split the smaller ones inside the run.
     for chunk in (sweeps._CHUNK_PAIRS, 700, 1400):
         monkeypatch.setattr(sweeps, "_CHUNK_PAIRS", chunk)
         for (U, V), (eU, eV) in zip(_joined_stacks(count, seed), expected):
@@ -256,6 +256,20 @@ def test_sweep_memory_bounded_by_chunk(monkeypatch):
     assert peaks[0] > chunk * pair_bytes
     assert peaks[1] < 1.5 * peaks[0]
     assert peaks[1] - peaks[0] < chunk * pair_bytes  # no chunk's stacks outlive it
+
+
+def test_default_chunk_memory():
+    # With 4,096 rows per dimension the kernel's temporaries stay small:
+    # 10^5 pairs peak at about 6 MB of traced memory, against 21.5 MB with
+    # 65,536 rows.
+    run_identity_sweep(700)
+    tracemalloc.start()
+    try:
+        run_identity_sweep(100_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345])
