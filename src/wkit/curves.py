@@ -217,7 +217,7 @@ def line_jet(direction, t) -> CurveJet:
     d = _as_vec3(direction, "direction")
     if d.ndim != 1:
         raise ValueError(f"line direction must be one 3-vector, got shape {d.shape}")
-    norm = math.sqrt(float(d @ d))
+    norm = math.hypot(*d.tolist())
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"line direction must be a unit vector, got |d| = {norm!r}")
     d2 = np.zeros(np.shape(t) + (3,))

@@ -63,7 +63,7 @@ class QSqrt3:
         return hash((self._a, self._b))
 
     def __bool__(self) -> bool:
-        return self._a != 0 or self._b != 0
+        return bool(self._a) or bool(self._b)
 
     def __neg__(self) -> "QSqrt3":
         return QSqrt3(-self._a, -self._b)

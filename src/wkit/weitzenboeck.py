@@ -38,6 +38,8 @@ import numpy as np
 from .qsqrt3 import QSqrt3, _coerce
 from .vectors import SQRT3, _check_pair, _exponent, _plane, _scale
 
+_ZERO = QSqrt3()
+
 
 def identity_batch(U, V):
     """Evaluate the identity row by row on two (m, d) stacks.
@@ -147,14 +149,15 @@ def verify_exact(u, v) -> QSqrt3:
         (lhs - 2|X|^2 - 6|Y|^2  +  (-2|w| - 4<X, Y>)*sqrt(3)) / L^2,
 
     returned as one exact field element. It is zero for every input; a
-    nonzero result would disprove the identity.
+    nonzero result would disprove the identity. A zero residual is one
+    shared zero element; ``QSqrt3`` has no mutating operation.
     """
     L, lhs, w, (x0, x1), (y0, y1) = _scaled_pieces(u, v)
-    L2 = L * L
-    return QSqrt3(
-        Fraction(lhs - 2 * (x0 * x0 + x1 * x1) - 6 * (y0 * y0 + y1 * y1), L2),
-        Fraction(-2 * abs(w) - 4 * (x0 * y0 + x1 * y1), L2),
-    )
+    a = lhs - 2 * (x0 * x0 + x1 * x1) - 6 * (y0 * y0 + y1 * y1)
+    b = -2 * abs(w) - 4 * (x0 * y0 + x1 * y1)
+    if not (a or b):
+        return _ZERO
+    return QSqrt3(Fraction(a, L * L), Fraction(b, L * L))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -553,6 +554,23 @@ class TestCurve:
     def test_closed_form_out_of_range_rejected(self, spec, trange, message):
         r = run_cli("curve", "--builtin", spec, "--t", trange)
         assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+
+    # |d| is taken without squaring, so neither norm over- or underflows.
+    @pytest.mark.parametrize("spec, norm", [("line:1,0,1e200", "1e+200"),
+                                            ("line:1e-310,0,0", "1e-310")])
+    def test_line_direction_norm_is_finite(self, spec, norm):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            r = run_cli("curve", "--builtin", spec, "--t", "0:2:1")
+        assert caught == []
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == f"error: line direction must be a unit vector, got |d| = {norm}\n"
+
+    def test_line_direction_overflow_under_warnings_as_errors(self):
+        r = run_subprocess("curve", "--builtin", "line:1,0,1e200", "--t", "0:2:1",
+                           env={**_ENV, "PYTHONWARNINGS": "error::RuntimeWarning"})
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == "error: line direction must be a unit vector, got |d| = 1e+200\n"
 
     def test_input_rejects_t_range(self, tmp_path):
         path = tmp_path / "helix.csv"

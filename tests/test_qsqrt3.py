@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wkit.qsqrt3 import QSqrt3
+from wkit.weitzenboeck import verify_exact
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=1000
@@ -101,8 +102,24 @@ def test_to_float():
 
 def test_zero_iff_both_coefficients_zero():
     assert not QSqrt3(0, 0)
-    assert QSqrt3(0, Fraction(1, 10**9))
-    assert QSqrt3(Fraction(-1, 10**9), 0)
+    for x in (1, -1, Fraction(1, 10**9), Fraction(-1, 10**9), "-7/3"):
+        assert QSqrt3(0, x) and QSqrt3(x, 0) and QSqrt3(x, x)
+
+
+def test_zero_residual_equals_and_hashes_like_zero():
+    zero = verify_exact(("1/3", 2), (-5, "7/11"))
+    assert zero == QSqrt3(0, 0) == 0
+    assert hash(zero) == hash(QSqrt3(0, 0))
+    assert not zero
+
+
+def test_zero_residual_is_never_mutated():
+    # verify_exact returns one shared zero for every valid pair; arithmetic
+    # on a result must build a new element, not change that one.
+    shifted = verify_exact((1, 0), (0, 1)) + QSqrt3("1/7")
+    shifted += QSqrt3(0, 1)
+    assert shifted == QSqrt3("1/7", 1)
+    assert verify_exact((2, 3), (5, 7)) == QSqrt3(0, 0)
 
 
 def test_float_coefficients_rejected():

@@ -7,7 +7,7 @@ from mpmath import mp
 from samples import random_pairs, random_triangles
 from test_vectors import near_collinear_pairs
 
-from wkit import sweeps
+from wkit import sweeps, weitzenboeck
 from wkit.sweeps import (
     pair_stacks,
     random_rational_pairs,
@@ -295,6 +295,20 @@ def test_exact_sweep_passes():
     assert res.passed
     assert res.nonzero_residuals == 0
     assert res.first_nonzero_pair is None and res.first_nonzero_residual is None
+
+
+def test_exact_sweep_fails_every_pair_with_the_quarter_turn_flipped(monkeypatch):
+    # Y = -q/2 turns v the wrong way; the residual is then nonzero on every
+    # pair, and no fast path for a zero residual may hide that.
+    real = weitzenboeck._scaled_pieces
+
+    def flipped(u, v):
+        L, lhs, w, X, (y0, y1) = real(u, v)
+        return L, lhs, w, X, (-y0, -y1)
+
+    monkeypatch.setattr(weitzenboeck, "_scaled_pieces", flipped)
+    res = run_exact_sweep(200, seed=0)
+    assert (res.nonzero_residuals, res.first_nonzero_pair) == (200, 0)
 
 
 def test_rational_pair_bounds():
