@@ -46,6 +46,6 @@ print()
 print("=" * 72)
 print("3. A thousand random rational pairs")
 print("=" * 72)
-res = run_exact_sweep(1000, seed=0, max_magnitude=10**6)
+res = run_exact_sweep(1000, seed=0)
 print(f"  pairs = {res.count}, nonzero residuals = {res.nonzero_residuals}")
 print(f"  all residuals are the exact zero element: {res.passed}")

@@ -18,7 +18,6 @@ import numpy as np
 from wkit import (
     CurveJet,
     circle_jet,
-    circle_position,
     helix_jet,
     jet_from_samples,
     line_jet,
@@ -64,7 +63,7 @@ print("=" * 72)
 radius = 2.0
 for h in (1e-2, 1e-3, 1e-4):
     ts = np.array([-h, 0.0, h])
-    pos = np.stack([circle_position(radius, t) for t in ts])
+    pos = np.array([[radius * math.cos(t / radius), radius * math.sin(t / radius), 0.0] for t in ts])
     jet = jet_from_samples(ts, pos, 1)
     # coarse steps miss unit speed by O(h^2); loosen the gate accordingly
     k = curvature_bound_report(jet, tol=1e-4).curvature

@@ -12,9 +12,7 @@ from .curves import (
     CurvatureBoundReport,
     builtin_curve,
     circle_jet,
-    circle_position,
     helix_jet,
-    helix_position,
     jet_from_samples,
     line_jet,
     read_curve_csv,

@@ -36,7 +36,7 @@ from .shape_space import (
 )
 from .sweeps import run_exact_sweep, run_identity_sweep
 from .vectors import SQRT3, _scale
-from .weitzenboeck import Triangle, triangle_to_vectors, verify_identity
+from .weitzenboeck import Triangle, _unit_triangle, triangle_to_vectors, verify_identity
 
 _TOL_ENV = "WKIT_TOL"
 
@@ -88,21 +88,26 @@ def _parse_vector(text: str):
 
 
 def cmd_defect(args) -> int:
+    e = 0
     if args.sides is not None:
-        t = Triangle(*args.sides)
-        u, v = triangle_to_vectors(t)
+        # Placed at unit scale, which keeps every digit where the placement at
+        # the sides' own would be subnormal; the values are scaled back once.
+        a, b, c, _, e = _unit_triangle(Triangle(*args.sides))
+        u, v = triangle_to_vectors(Triangle(a, b, c))
     else:
         u, v = map(_parse_vector, args.vectors)
     rep = verify_identity(u, v, args.tol)
+    lhs, wedge_term, d_int, d_exp, residual = (float(_scale(x, 2 * e)) for x in (
+        rep.lhs, rep.wedge_term, rep.defect_intrinsic, rep.defect_explicit, rep.residual))
     finite = _emit_pairs([
-        ("lhs", rep.lhs),
-        ("wedge_term", rep.wedge_term),
-        ("defect_intrinsic", rep.defect_intrinsic),
-        ("defect_explicit", rep.defect_explicit),
-        ("residual", rep.residual),
+        ("lhs", lhs),
+        ("wedge_term", wedge_term),
+        ("defect_intrinsic", d_int),
+        ("defect_explicit", d_exp),
+        ("residual", residual),
         ("equality", rep.equality_case),
     ], args.format, sys.stdout)
-    return 0 if finite and abs(rep.residual) <= args.tol * max(1.0, rep.lhs) else 1
+    return 0 if finite and abs(residual) <= args.tol * max(1.0, lhs) else 1
 
 
 def cmd_sweep(args) -> int:
@@ -167,11 +172,16 @@ def _parse_trange(text: str) -> list[float]:
         raise ValueError(f"bad range {text!r}: START, STOP and STEP must be finite")
     if step <= 0 or stop < start:
         raise ValueError(f"bad range {text!r}: need step > 0 and stop >= start")
+    # A span beyond the float range is taken on the halved range. START and
+    # STOP then exceed 1e291, and a STEP within the sample cap 1e302, so
+    # halving and doubling are exact.
+    h = 1.0 if math.isfinite(stop - start) else 0.5
+    start, stop, step = h * start, h * stop, h * step
     steps = (stop - start) / step + 1e-9
     if not steps < MAX_CURVE_SAMPLES:
         raise ValueError(f"bad range {text!r}: more than {MAX_CURVE_SAMPLES} samples")
     n = int(math.floor(steps)) + 1
-    return [start + k * step for k in range(n)]
+    return [(start + k * step) / h for k in range(n)]
 
 
 def cmd_curve(args) -> int:

@@ -99,10 +99,6 @@ class CurvatureBoundReport:
     defect: float | np.ndarray
     residual: float | np.ndarray
 
-    @property
-    def defect_intrinsic(self):
-        return self.rhs_bound - 2.0 * SQRT3 * self.curvature
-
 
 def curvature_bound_report(jet: CurveJet, tol: float = SAMPLED_SPEED_TOL) -> CurvatureBoundReport:
     """Evaluate the curvature identity and bound for a jet in one kernel call.
@@ -143,18 +139,10 @@ def curvature_bound_report(jet: CurveJet, tol: float = SAMPLED_SPEED_TOL) -> Cur
 # ---------------------------------------------------------------------------
 # Closed-form unit-speed curves. The jets take a float t or an array of t.
 
-def circle_position(radius: float, t: float) -> np.ndarray:
-    """Point of the unit-speed circle (R cos(t/R), R sin(t/R), 0)."""
-    _circle_radius(radius)
-    # In Python floats an overflow gives inf with no numpy warning.
-    phase = float(t) / float(radius)
-    _in_range(f"circle radius {radius!r}", t, phase)
-    return np.array([radius * math.cos(phase), radius * math.sin(phase), 0.0])
-
-
 def circle_jet(radius: float, t) -> CurveJet:
-    """Exact jet of the unit-speed circle; K = 1/radius."""
-    _circle_radius(radius)
+    """Exact jet of the unit-speed circle (R cos(t/R), R sin(t/R), 0); K = 1/R."""
+    if not (0 < radius < math.inf):
+        raise ValueError(f"circle needs a finite radius > 0, got {radius!r}")
     with np.errstate(all="ignore"):
         a = np.asarray(t, dtype=float) / radius
         zero = np.zeros_like(a)
@@ -164,34 +152,18 @@ def circle_jet(radius: float, t) -> CurveJet:
     return CurveJet(t=t, d1=d1, d2=d2)
 
 
-def _circle_radius(radius: float) -> None:
-    if not (0 < radius < math.inf):
-        raise ValueError(f"circle needs a finite radius > 0, got {radius!r}")
-
-
-def _in_range(curve: str, t, phase, d2=None) -> None:
-    """Raise unless the phase of a closed-form curve, and the second
-    derivative d2 of a jet, are finite at every t; name the first bad t."""
-    finite = np.isfinite(phase)
-    what = "the phase"
-    if d2 is not None:
-        finite = finite & np.isfinite(d2).all(axis=-1)
-        what += " or the second derivative"
-    bad = np.flatnonzero(~finite)
+def _in_range(curve: str, t, phase, d2) -> None:
+    """Raise unless the phase of a closed-form jet and its second derivative
+    d2 are finite at every t; name the first bad t."""
+    bad = np.flatnonzero(~(np.isfinite(phase) & np.isfinite(d2).all(axis=-1)))
     if bad.size:
-        raise ValueError(f"{curve} out of range: {what} overflows at "
-                         f"t={np.ravel(t)[bad[0]].item()!r}")
-
-
-def helix_position(a: float, b: float, t: float) -> np.ndarray:
-    """Point of the unit-speed helix (a cos wt, a sin wt, b w t), w = 1/sqrt(a^2+b^2)."""
-    w, t = _helix_rate(a, b), float(t)
-    _in_range(f"helix a={a!r}, b={b!r}", t, w * t)
-    return np.array([a * math.cos(w * t), a * math.sin(w * t), b * w * t])
+        raise ValueError(f"{curve} out of range: the phase or the second derivative "
+                         f"overflows at t={np.ravel(t)[bad[0]].item()!r}")
 
 
 def helix_jet(a: float, b: float, t) -> CurveJet:
-    """Exact jet of the unit-speed helix; K = a / (a^2 + b^2)."""
+    """Exact jet of the unit-speed helix (a cos wt, a sin wt, b w t),
+    w = 1/sqrt(a^2 + b^2); K = a / (a^2 + b^2)."""
     w = _helix_rate(a, b)
     with np.errstate(all="ignore"):
         wt = w * np.asarray(t, dtype=float)

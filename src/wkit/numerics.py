@@ -1,22 +1,19 @@
 """Compensated floating-point kernels.
 
 Dekker's error-free product (Veltkamp splitting) and the compensated 2x2
-determinant built on it: Kahan's algorithm in the symmetric form of
-Cornea, Harrison and Tang, with both products error-free. All are
-branch-free and work elementwise on numpy arrays, so the same code serves
-single vectors and large batches.
+determinant a*d - b*c built on it: Kahan's algorithm in the symmetric form
+of Cornea, Harrison and Tang, with both products error-free. It returns
+(p1 - p2) + (e1 - e2), where p1 + e1 = a*d and p2 + e2 = b*c exactly: about
+one ulp from the exact value, exactly antisymmetric in its two products,
+and exactly 0 when a*d = b*c. Both are branch-free and work elementwise on
+numpy arrays.
 
 The one consumer is the bivector G = u v^T - v u^T in ``vectors``: its
 entries u_i v_j - u_j v_i cancel almost completely for nearly collinear
-pairs, and plain float64 then keeps none of their digits. ``det2`` keeps
-each entry accurate to about one ulp, which is what the direction of the
-conormal G v needs.
-
-Veltkamp's split of a double is a fixed function of that double, so the
-kernel splits each coordinate of a stack once, with ``split``, and builds
-every entry of G from the parts through ``_det2``. ``two_prod`` and
-``det2`` split their operands and run the same code, so they give the
-kernel's bits.
+pairs, and plain float64 then keeps none of their digits. Veltkamp's split
+of a double is a fixed function of that double, so the kernel splits each
+coordinate of a stack once, with ``split``, and builds every entry of G
+from the parts through ``_det2``.
 """
 
 from __future__ import annotations
@@ -35,7 +32,9 @@ def split(a):
 
 
 def _two_prod(a, ah, al, b, bh, bl):
-    """``two_prod`` of a and b from their splits a = ah + al, b = bh + bl."""
+    """Error-free product (p, e) of a and b from their splits a = ah + al,
+    b = bh + bl: p = fl(a*b) and p + e = a*b exactly, unless a product
+    underflows."""
     # ((ah*bh - p) + ah*bl + al*bh) + al*bl, in that order, with fewer
     # temporaries: the in-place form gives the same bits.
     p = a * b
@@ -46,29 +45,11 @@ def _two_prod(a, ah, al, b, bh, bl):
     return p, e
 
 
-def two_prod(a, b):
-    """Error-free product: returns (p, e) with p = fl(a*b) and p + e = a*b exactly.
-
-    Exact unless a product underflows; the split overflows above ~2**996.
-    """
-    return _two_prod(a, *split(a), b, *split(b))
-
-
 def _det2(a, b, c, d):
-    """``det2`` of operands given as split triples (x, hi, lo)."""
+    """Compensated a*d - b*c of operands given as split triples (x, hi, lo)."""
     p1, e1 = _two_prod(*a, *d)
     p2, e2 = _two_prod(*b, *c)
     p1 -= p2
     e1 -= e2
     p1 += e1
     return p1
-
-
-def det2(a, b, c, d):
-    """Determinant a*d - b*c of [[a, b], [c, d]], compensated.
-
-    With p1 + e1 = a*d and p2 + e2 = b*c exactly, returns
-    (p1 - p2) + (e1 - e2): accurate to about one ulp of the result, exactly
-    antisymmetric in its two products, and exactly 0 when a*d = b*c.
-    """
-    return _det2(*((x, *split(x)) for x in (a, b, c, d)))

@@ -52,6 +52,8 @@ _CHUNK_PAIRS = _BATCH_ROWS // _STRESS_PERIOD * _STRESS_PERIOD * len(_DIMS)
 # Pairs per rng.integers call of the exact sweep. A block's coordinates live as
 # Python ints until its last pair is checked (4,096 pairs cost ~4 MB of RSS).
 _EXACT_BLOCK = 256
+# Bound on the numerators' magnitude and on the denominators of the exact sweep's coordinates.
+_EXACT_MAX = 10**6
 
 
 def pair_stacks(count: int, seed: int = 0) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
@@ -176,27 +178,28 @@ class ExactSweepResult:
 
 
 def random_rational_pairs(
-    count: int, seed: int = 0, max_magnitude: int = 10**6
+    count: int, seed: int = 0
 ) -> Iterator[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]]:
-    """Deterministic planar pairs with Fraction coordinates, |num| and den <= max_magnitude.
+    """Deterministic planar pairs with Fraction coordinates, |num| and den <= 10**6.
 
     Per pair the stream holds four numerators, then four denominators; one
     ``rng.integers`` call with per-element bounds draws a block of pairs.
     """
     rng = np.random.default_rng(seed)
-    low = np.tile(np.repeat([-max_magnitude, 1], 4), _EXACT_BLOCK)
+    low = np.tile(np.repeat([-_EXACT_MAX, 1], 4), _EXACT_BLOCK)
     for first in range(0, count, _EXACT_BLOCK):
         n = min(_EXACT_BLOCK, count - first)
-        block = rng.integers(low[:8 * n], max_magnitude + 1).reshape(n, 8).tolist()
+        block = rng.integers(low[:8 * n], _EXACT_MAX + 1).reshape(n, 8).tolist()
         for x0, y0, x1, y1, a0, b0, a1, b1 in block:
             yield (Fraction(x0, a0), Fraction(y0, b0)), (Fraction(x1, a1), Fraction(y1, b1))
 
 
-def run_exact_sweep(count: int, seed: int = 0, max_magnitude: int = 10**6) -> ExactSweepResult:
-    """Verify the exact residual is the zero of Q[sqrt(3)] on random rational pairs."""
+def run_exact_sweep(count: int, seed: int = 0) -> ExactSweepResult:
+    """Verify the exact residual is the zero of Q[sqrt(3)] on random rational
+    pairs whose coordinates have |numerator| and denominator <= 10**6."""
     nonzero = 0
     first_pair = first_residual = None
-    for i, (u, v) in enumerate(random_rational_pairs(count, seed, max_magnitude)):
+    for i, (u, v) in enumerate(random_rational_pairs(count, seed)):
         residual = verify_exact(u, v)
         if residual:
             if not nonzero:

@@ -74,8 +74,8 @@ def _plane(u: np.ndarray, v: np.ndarray):
     """Wedge, conormal and degenerate flag of each row of two (..., d) stacks.
 
     Builds the upper entries G_ij = u_i v_j - u_j v_i (i < j) of the
-    bivector once, with ``det2``'s arithmetic on coordinates split once per
-    call (``numerics.split``), so each G_ij has ``det2``'s bits. The wedge
+    bivector once, as compensated determinants (``numerics._det2``) of
+    coordinates split once per call (``numerics.split``). The wedge
     is sqrt(sum G_ij^2). Since G v = |v|^2 w, with w the part of u
     orthogonal to v, the conormal is c = -|v| G v/|G v|, and G v has
     condition number O(1). A row is degenerate when

@@ -5,6 +5,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from wkit.numerics import _det2, _two_prod, split
 from wkit.sweeps import pair_stacks
 from wkit.weitzenboeck import Triangle
 
@@ -37,6 +38,23 @@ INTEGER_TRIANGLES = st.one_of(
     st.sampled_from([(3, 4, 5), (2, 2, 3), (1, 1, 1), (7, 7, 7)]),
     st.tuples(*[st.integers(1, 1000)] * 3).filter(lambda t: 2 * max(t) < sum(t)),
 )
+
+
+def two_prod(a, b):
+    """Error-free product (p, e) of the kernel: p + e = a*b exactly."""
+    return _two_prod(a, *split(a), b, *split(b))
+
+
+def det2(a, b, c, d):
+    """Compensated a*d - b*c, with the kernel's bits for the kernel's operands."""
+    return _det2(*((x, *split(x)) for x in (a, b, c, d)))
+
+
+def helix_position(a, b, t):
+    """Point of the unit-speed helix (a cos wt, a sin wt, b w t), w = 1/sqrt(a^2 + b^2);
+    b = 0 gives the circle of radius a."""
+    w = 1.0 / math.hypot(a, b)
+    return np.array([a * math.cos(w * t), a * math.sin(w * t), b * w * t])
 
 
 def power_of_two_range(values):

@@ -9,9 +9,9 @@ import math
 
 import numpy as np
 import pytest
-from samples import random_triangles
+from samples import helix_position, random_triangles
 
-from wkit.curves import circle_jet, circle_position, helix_jet, helix_position, jet_from_samples, curvature_bound_report
+from wkit.curves import circle_jet, helix_jet, jet_from_samples, curvature_bound_report
 from wkit.shape_space import (
     EQUILATERAL_TANGENT,
     INTERIOR,
@@ -73,7 +73,7 @@ def test_criterion_2_identity_sweep(identity_sweep):
 
 
 def test_criterion_3_exact_verification():
-    res = run_exact_sweep(1000, seed=0, max_magnitude=10**6)
+    res = run_exact_sweep(1000, seed=0)
     _report(
         "criterion 3 (bit-exact Q[sqrt(3)] residuals, 1e3 rational pairs)",
         res.passed,
@@ -169,7 +169,7 @@ def test_criterion_7_curvature_bound():
     worst_fd = 0.0
     for radius in (0.5, 1.0, 2.0, 10.0):
         ts = np.array([-h, 0.0, h])
-        pos = np.stack([circle_position(radius, t) for t in ts])
+        pos = np.stack([helix_position(radius, 0.0, t) for t in ts])
         jet = jet_from_samples(ts, pos, 1)
         k = math.sqrt(float(np.cross(jet.d1, jet.d2) @ np.cross(jet.d1, jet.d2)))
         worst_fd = max(worst_fd, abs(k - 1.0 / radius))

@@ -97,8 +97,9 @@ class TestDefect:
 
     def test_scaled_equilateral_sides_are_equality(self):
         # The placement of the triangle is computed at unit scale: at 1e-170
-        # its squares underflow, at 1e160 lhs overflows (exit 1).
-        for side, code in (("1e-170", 0), ("1e160", 1)):
+        # its squares underflow, at 3e-320 and 5e-324 the placement itself
+        # would be subnormal, at 1e160 lhs overflows (exit 1).
+        for side, code in (("1e-170", 0), ("3e-320", 0), ("5e-324", 0), ("1e160", 1)):
             r = run_cli("defect", "--sides", side, side, side)
             assert r.returncode == code
             assert r.stderr == ""
@@ -625,7 +626,7 @@ class TestCurve:
         r = run_cli("curve", "--builtin", "circle:2")
         assert r.returncode == 2
 
-    # the last range is finite, but its span overflows
+    # the last range is finite, but holds about 2e308 samples
     @pytest.mark.parametrize("trange", ["0:inf:1", "0:1:inf", "nan:1:0.1", "-1e308:1e308:1"])
     def test_non_finite_range_rejected(self, trange):
         r = run_cli("curve", "--builtin", "line", f"--t={trange}")
@@ -650,6 +651,17 @@ class TestCurve:
         monkeypatch.undo()
         with pytest.raises(ValueError, match="more than"):
             cli._parse_trange("0:1e9:1e-9")
+
+    def test_range_wider_than_the_float_span(self):
+        # stop - start and 2*step overflow, but the range has three samples.
+        r = run_cli("curve", "--builtin", "line", "--t=-1e308:1e308:1e308", "--format", "json")
+        assert (r.returncode, r.stderr) == (0, "")
+        assert [row["t"] for row in json.loads(r.stdout)["rows"]] == [-1e308, 0.0, 1e308]
+        # A finite span keeps the bits of start + k*step.
+        for text in ("0:1:0.1", "-5:5:0.3", "1e-320:1e-319:1e-321", "-1e308:0:3e302"):
+            start, _, step = map(float, text.split(":"))
+            values = cli._parse_trange(text)
+            assert values == [start + k * step for k in range(len(values))]
 
     def test_stacked_unit_speed_error_names_first_row(self, tmp_path):
         path = tmp_path / "late.csv"

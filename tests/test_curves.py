@@ -3,14 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from samples import helix_position
 
 from wkit.curves import (
     CurveJet,
     builtin_curve,
     circle_jet,
-    circle_position,
     helix_jet,
-    helix_position,
     jet_from_samples,
     line_jet,
     read_curve_csv,
@@ -79,31 +78,35 @@ class TestBuiltinJets:
         assert str(exc.value) == message
 
     # The phase t/R or w*t overflows, or is inf*0 = NaN: one error naming the
-    # curve and t, no NaN position and no warning (the test run turns a
+    # curve and t, no NaN jet and no warning (the test run turns a
     # RuntimeWarning into an error).
-    @pytest.mark.parametrize("position, args, message", [
-        (helix_position, (1e-310, 0.0, 0.0), "helix a=1e-310, b=0.0 out of range: "
-         "the phase overflows at t=0.0"),
-        (helix_position, (1e-310, 0.0, 1.0), "helix a=1e-310, b=0.0 out of range: "
-         "the phase overflows at t=1.0"),
-        (circle_position, (1e-310, 1.0), "circle radius 1e-310 out of range: "
-         "the phase overflows at t=1.0"),
-        (circle_position, (1e-300, 1e10), "circle radius 1e-300 out of range: "
-         "the phase overflows at t=10000000000.0"),
-        (circle_position, (np.float64(1e-300), np.float64(1e10)),
-         f"circle radius {np.float64(1e-300)!r} out of range: the phase overflows at t=10000000000.0"),
+    @pytest.mark.parametrize("jet, args, message", [
+        (helix_jet, (1e-310, 0.0, 0.0), "helix a=1e-310, b=0.0 out of range: "
+         "the phase or the second derivative overflows at t=0.0"),
+        (helix_jet, (1e-310, 0.0, 1.0), "helix a=1e-310, b=0.0 out of range: "
+         "the phase or the second derivative overflows at t=1.0"),
+        (circle_jet, (1e-310, 1.0), "circle radius 1e-310 out of range: "
+         "the phase or the second derivative overflows at t=1.0"),
+        (circle_jet, (1e-300, 1e10), "circle radius 1e-300 out of range: "
+         "the phase or the second derivative overflows at t=10000000000.0"),
+        (circle_jet, (np.float64(1e-300), np.float64(1e10)),
+         f"circle radius {np.float64(1e-300)!r} out of range: "
+         "the phase or the second derivative overflows at t=10000000000.0"),
     ], ids=["helix-nan-phase", "helix-inf-phase", "circle-tiny-radius", "circle-huge-t",
             "circle-numpy-scalars"])
-    def test_position_out_of_range_rejected(self, position, args, message):
+    def test_position_out_of_range_rejected(self, jet, args, message):
         with pytest.raises(ValueError) as exc:
-            position(*args)
+            jet(*args)
         assert str(exc.value) == message
 
     def test_tiny_radius_in_range(self):
-        # The phase t/R = 1 is finite, so the position is returned.
-        expected = [1e-300 * math.cos(1.0), 1e-300 * math.sin(1.0), 0.0]
-        assert circle_position(1e-300, 1e-300).tolist() == expected
-        assert helix_position(1e-300, 0.0, 1e-300).tolist() == pytest.approx(expected, rel=1e-15)
+        # The phase t/R = 1 and the second derivative, of size 1/R, are
+        # finite, so the jet is returned.
+        d1 = [-math.sin(1.0), math.cos(1.0), 0.0]
+        d2 = [-math.cos(1.0) / 1e-300, -math.sin(1.0) / 1e-300, 0.0]
+        for jet in (circle_jet(1e-300, 1e-300), helix_jet(1e-300, 0.0, 1e-300)):
+            np.testing.assert_allclose(jet.d1, d1, rtol=1e-15)
+            np.testing.assert_allclose(jet.d2, d2, rtol=1e-15)
 
 
 class TestCurvature:
@@ -245,7 +248,7 @@ class TestCurvatureBoundReport:
             d1 /= math.sqrt(float(d1 @ d1))
             d2 = rng.normal(size=3) * rng.uniform(0, 3)
             rep = curvature_bound_report(CurveJet(t=0.0, d1=d1, d2=d2), 1e-9)
-            assert rep.defect == pytest.approx(rep.defect_intrinsic, abs=1e-9)
+            assert rep.defect == pytest.approx(rep.rhs_bound - 2 * SQRT3 * rep.curvature, abs=1e-9)
 
 
 class TestJetFromSamples:
@@ -255,7 +258,7 @@ class TestJetFromSamples:
 
     def test_circle_derivatives(self):
         h = 1e-3
-        ts, pos = self._sample(lambda t: circle_position(2.0, t), [-h, 0.0, h])
+        ts, pos = self._sample(lambda t: helix_position(2.0, 0.0, t), [-h, 0.0, h])
         j = jet_from_samples(ts, pos, 1)
         np.testing.assert_allclose(j.d1, [0, 1, 0], atol=1e-6)
         np.testing.assert_allclose(j.d2, [-0.5, 0, 0], atol=1e-3)
@@ -278,7 +281,7 @@ class TestJetFromSamples:
         # halving h shrinks the curvature error ~4x (O(h^2))
         errors = []
         for h in (2e-3, 1e-3):
-            ts, pos = self._sample(lambda t: circle_position(1.0, t), [-h, 0.0, h])
+            ts, pos = self._sample(lambda t: helix_position(1.0, 0.0, t), [-h, 0.0, h])
             j = jet_from_samples(ts, pos, 1)
             errors.append(abs(curvature_bound_report(j).curvature - 1.0))
         assert errors[1] < errors[0] / 3.0

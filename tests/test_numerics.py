@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import numpy as np
+from samples import det2, two_prod
 
-from wkit.numerics import det2, split, two_prod
+from wkit.numerics import split
 
 EPS = float(np.finfo(float).eps)
 

@@ -312,10 +312,10 @@ def test_exact_sweep_fails_every_pair_with_the_quarter_turn_flipped(monkeypatch)
 
 
 def test_rational_pair_bounds():
-    for u, v in random_rational_pairs(50, seed=0, max_magnitude=1000):
+    for u, v in random_rational_pairs(50, seed=0):
         for coord in (*u, *v):
-            assert abs(coord.numerator) <= 1000 * 1000
-            assert 1 <= coord.denominator <= 1000
+            assert abs(coord.numerator) <= 10**6
+            assert 1 <= coord.denominator <= 10**6
 
 
 def test_random_triangles_valid_and_deterministic():

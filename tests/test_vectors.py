@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from samples import det2
 
 from wkit import vectors
-from wkit.numerics import det2
 from wkit.vectors import (
     SQRT3,
     perp_rotate,
