@@ -20,6 +20,7 @@ import numpy as np
 from .curves import (
     ANALYTIC_SPEED_TOL,
     SAMPLED_SPEED_TOL,
+    _row_blocks,
     builtin_curve,
     jet_from_samples,
     read_curve_csv,
@@ -181,7 +182,12 @@ def _parse_trange(text: str) -> list[float]:
     if not steps < MAX_CURVE_SAMPLES:
         raise ValueError(f"bad range {text!r}: more than {MAX_CURVE_SAMPLES} samples")
     n = int(math.floor(steps)) + 1
-    return [(start + k * step) / h for k in range(n)]
+    values = [(start + k * step) / h for k in range(n)]
+    # The 1e-9 slack admits a last sample just above STOP, such as the
+    # 0.30000000000000004 of 0:0.3:0.1; at the top of the float range it is inf.
+    if not math.isfinite(values[-1]):
+        values.pop()
+    return values
 
 
 def cmd_curve(args) -> int:
@@ -198,6 +204,7 @@ def cmd_curve(args) -> int:
         with open(args.input, encoding="utf-8") as fh:
             ts, pos = read_curve_csv(fh)
         jet = jet_from_samples(ts, pos, range(1, len(ts) - 1))
+        del ts, pos  # the jet holds copies; the samples need not outlive it
 
     rep = curvature_bound_report(jet, unit_tol)
     max_residual = abs(rep.residual).max().item()
@@ -209,7 +216,8 @@ def cmd_curve(args) -> int:
     finite = all(np.isfinite(c).all() for c in columns)
     clean = finite and max_residual <= budget and violations == 0
 
-    rows = zip(*(c.tolist() for c in columns))
+    # Each block becomes Python objects only while it is written.
+    blocks = (zip(*(c[rows].tolist() for c in columns)) for rows in _row_blocks(len(jet.t)))
     summary = [
         ("samples", len(jet.t)),
         ("max_abs_residual", max_residual),
@@ -217,16 +225,21 @@ def cmd_curve(args) -> int:
         ("inequality_violations", violations),
         ("result", "pass" if clean else "fail"),
     ]
+    write = sys.stdout.write
     if args.format == "json":
-        # json.dumps runs the C encoder; json.dump would run the Python one.
-        print(json.dumps({
-            "rows": [dict(zip(_CURVE_HEADER, row)) for row in rows],
-            "summary": dict(summary),
-        }))
+        # The bytes of json.dumps({"rows": [...], "summary": {...}}), one
+        # block of rows at a time; json.dumps runs the C encoder, json.dump
+        # would run the Python one.
+        write('{"rows": [')
+        for i, block in enumerate(blocks):
+            write(", " * (i > 0) + json.dumps([dict(zip(_CURVE_HEADER, row)) for row in block])[1:-1])
+        write(f'], "summary": {json.dumps(dict(summary))}}}\n')
     else:
         sep, head, cell = _CURVE_TABLES[args.format]
-        sys.stdout.write(sep.join(map(head.format, _CURVE_HEADER)) + "\n")
-        sys.stdout.writelines(map((sep.join([cell] * len(_CURVE_HEADER)) + "\n").__mod__, rows))
+        row = (sep.join([cell] * len(_CURVE_HEADER)) + "\n").__mod__
+        write(sep.join(map(head.format, _CURVE_HEADER)) + "\n")
+        for block in blocks:
+            sys.stdout.writelines(map(row, block))
         # CSV stdout holds the table alone, so its summary goes to stderr.
         _emit_pairs(summary, "text", sys.stderr if args.format == "csv" else sys.stdout)
     return 0 if clean else 1

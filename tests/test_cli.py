@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from samples import INTEGER_TRIANGLES, power_of_two_range
 
-from wkit import cli, sweeps
+from wkit import cli, curves, sweeps
 from wkit.qsqrt3 import QSqrt3
 from wkit.weitzenboeck import verify_identity
 
@@ -662,6 +662,80 @@ class TestCurve:
             start, _, step = map(float, text.split(":"))
             values = cli._parse_trange(text)
             assert values == [start + k * step for k in range(len(values))]
+
+    def test_range_never_samples_inf(self):
+        # STOP/STEP is just below 2: the slack of the count admits a third
+        # sample, 2*STEP, which overflows. Below the top of the float range
+        # the sample above STOP stays.
+        r = run_cli("curve", "--builtin", "line",
+                    "--t=0:1.7976931348623157e308:8.988465675435827e+307", "--format", "json")
+        assert (r.returncode, r.stderr) == (0, "")
+        assert [row["t"] for row in json.loads(r.stdout)["rows"]] == [0.0, 8.988465675435826e+307]
+        assert cli._parse_trange("0:0.3:0.1") == [0.0, 0.1, 0.2, 0.30000000000000004]
+
+    # 1,201 builtin rows and 1,098 sampled jets: the last block is partial
+    # at each size, 1024 being the default.
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_output_does_not_depend_on_block_size(self, fmt, tmp_path, monkeypatch):
+        path = tmp_path / "helix.csv"
+        _write_helix_csv(path, seed=3, n=1100)
+        for args in (["--builtin", "helix:1:3", "--t", "0:12:0.01"], ["--input", str(path)]):
+            runs = []
+            for rows in (1, 3, curves._BLOCK_ROWS):
+                monkeypatch.setattr(curves, "_BLOCK_ROWS", rows)
+                runs.append(run_cli("curve", *args, "--format", fmt))
+            assert runs[0].returncode == 0, runs[0].stderr
+            assert all((r.returncode, r.stdout, r.stderr) == (0, runs[0].stdout, runs[0].stderr)
+                       for r in runs)
+
+    # 3,073 rows: at block sizes 1, 3 and 1024 the last row is alone in the
+    # last block, and the t of row 3,073 is the first after a block boundary.
+    @pytest.mark.parametrize("last, message", [
+        ("30.72,1,2", "malformed CSV at row 3073: expected 4 fields, got 3"),
+        ("30.72,nan,0,0", "malformed CSV at row 3073: non-finite value in '30.72,nan,0,0'"),
+        ("30.71,0,0,0", "parameter not strictly increasing at row 3073"),
+        ("30.72,3,0,0", "unit-speed violated at t=30.71: | |d1| - 1 | = "),
+    ], ids=["fields", "non-finite", "not-increasing", "unit-speed"])
+    def test_error_in_the_last_block(self, last, message, tmp_path, monkeypatch):
+        path = tmp_path / "late.csv"
+        path.write_text("t,x,y,z\n" + "".join(f"{k / 100!r},{k / 100!r},0,0\n" for k in range(3072))
+                        + last + "\n")
+        for rows in (1, 3, curves._BLOCK_ROWS):
+            monkeypatch.setattr(curves, "_BLOCK_ROWS", rows)
+            r = run_cli("curve", "--input", str(path))
+            assert (r.returncode, r.stdout) == (2, "")
+            assert r.stderr.startswith(f"error: {message}") and r.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("source", ["builtin", "input"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_curve_memory_bounded_by_block(self, source, fmt, tmp_path):
+        # The jet's t, d1, d2 and unit-speed residual and the report's four
+        # columns are whole arrays, 96 bytes a jet; building them, and the
+        # violation count over them, take at most half as much again in
+        # whole-column temporaries. The table is written a block at a time.
+        # (Rows turned into Python objects all at once cost 350-910 bytes a
+        # jet.)
+        jet_bytes = (1 + 3 + 3 + 1 + 4) * 8
+        argv = {}
+        for jets in (1_000, 10_000):
+            if source == "builtin":
+                argv[jets] = ["--builtin", "helix:1:3", "--t", f"0:{(jets - 1) / 100}:0.01"]
+            else:
+                _write_helix_csv(tmp_path / f"{jets}.csv", seed=5, n=jets + 2)
+                argv[jets] = ["--input", str(tmp_path / f"{jets}.csv")]
+        peaks = []
+        with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+            cli.main(["curve", *argv[1_000], "--format", fmt])
+            tracemalloc.start()
+            try:
+                for jets in (1_000, 10_000):
+                    tracemalloc.reset_peak()
+                    base = tracemalloc.get_traced_memory()[0]
+                    assert cli.main(["curve", *argv[jets], "--format", fmt]) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 9_000 < 1.5 * jet_bytes, peaks
 
     def test_stacked_unit_speed_error_names_first_row(self, tmp_path):
         path = tmp_path / "late.csv"
