@@ -164,7 +164,7 @@ def cmd_shape(args) -> int:
     return 0 if finite else 1
 
 
-def _parse_trange(text: str) -> list[float]:
+def _parse_trange(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"bad range {text!r}: expected START:STOP:STEP")
@@ -182,12 +182,11 @@ def _parse_trange(text: str) -> list[float]:
     if not steps < MAX_CURVE_SAMPLES:
         raise ValueError(f"bad range {text!r}: more than {MAX_CURVE_SAMPLES} samples")
     n = int(math.floor(steps)) + 1
-    values = [(start + k * step) / h for k in range(n)]
+    with np.errstate(over="ignore"):
+        values = (start + step * np.arange(n)) / h
     # The 1e-9 slack admits a last sample just above STOP, such as the
     # 0.30000000000000004 of 0:0.3:0.1; at the top of the float range it is inf.
-    if not math.isfinite(values[-1]):
-        values.pop()
-    return values
+    return values if np.isfinite(values[-1]) else values[:-1]
 
 
 def cmd_curve(args) -> int:

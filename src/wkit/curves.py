@@ -256,24 +256,35 @@ def jet_from_samples(ts, positions, i) -> CurveJet:
         raise ValueError("need at least 3 samples for central differences")
     if pos.shape != (n, 3):
         raise ValueError(f"positions must have shape ({n}, 3), got {pos.shape}")
-    steps = np.diff(ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(ts)
     # Both checks are written so that a NaN step fails them.
     if not np.all(steps > 0):
         raise ValueError("parameter values must be strictly increasing")
+
+    def step(k):
+        return f"the step from t={ts[k].item()!r} to t={ts[k + 1].item()!r}"
+
+    wide = np.flatnonzero(np.isinf(steps))
+    if wide.size:
+        raise ValueError(f"{step(wide[0])} exceeds the float range")
     h = float(steps[0])
     uneven = np.flatnonzero(~(np.abs(steps - h) <= 1e-9 * h))
     if uneven.size:
-        k = uneven[0]
-        raise ValueError(
-            f"sample spacing must be uniform to 1e-9 relative: the step from "
-            f"t={ts[k].item()!r} to t={ts[k + 1].item()!r} differs from the first, {h!r}"
-        )
+        raise ValueError(f"sample spacing must be uniform to 1e-9 relative: "
+                         f"{step(uneven[0])} differs from the first, {h!r}")
     i = np.asarray(i)
     outside = i[(i < 1) | (i > n - 2)]
     if outside.size:
         raise ValueError(f"index {outside.flat[0]} has no two neighbours in 0..{n - 1}")
-    d1 = (pos[i + 1] - pos[i - 1]) / (2.0 * h)
-    d2 = (pos[i + 1] - 2.0 * pos[i] + pos[i - 1]) / (h * h)
+    # The differences are taken on the curve scaled by 2**-e, which brings h
+    # into [1/2, 1): d1 keeps its value and d2 is scaled back once, so 2*p and
+    # h*h cannot over- or underflow alone; CurveJet rejects what is not finite.
+    e = _exponent(h)
+    hs, p = _scale(h, -e), _scale(pos, -e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = (p[i + 1] - p[i - 1]) / (2.0 * hs)
+        d2 = _scale((p[i + 1] - 2.0 * p[i] + p[i - 1]) / (hs * hs), -e)
     return CurveJet(t=ts[i], d1=d1, d2=d2)
 
 

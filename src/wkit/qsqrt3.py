@@ -14,8 +14,6 @@ import math
 import operator
 from fractions import Fraction
 
-_RationalLike = int | Fraction | str
-
 
 def _coerce(x) -> Fraction:
     if type(x) is Fraction:
@@ -28,11 +26,11 @@ def _coerce(x) -> Fraction:
 
 
 class QSqrt3:
-    """Exact element a + b*sqrt(3) of Q[sqrt(3)]."""
+    """Exact element a + b*sqrt(3) of Q[sqrt(3)]; +, - and * combine two elements."""
 
     __slots__ = ("_a", "_b")
 
-    def __init__(self, a: _RationalLike = 0, b: _RationalLike = 0) -> None:
+    def __init__(self, a=0, b=0) -> None:
         self._a = _coerce(a)
         self._b = _coerce(b)
 
@@ -65,42 +63,22 @@ class QSqrt3:
     def __bool__(self) -> bool:
         return bool(self._a) or bool(self._b)
 
-    def __neg__(self) -> "QSqrt3":
-        return QSqrt3(-self._a, -self._b)
-
     def __add__(self, other) -> "QSqrt3":
-        other = self._lift(other)
-        if other is NotImplemented:
+        if not isinstance(other, QSqrt3):
             return NotImplemented
         return QSqrt3(self._a + other._a, self._b + other._b)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "QSqrt3":
-        other = self._lift(other)
-        if other is NotImplemented:
+        if not isinstance(other, QSqrt3):
             return NotImplemented
         return QSqrt3(self._a - other._a, self._b - other._b)
 
-    def __rsub__(self, other) -> "QSqrt3":
-        return (-self) + other
-
     def __mul__(self, other) -> "QSqrt3":
         # (a + b*s)(c + d*s) = (ac + 3bd) + (ad + bc)*s, with s**2 = 3.
-        other = self._lift(other)
-        if other is NotImplemented:
+        if not isinstance(other, QSqrt3):
             return NotImplemented
         a, b, c, d = self._a, self._b, other._a, other._b
         return QSqrt3(a * c + 3 * b * d, a * d + b * c)
-
-    __rmul__ = __mul__
-
-    def _lift(self, other):
-        if isinstance(other, QSqrt3):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QSqrt3(other, 0)
-        return NotImplemented
 
     def sign(self) -> int:
         """Exact sign of the real number a + b*sqrt(3), without floats.

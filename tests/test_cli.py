@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from samples import INTEGER_TRIANGLES, power_of_two_range
 
@@ -660,7 +661,7 @@ class TestCurve:
         # A finite span keeps the bits of start + k*step.
         for text in ("0:1:0.1", "-5:5:0.3", "1e-320:1e-319:1e-321", "-1e308:0:3e302"):
             start, _, step = map(float, text.split(":"))
-            values = cli._parse_trange(text)
+            values = cli._parse_trange(text).tolist()
             assert values == [start + k * step for k in range(len(values))]
 
     def test_range_never_samples_inf(self):
@@ -671,7 +672,7 @@ class TestCurve:
                     "--t=0:1.7976931348623157e308:8.988465675435827e+307", "--format", "json")
         assert (r.returncode, r.stderr) == (0, "")
         assert [row["t"] for row in json.loads(r.stdout)["rows"]] == [0.0, 8.988465675435826e+307]
-        assert cli._parse_trange("0:0.3:0.1") == [0.0, 0.1, 0.2, 0.30000000000000004]
+        assert cli._parse_trange("0:0.3:0.1").tolist() == [0.0, 0.1, 0.2, 0.30000000000000004]
 
     # 1,201 builtin rows and 1,098 sampled jets: the last block is partial
     # at each size, 1024 being the default.
@@ -755,6 +756,107 @@ class TestCurve:
         r = run_cli("curve", "--input", str(path))
         assert r.returncode == 2
         assert "from t=0.2 to t=0.35" in r.stderr
+
+    # A step beyond the float range, first or later, and a second difference
+    # of positions at +-1.7e308 that overflows: one error line, and no
+    # warning (run_cli turns a RuntimeWarning into an exception).
+    @pytest.mark.parametrize("rows, message", [
+        (["-1e308,0,0,0", "1e308,0,0,0", "1.5e308,0,0,0"],
+         "the step from t=-1e+308 to t=1e+308 exceeds the float range"),
+        (["-1.7e308,0,0,0", "-1.6e308,0,0,0", "1e308,0,0,0"],
+         "the step from t=-1.6e+308 to t=1e+308 exceeds the float range"),
+        (["0,-1.7e308,0,0", "1,1.7e308,0,0", "2,-1.7e308,0,0"], "d2 has non-finite coordinates"),
+    ], ids=["first-step", "later-step", "positions"])
+    def test_overflowing_grid_rejected(self, rows, message, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("t,x,y,z\n" + "".join(row + "\n" for row in rows))
+        r = run_cli("curve", "--input", str(path))
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+
+    # Lines x = t whose h*h underflows, whose 2*x overflows, or whose step is
+    # near the top of the float range: the differences are taken at the unit
+    # scale of h.
+    @pytest.mark.parametrize("ts", [(0.0, 1e-200, 2e-200), (0.0, 5e-324, 1e-323),
+                                    (2.0**1022, 2.0**1023, 3 * 2.0**1022),
+                                    (-1.7e308, 0.0, 1.7e308)],
+                             ids=["tiny", "subnormal", "huge-positions", "huge-step"])
+    def test_extreme_steps_of_a_line_pass(self, ts, tmp_path):
+        path = tmp_path / "line.csv"
+        path.write_text("t,x,y,z\n" + "".join(f"{t!r},{t!r},0,0\n" for t in ts))
+        r = run_cli("curve", "--input", str(path), "--format", "json")
+        assert (r.returncode, r.stderr) == (0, "")
+        [row] = json.loads(r.stdout)["rows"]
+        assert (row["t"], row["curvature"], row["residual"]) == (ts[1], 0.0, 0.0)
+
+
+#: Finite doubles from the whole range, subnormals and both zeros included,
+#: and values at its edges.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_EXTREME = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-200, 1.0,
+                            1e200, 1.7e308, -1.7e308, 1.7976931348623157e308])
+_NUMBER = st.one_of(_EXTREME, _FINITE)
+_NON_FINITE = re.compile(r"(?i)\b(nan|inf|infinity)\b")
+
+
+@st.composite
+def _curve_runs(draw):
+    """Arguments of a ``wkit curve`` run, and the CSV rows for ``--input``
+    (None for a builtin spec over a range of a few samples). CSV positions
+    are affine in t or extreme; t and the step cover the whole float range."""
+    step = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    start = draw(st.one_of(_FINITE, st.integers(-3, 3).map(lambda k: k * step)))
+    n = draw(st.integers(1, 5))
+    fmt = ["--format", draw(st.sampled_from(["text", "csv", "json"]))]
+    if draw(st.booleans()):
+        spec = draw(st.one_of(
+            st.sampled_from(["line", "line:0.6,0.8,0", "helix:1:3", "circle:3"]),
+            st.builds("circle:{!r}".format, _NUMBER),
+            st.builds("helix:{!r}:{!r}".format, _NUMBER, _NUMBER),
+            st.builds("line:{!r},{!r},{!r}".format, _NUMBER, _NUMBER, _NUMBER)))
+        trange = f"--t={start!r}:{start + (n - 1) * step!r}:{step!r}"
+        return ["--builtin", spec, trange, *fmt], None
+    ts = [start + k * step for k in range(n + 2)]
+    if draw(st.booleans()):
+        a = draw(st.one_of(st.sampled_from([(1.0, 0.0, 0.0), (0.6, 0.8, 0.0), (0.0, 0.0, -1.0)]),
+                           st.tuples(_NUMBER, _NUMBER, _NUMBER)))
+        b = draw(st.one_of(st.just((0.0, 0.0, 0.0)), st.tuples(_NUMBER, _NUMBER, _NUMBER)))
+        rows = [(t, *(ak * t + bk for ak, bk in zip(a, b))) for t in ts]
+    else:
+        rows = [(t, *draw(st.tuples(_EXTREME, _EXTREME, _EXTREME))) for t in ts]
+    return fmt, rows
+
+
+class TestCurveContract:
+    """Exit 0, 1 or 2 with no traceback or RuntimeWarning (run_cli raises
+    both); an exit 2 prints one error line and nothing else, and a pass
+    prints no nan or inf."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_curve_runs())
+    def test_curve_exit_codes_and_output(self, tmp_path, run):
+        args, rows = run
+        if rows is not None:
+            path = tmp_path / "curve.csv"
+            path.write_text("t,x,y,z\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+            args = ["--input", str(path), *args]
+        r = run_cli("curve", *args)
+        assert r.returncode in (0, 1, 2)
+        if r.returncode == 2:
+            assert r.stdout == "" and r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        if r.returncode == 0:
+            assert not _NON_FINITE.search(r.stdout + r.stderr)
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(-1074, 1023), st.integers(-4, 4), st.integers(3, 6))
+    def test_line_with_power_of_two_step_passes(self, tmp_path, j, m, n):
+        ts = [(m + k) * math.ldexp(1.0, j) for k in range(n)]
+        assume(all(map(math.isfinite, ts)))
+        path = tmp_path / "line.csv"
+        path.write_text("t,x,y,z\n" + "".join(f"{t!r},{t!r},0,0\n" for t in ts))
+        r = run_cli("curve", "--input", str(path))
+        assert (r.returncode, r.stderr) == (0, ""), r.stderr
 
 
 class TestTolerancePlumbing:

@@ -127,6 +127,16 @@ def test_float_coefficients_rejected():
         QSqrt3(0.5, 0)
 
 
+@pytest.mark.parametrize("op", [
+    lambda q: -q, lambda q: 1 + q, lambda q: 2 - q, lambda q: q * 2,
+    lambda q: q + 1, lambda q: q - Fraction(1, 2), lambda q: q * 0.5,
+], ids=["neg", "int-plus", "int-minus", "times-int", "plus-int", "minus-fraction", "times-float"])
+def test_arithmetic_takes_elements_only(op):
+    # Only ==, not +, - or *, reads an int or a Fraction as an element.
+    with pytest.raises(TypeError):
+        op(QSqrt3(1, 2))
+
+
 def test_numpy_integer_coefficients_do_not_wrap():
     # Read as Python ints: int8 arithmetic would give 43 + 88*sqrt(3) here,
     # with a numpy overflow warning.
