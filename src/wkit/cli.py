@@ -45,11 +45,11 @@ _TOL_ENV = "WKIT_TOL"
 #: for; checked on the computed count before anything is allocated.
 MAX_CURVE_SAMPLES = 10**6
 
-#: The columns of ``wkit curve``, and per table format the separator, the
-#: header cell and the value cell, joined into one %-format per row: each
-#: value as its repr, right-aligned to 22 characters in text, bare in CSV.
+#: The columns of ``wkit curve``, and per format the %-format of a row of
+#: values printed by repr (22 wide in text) or, in JSON, by json.dumps.
 _CURVE_HEADER = ["t", "curvature", "rhs_bound", "defect", "residual"]
-_CURVE_TABLES = {"text": ("  ", "{:>22}", "%22r"), "csv": (",", "{}", "%r")}
+_CURVE_ROWS = {"text": "%22s  %22s  %22s  %22s  %22s\n", "csv": "%s,%s,%s,%s,%s\n",
+               "json": '{"t": %s, "curvature": %s, "rhs_bound": %s, "defect": %s, "residual": %s}'}
 
 #: One row of ``wkit shape --figure``: series name, then x and y as repr.
 _FIGURE_ROW = "%s,%r,%r\n"
@@ -186,7 +186,24 @@ def _parse_trange(text: str) -> np.ndarray:
         values = (start + step * np.arange(n)) / h
     # The 1e-9 slack admits a last sample just above STOP, such as the
     # 0.30000000000000004 of 0:0.3:0.1; at the top of the float range it is inf.
-    return values if np.isfinite(values[-1]) else values[:-1]
+    values = values if np.isfinite(values[-1]) else values[:-1]
+    repeats = np.flatnonzero(values[1:] == values[:-1])
+    if repeats.size:
+        raise ValueError(f"bad range {text!r}: t={values[repeats[0]].item()!r} repeats, "
+                         "as STEP is below the float spacing there")
+    return values
+
+
+def _write_rows(columns, dumps, row: str, sep: str, write) -> None:
+    """Write ``row`` of the printed ``columns``, ``sep`` between rows, one
+    string per block. A block prints each distinct value once, told apart by
+    its bits (-0.0 is not 0.0), in one ``dumps`` of their list split at ", "."""
+    for i, rows in enumerate(_row_blocks(len(columns[0]))):
+        block = np.concatenate([c[rows] for c in columns])
+        bits, at = np.unique(block.view(np.int64), return_inverse=True)
+        printed = dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+        cells = np.array(printed, dtype=object)[at].reshape(len(columns), -1)
+        write(sep * (i > 0) + sep.join(map(row.__mod__, zip(*cells.tolist()))))
 
 
 def cmd_curve(args) -> int:
@@ -215,8 +232,6 @@ def cmd_curve(args) -> int:
     finite = all(np.isfinite(c).all() for c in columns)
     clean = finite and max_residual <= budget and violations == 0
 
-    # Each block becomes Python objects only while it is written.
-    blocks = (zip(*(c[rows].tolist() for c in columns)) for rows in _row_blocks(len(jet.t)))
     summary = [
         ("samples", len(jet.t)),
         ("max_abs_residual", max_residual),
@@ -224,21 +239,15 @@ def cmd_curve(args) -> int:
         ("inequality_violations", violations),
         ("result", "pass" if clean else "fail"),
     ]
-    write = sys.stdout.write
+    row, write = _CURVE_ROWS[args.format], sys.stdout.write
     if args.format == "json":
-        # The bytes of json.dumps({"rows": [...], "summary": {...}}), one
-        # block of rows at a time; json.dumps runs the C encoder, json.dump
-        # would run the Python one.
+        # The bytes of json.dumps({"rows": [...], "summary": {...}}).
         write('{"rows": [')
-        for i, block in enumerate(blocks):
-            write(", " * (i > 0) + json.dumps([dict(zip(_CURVE_HEADER, row)) for row in block])[1:-1])
+        _write_rows(columns, json.dumps, row, ", ", write)
         write(f'], "summary": {json.dumps(dict(summary))}}}\n')
     else:
-        sep, head, cell = _CURVE_TABLES[args.format]
-        row = (sep.join([cell] * len(_CURVE_HEADER)) + "\n").__mod__
-        write(sep.join(map(head.format, _CURVE_HEADER)) + "\n")
-        for block in blocks:
-            sys.stdout.writelines(map(row, block))
+        write(row % tuple(_CURVE_HEADER))
+        _write_rows(columns, repr, row, "", write)
         # CSV stdout holds the table alone, so its summary goes to stderr.
         _emit_pairs(summary, "text", sys.stderr if args.format == "csv" else sys.stdout)
     return 0 if clean else 1

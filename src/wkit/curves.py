@@ -51,8 +51,6 @@ def _as_vec3(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim not in (1, 2) or arr.shape[-1] != 3:
         raise ValueError(f"{name} must be a 3-vector or an (n, 3) stack, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has non-finite coordinates")
     return arr
 
 
@@ -80,6 +78,11 @@ class CurveJet:
             raise ValueError(
                 f"jet shapes disagree: t {np.shape(self.t)}, d1 {self.d1.shape}, d2 {self.d2.shape}"
             )
+        finite = [np.isfinite(d).all(axis=-1).ravel() for d in (self.d1, self.d2)]
+        bad = np.flatnonzero(~(finite[0] & finite[1]))
+        if bad.size:
+            raise ValueError(f"d{1 if not finite[0][bad[0]] else 2} has non-finite coordinates "
+                             f"at t={np.ravel(self.t)[bad[0]].item()!r}")
         self.unit_speed_residual = _item(
             np.abs(np.sqrt(np.einsum("...j,...j->...", self.d1, self.d1)) - 1.0)
         )
@@ -204,6 +207,8 @@ def _helix_rate(a: float, b: float) -> float:
 def line_jet(direction, t) -> CurveJet:
     """Exact jet of a unit-speed line; K = 0, second derivative zero."""
     d = _as_vec3(direction, "direction")
+    if not np.isfinite(d).all():
+        raise ValueError("direction has non-finite coordinates")
     if d.ndim != 1:
         raise ValueError(f"line direction must be one 3-vector, got shape {d.shape}")
     norm = math.hypot(*d.tolist())

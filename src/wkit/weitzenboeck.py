@@ -50,8 +50,8 @@ def identity_batch(U, V):
     other, so each is the other's oracle. A row with v = 0 has no plane to
     turn in; there R(0) = 0 and its explicit defect is 2*|u|^2.
     """
-    unit, w, k = _unit_identity(U, V)
-    lhs, _, d_int, d_exp, residual = (_scale(x, 2 * k) for x in unit)
+    (lhs, _, d_int, d_exp, residual), w, k = _unit_identity(U, V)
+    lhs, d_int, d_exp, residual = (_scale(x, 2 * k) for x in (lhs, d_int, d_exp, residual))
     return lhs, w, d_int, d_exp, residual
 
 

@@ -12,6 +12,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -674,6 +675,19 @@ class TestCurve:
         assert [row["t"] for row in json.loads(r.stdout)["rows"]] == [0.0, 8.988465675435826e+307]
         assert cli._parse_trange("0:0.3:0.1").tolist() == [0.0, 0.1, 0.2, 0.30000000000000004]
 
+    # A STEP below half the float spacing near a sample repeats it: the first
+    # repeat is named, at the start or later in the range.
+    @pytest.mark.parametrize("trange, t", [
+        ("1:1.0000000000000004:1e-16", "1.0"),
+        ("0.9999999999999998:1.000000000000001:1.5e-16", "1.0000000000000004"),
+        ("1e16:1.0000000000000004e16:0.5", "1e+16"),
+    ], ids=["at-start", "later", "large"])
+    def test_range_below_float_spacing_rejected(self, trange, t):
+        r = run_cli("curve", "--builtin", "line", f"--t={trange}")
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == (f"error: bad range {trange!r}: t={t} repeats, "
+                            "as STEP is below the float spacing there\n")
+
     # 1,201 builtin rows and 1,098 sampled jets: the last block is partial
     # at each size, 1024 being the default.
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
@@ -765,7 +779,8 @@ class TestCurve:
          "the step from t=-1e+308 to t=1e+308 exceeds the float range"),
         (["-1.7e308,0,0,0", "-1.6e308,0,0,0", "1e308,0,0,0"],
          "the step from t=-1.6e+308 to t=1e+308 exceeds the float range"),
-        (["0,-1.7e308,0,0", "1,1.7e308,0,0", "2,-1.7e308,0,0"], "d2 has non-finite coordinates"),
+        (["0,-1.7e308,0,0", "1,1.7e308,0,0", "2,-1.7e308,0,0"],
+         "d2 has non-finite coordinates at t=1.0"),
     ], ids=["first-step", "later-step", "positions"])
     def test_overflowing_grid_rejected(self, rows, message, tmp_path):
         path = tmp_path / "wide.csv"
@@ -857,6 +872,52 @@ class TestCurveContract:
         path.write_text("t,x,y,z\n" + "".join(f"{t!r},{t!r},0,0\n" for t in ts))
         r = run_cli("curve", "--input", str(path))
         assert (r.returncode, r.stderr) == (0, ""), r.stderr
+
+
+#: Table values: both zeros and infinities, subnormals, the largest double
+#: and a few small integers that repeat, or any finite double.
+_CELL = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                                   2.2250738585072014e-308, 1.7976931348623157e308,
+                                   -1.7976931348623157e308, 1.0, 2.0, 3.0]),
+                  st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _table_columns(draw):
+    """Five equal-length float columns, each a drawn run of values repeated
+    to the length of the table."""
+    n = draw(st.integers(1, 60))
+    return [np.resize(draw(st.lists(_CELL, min_size=1, max_size=n)), n) for _ in range(5)]
+
+
+class TestCurveTable:
+    """``cli._write_rows`` prints each distinct value of a block once; its
+    bytes equal those of formatting every row on its own: a %-format of the
+    repr of each value, or json.dumps of one dict per row."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_table_columns())
+    def test_rows_match_per_row_formatting(self, columns):
+        rows = list(zip(*(c.tolist() for c in columns)))
+        expected = {
+            "text": "".join("%22r  %22r  %22r  %22r  %22r\n" % row for row in rows),
+            "csv": "".join("%r,%r,%r,%r,%r\n" % row for row in rows),
+            "json": json.dumps([dict(zip(cli._CURVE_HEADER, row)) for row in rows])[1:-1],
+        }
+        for block_rows in (1, 3, 1024):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(curves, "_BLOCK_ROWS", block_rows)
+                for fmt, text in expected.items():
+                    dumps, sep = (json.dumps, ", ") if fmt == "json" else (repr, "")
+                    out = io.StringIO()
+                    cli._write_rows(columns, dumps, cli._CURVE_ROWS[fmt], sep, out.write)
+                    assert out.getvalue() == text, (fmt, block_rows)
+
+    def test_signed_zeros_print_apart(self):
+        columns = [np.array([0.0, -0.0, 0.0, -0.0])] * 5
+        out = io.StringIO()
+        cli._write_rows(columns, repr, cli._CURVE_ROWS["csv"], "", out.write)
+        assert out.getvalue() == "0.0,0.0,0.0,0.0,0.0\n-0.0,-0.0,-0.0,-0.0,-0.0\n" * 2
 
 
 class TestTolerancePlumbing:

@@ -62,7 +62,14 @@ class TestBuiltinJets:
         (lambda: CurveJet(t=0.0, d1=[1.0, 0.0], d2=[0.0, 0.0, 0.0]),
          "d1 must be a 3-vector or an (n, 3) stack, got shape (2,)"),
         (lambda: CurveJet(t=0.0, d1=[1.0, math.nan, 0.0], d2=[0.0, 0.0, 0.0]),
-         "d1 has non-finite coordinates"),
+         "d1 has non-finite coordinates at t=0.0"),
+        (lambda: CurveJet(t=[0.0, 0.5, 1.0], d1=[[1, 0, 0], [1, 0, 0], [math.inf, 0, 0]],
+                          d2=[[0, 0, 0], [0, math.nan, 0], [0, 0, 0]]),
+         "d2 has non-finite coordinates at t=0.5"),
+        (lambda: CurveJet(t=[0.0, 0.5], d1=[[1, 0, 0], [math.nan, 0, 0]],
+                          d2=[[0, 0, 0], [0, math.inf, 0]]),
+         "d1 has non-finite coordinates at t=0.5"),
+        (lambda: line_jet([math.nan, 0, 1], 0.0), "direction has non-finite coordinates"),
         (lambda: line_jet([[1, 0, 0]], 0.0), "line direction must be one 3-vector, got shape (1, 3)"),
         (lambda: line_jet([1, 1, 0], 0.0),
          "line direction must be a unit vector, got |d| = 1.4142135623730951"),
@@ -70,8 +77,8 @@ class TestBuiltinJets:
         (lambda: builtin_curve("line:1,0,0:2", 0.0), "line spec is line or line:dx,dy,dz"),
         (lambda: jet_from_samples([0.0, 1.0, 2.0], np.zeros((3, 2)), 1),
          "positions must have shape (3, 3), got (3, 2)"),
-    ], ids=["d1-shape", "d1-nan", "line-stack", "line-length", "helix-spec", "line-spec",
-            "positions-shape"])
+    ], ids=["d1-shape", "d1-nan", "d2-first-bad-row", "d1-and-d2", "line-nan", "line-stack",
+            "line-length", "helix-spec", "line-spec", "positions-shape"])
     def test_rejection_messages(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()
