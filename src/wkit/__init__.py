@@ -42,14 +42,12 @@ from .sweeps import (
     run_identity_sweep,
 )
 from .vectors import (
-    perp_rotate,
     rotate_pi3,
     wedge,
 )
 from .weitzenboeck import (
     IdentityReport,
     Triangle,
-    area_heron,
     identity_batch,
     triangle_defect,
     triangle_to_vectors,

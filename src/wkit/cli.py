@@ -262,15 +262,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, func):
+        # Read a negative number, a comma list such as -0.47,-1e1 or a range
+        # such as -5:5:1 as a value, not as an option: argparse's own pattern
+        # matches only a plain number such as -5 or -.5.
+        p._negative_number_matcher = re.compile(r"^-\.?\d[\d.eE+\-,:]*$")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--tol", type=float, default=None,
                        help=f"tolerance (default 1e-9, or ${_TOL_ENV})")
         p.set_defaults(func=func)
 
     p = sub.add_parser("defect", help="defect of a triangle or a vector pair")
-    # Read a comma list of numbers such as -0.47,-1e1 as a value, not as an
-    # option: argparse's own pattern matches only a single number.
-    p._negative_number_matcher = re.compile(r"^-\.?\d[\d.eE+\-,]*$")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--sides", type=float, nargs=3, metavar=("A", "B", "C"))
     group.add_argument("--vectors", nargs=2, metavar=("U", "V"),

@@ -168,17 +168,7 @@ def circle_jet(radius: float, t) -> CurveJet:
         zero = np.zeros_like(a)
         d1 = np.stack([-np.sin(a), np.cos(a), zero], axis=-1)
         d2 = np.stack([-np.cos(a) / radius, -np.sin(a) / radius, zero], axis=-1)
-    _in_range(f"circle radius {radius!r}", t, a, d2)
     return CurveJet(t=t, d1=d1, d2=d2)
-
-
-def _in_range(curve: str, t, phase, d2) -> None:
-    """Raise unless the phase of a closed-form jet and its second derivative
-    d2 are finite at every t; name the first bad t."""
-    bad = np.flatnonzero(~(np.isfinite(phase) & np.isfinite(d2).all(axis=-1)))
-    if bad.size:
-        raise ValueError(f"{curve} out of range: the phase or the second derivative "
-                         f"overflows at t={np.ravel(t)[bad[0]].item()!r}")
 
 
 def helix_jet(a: float, b: float, t) -> CurveJet:
@@ -189,7 +179,6 @@ def helix_jet(a: float, b: float, t) -> CurveJet:
         wt = w * np.asarray(t, dtype=float)
         d1 = np.stack([-a * w * np.sin(wt), a * w * np.cos(wt), np.full_like(wt, b * w)], axis=-1)
         d2 = np.stack([-a * w * w * np.cos(wt), -a * w * w * np.sin(wt), np.zeros_like(wt)], axis=-1)
-    _in_range(f"helix a={a!r}, b={b!r}", t, wt, d2)
     return CurveJet(t=t, d1=d1, d2=d2)
 
 

@@ -148,32 +148,16 @@ def wedge(u, v):
     return _item(_scale(w, a + b))
 
 
-def perp_rotate(u, v):
-    """Rotate v by pi/2 in the plane span(u, v) oriented from u to v.
+def rotate_pi3(u, v) -> np.ndarray:
+    """Rotate v by pi/3 in the plane span(u, v) oriented from u to v.
 
-    Returns ``(conormal, degenerate)``. The conormal is c = -(|v|/|w|) w
-    with w the component of u orthogonal to v, so that |c| = |v|,
-    <c, v> = 0 and <u, c> = -|v||w| = -(u ^ v). It is read off the
-    bivector as G v = |v|^2 w, whose compensated entries keep the direction
-    of w even when u and v are nearly collinear and w is tiny.
-
-    Raises ValueError if v = 0. If u and v are collinear (including u = 0)
-    the plane is not determined: ``degenerate`` is set and the conormal is a
-    deterministic perpendicular of length |v| (any choice is valid there,
-    since the wedge vanishes and u has no component along it).
+    R(v) = v/2 + (sqrt(3)/2) * c, an isometry of the span, so |R(v)| = |v|.
+    The conormal c (``_plane``) is the quarter turn of v, of length |v|.
+    Raises ValueError if v = 0; if u and v are collinear (including u = 0)
+    c is a deterministic perpendicular of v, as any choice is valid there.
     """
     u, v = _check_pair(u, v)
     if not np.all(np.any(v != 0.0, axis=-1)):
         raise ValueError("cannot orient a plane around v = 0")
-    _, c, degenerate, _, b = _plane(u, v)
-    return _scale(c, b[..., None]), _item(degenerate)
-
-
-def rotate_pi3(u, v) -> np.ndarray:
-    """Rotate v by pi/3 in the plane span(u, v) oriented from u to v.
-
-    R(v) = v/2 + (sqrt(3)/2) * conormal; an isometry of the span, so
-    |R(v)| = |v|. ``perp_rotate`` validates the pair.
-    """
-    c, _ = perp_rotate(u, v)
-    return 0.5 * np.asarray(v, dtype=float) + (SQRT3 / 2.0) * c
+    _, c, _, _, b = _plane(u, v)
+    return 0.5 * v + (SQRT3 / 2.0) * _scale(c, b[..., None])

@@ -194,13 +194,6 @@ def _unit_triangle(t: Triangle) -> tuple[float, float, float, float, int]:
     return a, b, c, math.sqrt(max(rad, 0.0)) / 4.0, e
 
 
-def area_heron(t: Triangle) -> float:
-    """Triangle area from side lengths, through ``_unit_triangle``: inf only
-    if the area itself exceeds the float range."""
-    _, _, _, area, e = _unit_triangle(t)
-    return float(_scale(area, 2 * e))
-
-
 def triangle_defect(t: Triangle) -> float:
     """a^2 + b^2 + c^2 - 4*sqrt(3)*area: nonnegative, zero iff equilateral."""
     a, b, c, area, e = _unit_triangle(t)

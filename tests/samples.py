@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wkit.numerics import _det2, _two_prod, split
 from wkit.sweeps import pair_stacks
+from wkit.vectors import _check_pair, _item, _plane, _scale
 from wkit.weitzenboeck import Triangle
 
 
@@ -20,6 +21,23 @@ def random_pairs(count, seed=0):
             u, v = stacks[j % len(stacks)]
             pairs.append((u[j // len(stacks)], v[j // len(stacks)]))
     return pairs
+
+
+def near_collinear_pairs(count, seed=1):
+    """Pairs v = lam*u + eps*noise of dimension 2..8, eps alternating 1e-6 and 1e-9."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d = 2 + i % 7
+        u = rng.uniform(-10, 10, d)
+        eps = (1e-6, 1e-9)[i % 2]
+        yield u, rng.uniform(-2, 2) * u + eps * rng.standard_normal(d)
+
+
+def conormal(u, v):
+    """``(c, degenerate)``: the quarter turn c of v in span(u, v) from ``_plane``,
+    scaled back by 2**b, and its collinear flag; a Python bool for one pair."""
+    _, c, degenerate, _, b = _plane(*_check_pair(u, v))
+    return _scale(c, b[..., None]), _item(degenerate)
 
 
 def random_triangles(count, seed=0, low=0.1, high=10.0):

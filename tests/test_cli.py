@@ -20,7 +20,7 @@ from samples import INTEGER_TRIANGLES, power_of_two_range
 
 from wkit import cli, curves, sweeps
 from wkit.qsqrt3 import QSqrt3
-from wkit.weitzenboeck import verify_identity
+from wkit.weitzenboeck import Triangle, verify_identity
 
 _ENV = {**os.environ, "PYTHONHASHSEED": "0"}
 
@@ -542,15 +542,13 @@ class TestCurve:
             assert row["curvature"] == pytest.approx(1e200 / 2e400, rel=1e-12)
 
     # The phase t/R or the second derivative overflows, or the spec is not
-    # finite: one error line, nothing on stdout (run_cli turns a
-    # RuntimeWarning into an exception).
+    # finite: one error line that names the first bad t, nothing on stdout
+    # (run_cli turns a RuntimeWarning into an exception). A non-finite
+    # phase makes d1 non-finite, so CurveJet's check covers both.
     @pytest.mark.parametrize("spec, trange, message", [
-        ("circle:1e-310", "0:0.02:0.01", "circle radius 1e-310 out of range: "
-         "the phase or the second derivative overflows at t=0.0"),
-        ("circle:1e-300", "0:1e10:1e5", "circle radius 1e-300 out of range: "
-         "the phase or the second derivative overflows at t=179800000.0"),
-        ("helix:1e-310:0", "0:0:1", "helix a=1e-310, b=0.0 out of range: "
-         "the phase or the second derivative overflows at t=0.0"),
+        ("circle:1e-310", "0:0.02:0.01", "d2 has non-finite coordinates at t=0.0"),
+        ("circle:1e-300", "0:1e10:1e5", "d1 has non-finite coordinates at t=179800000.0"),
+        ("helix:1e-310:0", "0:0:1", "d1 has non-finite coordinates at t=0.0"),
         ("circle:inf", "0:1:1", "circle needs a finite radius > 0, got inf"),
         ("helix:1:nan", "0:1:1", "helix needs finite a and b, got 1.0 and nan"),
     ], ids=["circle-d2", "circle-phase", "helix-d2", "circle-inf", "helix-nan"])
@@ -872,6 +870,94 @@ class TestCurveContract:
         path.write_text("t,x,y,z\n" + "".join(f"{t!r},{t!r},0,0\n" for t in ts))
         r = run_cli("curve", "--input", str(path))
         assert (r.returncode, r.stderr) == (0, ""), r.stderr
+
+
+#: Numbers that argparse's float reads and a command must reject, and text
+#: that reaches ``--vectors`` but is no list of finite numbers; a leading
+#: "-" with no digit after it would make argparse read either as an option.
+_NUMBER_OR_NOT = st.one_of(_NUMBER, st.sampled_from([math.inf, math.nan]))
+_MALFORMED = st.sampled_from(["", "abc", "1,,2", "1e", "inf", "nan", "1,inf", "nan,0"])
+
+
+@st.composite
+def _nearly_flat_sides(draw):
+    """Valid sides with c a few ulps below a + b and a <= b, in any order
+    and scaled by 2**j: the area radicand cancels and can round below 0."""
+    b = draw(st.floats(1e-3, 1e3))
+    a = b * draw(st.floats(1e-8, 1.0))
+    c = a + b
+    for _ in range(draw(st.integers(1, 8))):
+        c = math.nextafter(c, 0.0)
+    j = draw(st.integers(-1060, 1010))
+    return draw(st.permutations([math.ldexp(x, j) for x in (a, b, c)]))
+
+
+@st.composite
+def _defect_shape_runs(draw):
+    """Arguments of a ``wkit defect`` or ``wkit shape`` run, each number a
+    token of its own, and the sides as floats (None for other runs)."""
+    fmt = ["--format", draw(st.sampled_from(["text", "csv", "json"]))]
+    kind = draw(st.sampled_from(["defect --sides", "shape --sides", "defect --vectors",
+                                 "shape --figure"]))
+    command, option = kind.split()
+    if option == "--sides":
+        sides = draw(st.one_of(
+            _nearly_flat_sides(), st.tuples(_NUMBER_OR_NOT, _NUMBER_OR_NOT, _NUMBER_OR_NOT),
+            st.sampled_from([(3.0, 4.0, 5.0), (1.0, 1.0, 1.0), (1.0, 1.0, 2.0),
+                             (4.20395609887174e-05, 1.7333339934435588, 1.7333760330045473)])))
+        return [command, option, *map(repr, sides), *fmt], list(sides)
+    if option == "--vectors":
+        d = draw(st.integers(2, 4))
+        vector = st.lists(_NUMBER, min_size=d, max_size=d)
+        u, v = draw(vector), draw(st.one_of(st.just([0.0] * d), vector))
+        texts = [draw(st.one_of(st.just(",".join(map(repr, x))), _MALFORMED)) for x in (u, v)]
+        return [command, option, *texts, *fmt], None
+    samples = ["--samples", str(draw(st.integers(-1, 40)))]
+    return [command, option, repr(draw(_NUMBER_OR_NOT)), *samples, *fmt], None
+
+
+class TestDefectShapeContract:
+    """The contract of ``TestCurveContract`` for ``defect`` and ``shape``,
+    with numbers passed as separate tokens, negative ones included; and
+    every valid triangle whose printed values are finite exits 0."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_defect_shape_runs())
+    def test_exit_codes_and_output(self, run):
+        args, sides = run
+        r = run_cli(*args)
+        assert r.returncode in (0, 1, 2)
+        if r.returncode == 2:
+            assert r.stdout == "" and r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        printed_finite = not _NON_FINITE.search(r.stdout + r.stderr)
+        if r.returncode == 0:
+            assert printed_finite
+        if sides is not None:
+            try:
+                Triangle(*sides)
+            except ValueError:
+                assert r.returncode == 2
+            else:
+                assert r.returncode == 0 or not printed_finite, r.stderr
+
+
+# Each value starts with "-" and is its own token: every subcommand reads it
+# as a value, and the command, not argparse, answers with one error line.
+@pytest.mark.parametrize("args, message", [
+    (["curve", "--builtin", "helix:1:3", "--t", "-5:5:5"], None),
+    (["shape", "--sides", "-1e-5", "1", "1"], "sides must be positive"),
+    (["shape", "--figure", "-1e-5"], "figure needs s > 0 with 1.5*s finite, got -1e-05"),
+    (["sweep", "--tol", "-1e-5"], "tolerance must be positive and finite, got -1e-05"),
+    (["curve", "--builtin", "helix:1:3", "--t", "0:1:1", "--unit-tol", "-1e-5"],
+     "unit-speed tolerance must be positive and finite, got -1e-05"),
+], ids=["curve-t", "shape-sides", "shape-figure", "sweep-tol", "curve-unit-tol"])
+def test_negative_values_need_no_equals(args, message):
+    r = run_cli(*args)
+    if message is None:
+        assert (r.returncode, r.stderr) == (0, "")
+        assert r.stdout == run_cli("curve", "--builtin", "helix:1:3", "--t=-5:5:5").stdout
+    else:
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
 
 
 #: Table values: both zeros and infinities, subnormals, the largest double

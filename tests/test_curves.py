@@ -84,21 +84,16 @@ class TestBuiltinJets:
             call()
         assert str(exc.value) == message
 
-    # The phase t/R or w*t overflows, or is inf*0 = NaN: one error naming the
-    # curve and t, no NaN jet and no warning (the test run turns a
-    # RuntimeWarning into an error).
+    # The phase t/R or w*t overflows, or is inf*0 = NaN: d1 is then not
+    # finite, and CurveJet names the first such t; no NaN jet and no
+    # warning (the test run turns a RuntimeWarning into an error).
     @pytest.mark.parametrize("jet, args, message", [
-        (helix_jet, (1e-310, 0.0, 0.0), "helix a=1e-310, b=0.0 out of range: "
-         "the phase or the second derivative overflows at t=0.0"),
-        (helix_jet, (1e-310, 0.0, 1.0), "helix a=1e-310, b=0.0 out of range: "
-         "the phase or the second derivative overflows at t=1.0"),
-        (circle_jet, (1e-310, 1.0), "circle radius 1e-310 out of range: "
-         "the phase or the second derivative overflows at t=1.0"),
-        (circle_jet, (1e-300, 1e10), "circle radius 1e-300 out of range: "
-         "the phase or the second derivative overflows at t=10000000000.0"),
+        (helix_jet, (1e-310, 0.0, 0.0), "d1 has non-finite coordinates at t=0.0"),
+        (helix_jet, (1e-310, 0.0, 1.0), "d1 has non-finite coordinates at t=1.0"),
+        (circle_jet, (1e-310, 1.0), "d1 has non-finite coordinates at t=1.0"),
+        (circle_jet, (1e-300, 1e10), "d1 has non-finite coordinates at t=10000000000.0"),
         (circle_jet, (np.float64(1e-300), np.float64(1e10)),
-         f"circle radius {np.float64(1e-300)!r} out of range: "
-         "the phase or the second derivative overflows at t=10000000000.0"),
+         "d1 has non-finite coordinates at t=10000000000.0"),
     ], ids=["helix-nan-phase", "helix-inf-phase", "circle-tiny-radius", "circle-huge-t",
             "circle-numpy-scalars"])
     def test_position_out_of_range_rejected(self, jet, args, message):

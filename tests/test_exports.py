@@ -8,10 +8,10 @@ PUBLIC = [
     "CurvatureBoundReport", "CurveJet", "EQUILATERAL_TANGENT", "ExactSweepResult",
     "HalfDisk", "INTERIOR", "ISOSCELES_LIMIT", "IdentityReport", "QSqrt3",
     "ShapeCircle", "ShapePoint", "SweepResult", "TANGENT_SLOPE", "Triangle",
-    "area_heron", "builtin_curve", "circle_jet", "circle_of",
+    "builtin_curve", "circle_jet", "circle_of",
     "circle_residual", "classify", "curvature_bound_report", "figure_dataset",
     "halfdisk_contains", "helix_jet", "identity_batch",
-    "jet_from_samples", "line_jet", "perp_rotate", "read_curve_csv", "rotate_pi3",
+    "jet_from_samples", "line_jet", "read_curve_csv", "rotate_pi3",
     "run_exact_sweep", "run_identity_sweep", "shape_point", "tangent_point",
     "triangle_defect", "triangle_to_vectors", "verify_exact", "verify_identity",
     "wedge",

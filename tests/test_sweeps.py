@@ -4,8 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from mpmath import mp
-from samples import random_pairs, random_triangles
-from test_vectors import near_collinear_pairs
+from samples import conormal, near_collinear_pairs, random_pairs, random_triangles
 
 from wkit import sweeps, weitzenboeck
 from wkit.sweeps import (
@@ -14,7 +13,7 @@ from wkit.sweeps import (
     run_exact_sweep,
     run_identity_sweep,
 )
-from wkit.vectors import perp_rotate, wedge
+from wkit.vectors import wedge
 from wkit.weitzenboeck import identity_batch, verify_identity
 
 
@@ -90,7 +89,7 @@ def test_batch_kernels_match_per_pair_functions():
         U = np.stack([u for u, _ in group])
         V = np.stack([v for _, v in group])
         lhs, w, d_int, d_exp, _ = identity_batch(U, V)
-        c, degenerate = perp_rotate(U, V)
+        c, degenerate = conormal(U, V)
         assert not degenerate.any()
         for k, (u, v) in enumerate(group):
             ref_w, ref_c, ref_int, ref_exp = _mp_reference(u, v)

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from samples import det2
+from samples import conormal, det2, near_collinear_pairs
 
 from wkit import vectors
 from wkit.vectors import (
     SQRT3,
-    perp_rotate,
     rotate_pi3,
     wedge,
 )
@@ -23,15 +22,6 @@ def random_pairs(count, seed=0, dims=(2, 3, 4, 5, 6, 7, 8)):
     for i in range(count):
         d = dims[i % len(dims)]
         yield rng.uniform(-10, 10, d), rng.uniform(-10, 10, d)
-
-
-def near_collinear_pairs(count, seed=1):
-    rng = np.random.default_rng(seed)
-    for i in range(count):
-        d = 2 + i % 7
-        u = rng.uniform(-10, 10, d)
-        eps = (1e-6, 1e-9)[i % 2]
-        yield u, rng.uniform(-2, 2) * u + eps * rng.standard_normal(d)
 
 
 class TestWedge:
@@ -72,38 +62,44 @@ class TestWedge:
 
 
 class TestPerpRotate:
+    """The quarter turn c of v in span(u, v): the conormal that ``_plane``
+    returns and ``rotate_pi3`` uses, read through ``samples.conormal``."""
+
     def test_example_frame(self):
-        c, degenerate = perp_rotate([1, 0], [0, 1])
+        c, degenerate = conormal([1, 0], [0, 1])
         assert degenerate is False
         np.testing.assert_allclose(c, [-1.0, 0.0], atol=1e-15)
 
     def test_reversed_orientation(self):
         # <u, c> = -wedge = -1 forces c = (0, -1) here
-        c, _ = perp_rotate([0, 1], [1, 0])
+        c, _ = conormal([0, 1], [1, 0])
         assert np.dot([0, 1], c) == pytest.approx(-1.0, abs=1e-15)
         np.testing.assert_allclose(c, [0.0, -1.0], atol=1e-15)
 
     def test_collinear_fallback(self):
-        c, degenerate = perp_rotate([1, 0, 0], [2, 0, 0])
+        c, degenerate = conormal([1, 0, 0], [2, 0, 0])
         assert degenerate is True
         np.testing.assert_allclose(c, [0.0, 2.0, 0.0], atol=0)
 
     def test_zero_u_is_degenerate(self):
-        c, degenerate = perp_rotate([0, 0, 0], [0, 3, 0])
+        c, degenerate = conormal([0, 0, 0], [0, 3, 0])
         assert degenerate
         assert np.linalg.norm(c) == pytest.approx(3.0, rel=1e-15)
         assert np.dot(c, [0, 3, 0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_v_rejected(self):
+        # _plane gives v = 0 the conormal 0; rotate_pi3 rejects it
+        c, degenerate = conormal([1, 0], [0, 0])
+        assert degenerate and not c.any()
         with pytest.raises(ValueError):
-            perp_rotate([1, 0], [0, 0])
+            rotate_pi3([1, 0], [0, 0])
         # one zero row rejects the whole stack
         with pytest.raises(ValueError):
-            perp_rotate([[1, 0], [1, 0]], [[0, 1], [0, 0]])
+            rotate_pi3([[1, 0], [1, 0]], [[0, 1], [0, 0]])
 
     def test_frame_invariants_random(self):
         for u, v in random_pairs(300, seed=7):
-            c, _ = perp_rotate(u, v)
+            c, _ = conormal(u, v)
             nv = np.linalg.norm(v)
             assert np.linalg.norm(c) == pytest.approx(nv, rel=1e-12)
             assert np.dot(c, v) == pytest.approx(0.0, abs=1e-12 * nv * nv)
@@ -113,7 +109,7 @@ class TestPerpRotate:
     def test_frame_invariants_near_collinear(self):
         # the regime that needs the compensated bivector
         for u, v in near_collinear_pairs(200):
-            c, _ = perp_rotate(u, v)
+            c, _ = conormal(u, v)
             scale = np.linalg.norm(u) * np.linalg.norm(v)
             assert np.dot(u, c) == pytest.approx(-wedge(u, v), abs=1e-11 * max(1.0, scale))
 
@@ -121,7 +117,7 @@ class TestPerpRotate:
     def direction_error(u, v) -> Fraction:
         """sin^2 of the angle between the conormal and -w, w = u - (<u,v>/<v,v>) v
         in exact Fraction arithmetic; asserts that c points along -w."""
-        c, _ = perp_rotate(u, v)
+        c, _ = conormal(u, v)
         uf, vf, cf = ([Fraction(x) for x in z] for z in (u, v, c))
         t = sum(a * b for a, b in zip(uf, vf)) / sum(b * b for b in vf)
         w = [a - t * b for a, b in zip(uf, vf)]
@@ -154,10 +150,10 @@ class TestPerpRotate:
         # a stack runs the same elementwise arithmetic as its rows one by one
         u = np.array([[1.0, 0.0, 0.0], [0.3, -1.2, 4.0], [0.0, 0.0, 0.0]])
         v = np.array([[2.0, 0.0, 0.0], [1.5, 0.2, -0.7], [0.0, 3.0, 0.0]])
-        c, degenerate = perp_rotate(u, v)
+        c, degenerate = conormal(u, v)
         assert degenerate.tolist() == [True, False, True]
         for k in range(3):
-            ck, dk = perp_rotate(u[k], v[k])
+            ck, dk = conormal(u[k], v[k])
             np.testing.assert_array_equal(c[k], ck)
             assert degenerate[k] == dk
         assert wedge(u, v).tolist() == [wedge(a, b) for a, b in zip(u, v)]
@@ -171,10 +167,10 @@ class TestPerpRotate:
         v[::5, rng.integers(d)] = 0.0  # ties and zeros in |v_k|
         v[1::7] = rng.integers(-3, 4, (len(v[1::7]), d)) + 0.5
         u = rng.choice([-2.0, -1.0, 0.0, 0.25, 4.0], (60, 1)) * v
-        c, degenerate = perp_rotate(u, v)
+        c, degenerate = conormal(u, v)
         assert degenerate.all()
         for k in range(len(v)):
-            ck, dk = perp_rotate(u[k], v[k])
+            ck, dk = conormal(u[k], v[k])
             assert dk is True
             assert ck.tobytes() == c[k].tobytes()
         nv = np.linalg.norm(v, axis=1)
@@ -237,17 +233,16 @@ class TestRotatePi3:
     def test_collinear_fallback_value(self):
         np.testing.assert_allclose(rotate_pi3([1, 0], [2, 0]), [1.0, SQRT3], atol=1e-15)
 
-    # rotate_pi3 leaves the checks to perp_rotate and keeps its messages.
+    # rotate_pi3 checks the pair (_check_pair) and then v = 0.
     @pytest.mark.parametrize("u, v, message", [
         ([1, 0], [1, 0, 0], "expected matching vectors of dimension >= 2, got shapes (2,) and (3,)"),
         ([1, math.nan], [1, 0], "vector has non-finite coordinates"),
         ([1, 0], [0, 0], "cannot orient a plane around v = 0"),
     ], ids=["shapes", "nan", "zero-v"])
     def test_rejection_messages(self, u, v, message):
-        for rotate in (rotate_pi3, perp_rotate):
-            with pytest.raises(ValueError) as exc:
-                rotate(u, v)
-            assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            rotate_pi3(u, v)
+        assert str(exc.value) == message
 
     def test_preserves_norm(self):
         for u, v in random_pairs(300, seed=3):
@@ -302,7 +297,7 @@ def test_power_of_two_scaling_is_exact(pair, k, j):
     su, sv = np.ldexp(u, k), np.ldexp(v, j)
     assert wedge(su, sv) == math.ldexp(wedge(u, v), k + j)
     if v.any():
-        c, degenerate = perp_rotate(u, v)
-        sc, sdegenerate = perp_rotate(su, sv)
+        c, degenerate = conormal(u, v)
+        sc, sdegenerate = conormal(su, sv)
         assert sdegenerate == degenerate
         assert np.array_equal(sc, np.ldexp(c, j))
