@@ -98,8 +98,8 @@ def cmd_defect(args) -> int:
     else:
         u, v = map(_parse_vector, args.vectors)
     rep = verify_identity(u, v, args.tol)
-    lhs, wedge_term, d_int, d_exp, residual = (float(_scale(x, 2 * e)) for x in (
-        rep.lhs, rep.wedge_term, rep.defect_intrinsic, rep.defect_explicit, rep.residual))
+    values = rep.lhs, rep.wedge_term, rep.defect_intrinsic, rep.defect_explicit, rep.residual
+    lhs, wedge_term, d_int, d_exp, residual = _scale(values, 2 * e).tolist()
     finite = _emit_pairs([
         ("lhs", lhs),
         ("wedge_term", wedge_term),
@@ -148,7 +148,7 @@ def cmd_shape(args) -> int:
     t = Triangle(*args.sides)
     p, circ, e = _unit_shape(t)
     d = HalfDisk(circ.center_x)
-    x, y, center, radius = (float(_scale(z, 2 * e)) for z in (p.x, p.y, d.center_x, circ.radius))
+    x, y, center, radius = _scale([p.x, p.y, d.center_x, circ.radius], 2 * e).tolist()
     finite = _emit_pairs([
         ("point_x", x),
         ("point_y", y),
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         # Read a negative number, a comma list such as -0.47,-1e1 or a range
         # such as -5:5:1 as a value, not as an option: argparse's own pattern
         # matches only a plain number such as -5 or -.5.
-        p._negative_number_matcher = re.compile(r"^-\.?\d[\d.eE+\-,:]*$")
+        p._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--tol", type=float, default=None,
                        help=f"tolerance (default 1e-9, or ${_TOL_ENV})")

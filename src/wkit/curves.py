@@ -188,8 +188,8 @@ def _helix_rate(a: float, b: float) -> float:
         raise ValueError(f"helix needs finite a and b, got {a!r} and {b!r}")
     if a == 0 and b == 0:
         raise ValueError("helix needs (a, b) != (0, 0)")
-    e = _exponent(a, b)
-    a, b = _scale(a, -e), _scale(b, -e)
+    e = _exponent((a, b))
+    a, b = _scale([a, b], -e).tolist()
     return float(_scale(1.0 / math.sqrt(a * a + b * b), -e))
 
 

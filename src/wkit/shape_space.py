@@ -75,7 +75,7 @@ def _unit_shape(t: Triangle) -> tuple[ShapePoint, ShapeCircle, int]:
 def shape_point(t: Triangle) -> ShapePoint:
     """Map a triangle to its shape-plane point ((a^2+b^2+c^2)/2, 2*area)."""
     p, _, e = _unit_shape(t)
-    return ShapePoint(*(float(_scale(x, 2 * e)) for x in (p.x, p.y)))
+    return ShapePoint(*_scale([p.x, p.y], 2 * e).tolist())
 
 
 def circle_of(a: float, b: float) -> ShapeCircle:

@@ -139,10 +139,7 @@ def run_identity_sweep(count: int, seed: int = 0, tolerance: float = 1e-9) -> Sw
         for U, V in chunk:
             if not len(U):
                 continue
-            # The kernel runs slower on the table's strided columns than on
-            # a fresh copy of them.
-            lhs, _, d_int, d_exp, residual = identity_batch(np.ascontiguousarray(U),
-                                                            np.ascontiguousarray(V))
+            lhs, _, d_int, d_exp, residual = identity_batch(U, V)
             denom = np.maximum(1.0, lhs)
             max_res = max(max_res, float(np.max(np.abs(residual) / denom)))
             max_neg = max(max_neg, float(np.max(-d_int / denom)))

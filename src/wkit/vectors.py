@@ -19,7 +19,6 @@ two of ``_exponent``, and every result is scaled back once by ``_scale``.
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -57,10 +56,11 @@ def _item(x):
     return x.item() if np.ndim(x) == 0 else x
 
 
-def _exponent(*parts):
-    """Elementwise e such that 2**-e brings the largest |part| into [1/2, 1);
-    -1075, below the exponent of every nonzero double, where all are 0."""
-    top = reduce(np.maximum, map(np.abs, parts))
+def _exponent(x, axis=None):
+    """e such that 2**-e brings the largest |x| along ``axis`` (all of x by
+    default) into [1/2, 1); -1075, below the exponent of every nonzero
+    double, where all are 0."""
+    top = np.max(np.abs(x), axis=axis)
     return np.where(top > 0.0, np.frexp(top)[1], -1075)
 
 
@@ -91,21 +91,21 @@ def _plane(u: np.ndarray, v: np.ndarray):
     """
     shape = u.shape[:-1]
     d = u.shape[-1]
-    # P[0] = X and Q[0] = Y hold the unit-scaled coordinates of u and v,
-    # P[1:] and Q[1:] their Veltkamp halves. The outputs gv and gg are
-    # allocated first, so that they do not pin the heap above P and Q
+    # PQ[:, 0] holds the unit-scaled coordinates X of u and Y of v as one
+    # (2, d, m) block, PQ[:, 1:] their Veltkamp halves. The outputs gv and
+    # gg are allocated first, so that they do not pin the heap above PQ
     # (0.3 MB less peak RSS on a 10^4-jet curve).
     m = math.prod(shape)
     gv = np.zeros((d, m))
     gg = np.zeros(m)
-    P, Q = np.empty((2, 3, d, m))
-    X, Y = P[0], Q[0]
-    X[:], Y[:] = (z.reshape(-1, d).T for z in (u, v))
-    a, b = _exponent(*X), _exponent(*Y)
-    _scale(X, -a, out=X)
-    _scale(Y, -b, out=Y)
-    P[1], P[2] = split(X)
-    Q[1], Q[2] = split(Y)
+    PQ = np.empty((2, 3, d, m))
+    XY = PQ[:, 0]
+    XY[0], XY[1] = (z.reshape(-1, d).T for z in (u, v))
+    ab = _exponent(XY, axis=1)
+    _scale(XY, -ab[:, None], out=XY)
+    PQ[:, 1], PQ[:, 2] = split(XY)
+    P, Q = PQ
+    Y = XY[1]
     for k in range(1, d):
         g = _det2(P[:, :-k], P[:, k:], Q[:, :-k], Q[:, k:])  # G_{i,i+k}, i < d - k
         gv[:-k] += g * Y[k:]
@@ -113,7 +113,8 @@ def _plane(u: np.ndarray, v: np.ndarray):
         g *= g
         for row in g:
             gg += row
-    nu, nv, ngv = (np.sqrt(_sum_rows(Z * Z)) for Z in (X, Y, gv))
+    nu, nv = np.sqrt(_sum_rows((XY * XY).swapaxes(0, 1)))
+    ngv = np.sqrt(_sum_rows(gv * gv))
     degenerate = ngv <= COLLINEAR_RTOL * nu * nv * nv
     gv *= -nv / np.where(degenerate, 1.0, ngv)
     i = (degenerate & (nv > 0.0)).nonzero()[0]
@@ -123,8 +124,8 @@ def _plane(u: np.ndarray, v: np.ndarray):
     f[at] += 1.0
     gv[:, i] = f * (nv[i] / np.sqrt(_sum_rows(f * f)))
     c = gv.T.reshape(shape + (d,))
-    return (np.sqrt(gg).reshape(shape), c, degenerate.reshape(shape),
-            a.reshape(shape), b.reshape(shape))
+    a, b = ab.reshape((2,) + shape)
+    return np.sqrt(gg).reshape(shape), c, degenerate.reshape(shape), a, b
 
 
 def _sum_rows(Z: np.ndarray) -> np.ndarray:

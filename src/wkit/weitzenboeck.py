@@ -110,7 +110,7 @@ class IdentityReport:
 def verify_identity(u, v, tol: float = 1e-9) -> IdentityReport:
     """Evaluate both sides of the identity for one float pair."""
     unit, w, k = _unit_identity(*(np.asarray(x, dtype=float)[None] for x in (u, v)))
-    lhs, _, d_int, d_exp, residual = (float(_scale(x[0], 2 * k[0])) for x in unit)
+    lhs, _, d_int, d_exp, residual = _scale(unit, 2 * k)[:, 0].tolist()
     equal = bool(unit[3][0] <= tol * unit[0][0])
     return IdentityReport(lhs, 2.0 * SQRT3 * float(w[0]), d_int, d_exp, residual, equal)
 
@@ -187,7 +187,7 @@ def _unit_triangle(t: Triangle) -> tuple[float, float, float, float, int]:
     (from a^2 b^2 = ((a^2+b^2-c^2)/2)^2 + (2*area)^2). Each triangle function
     uses this one evaluation and scales a result of degree n by 2**(n*e).
     ``Triangle`` keeps the exact radicand positive; rounding below 0 is clamped."""
-    e = int(_exponent(*t.sides()))
+    e = int(_exponent(t.sides()))
     a, b, c = _scale(t.sides(), -e).tolist()
     a2, b2, c2 = a * a, b * b, c * c
     rad = 4.0 * a2 * b2 - (a2 + b2 - c2) ** 2
@@ -212,4 +212,5 @@ def triangle_to_vectors(t: Triangle) -> tuple[np.ndarray, np.ndarray]:
     a, b, c, _, e = _unit_triangle(t)
     cx = (b * b - a * a + c * c) / (2.0 * c)
     cy = math.sqrt(max(b * b - cx * cx, 0.0))
-    return _scale(np.array([c, 0.0]), e), _scale(np.array([cx - c, cy]), e)
+    u, v = _scale([[c, 0.0], [cx - c, cy]], e)
+    return u, v

@@ -874,9 +874,11 @@ class TestCurveContract:
 
 #: Numbers that argparse's float reads and a command must reject, and text
 #: that reaches ``--vectors`` but is no list of finite numbers; a leading
-#: "-" with no digit after it would make argparse read either as an option.
-_NUMBER_OR_NOT = st.one_of(_NUMBER, st.sampled_from([math.inf, math.nan]))
-_MALFORMED = st.sampled_from(["", "abc", "1,,2", "1e", "inf", "nan", "1,inf", "nan,0"])
+#: "-" followed by neither a digit nor inf or nan would make argparse read
+#: either as an option.
+_NUMBER_OR_NOT = st.one_of(_NUMBER, st.sampled_from([math.inf, -math.inf, math.nan]))
+_MALFORMED = st.sampled_from(["", "abc", "1,,2", "1e", "inf", "nan", "1,inf", "nan,0", "-inf",
+                              "-nan,0"])
 
 
 @st.composite
@@ -942,7 +944,8 @@ class TestDefectShapeContract:
 
 
 # Each value starts with "-" and is its own token: every subcommand reads it
-# as a value, and the command, not argparse, answers with one error line.
+# as a value, -inf and -nan included, and the command, not argparse, answers
+# with one error line.
 @pytest.mark.parametrize("args, message", [
     (["curve", "--builtin", "helix:1:3", "--t", "-5:5:5"], None),
     (["shape", "--sides", "-1e-5", "1", "1"], "sides must be positive"),
@@ -950,7 +953,15 @@ class TestDefectShapeContract:
     (["sweep", "--tol", "-1e-5"], "tolerance must be positive and finite, got -1e-05"),
     (["curve", "--builtin", "helix:1:3", "--t", "0:1:1", "--unit-tol", "-1e-5"],
      "unit-speed tolerance must be positive and finite, got -1e-05"),
-], ids=["curve-t", "shape-sides", "shape-figure", "sweep-tol", "curve-unit-tol"])
+    (["defect", "--sides", "-inf", "1", "1"], "sides must be finite"),
+    (["defect", "--vectors", "-inf,0", "1,0"], "vector has non-finite coordinates"),
+    (["shape", "--sides", "-Infinity", "1", "1"], "sides must be finite"),
+    (["curve", "--builtin", "line", "--t", "-inf:0:1"],
+     "bad range '-inf:0:1': START, STOP and STEP must be finite"),
+    (["sweep", "--count", "10", "--tol", "-nan"], "tolerance must be positive and finite, got nan"),
+], ids=["curve-t", "shape-sides", "shape-figure", "sweep-tol", "curve-unit-tol",
+        "defect-sides-inf", "defect-vectors-inf", "shape-sides-inf", "curve-t-inf",
+        "sweep-tol-nan"])
 def test_negative_values_need_no_equals(args, message):
     r = run_cli(*args)
     if message is None:

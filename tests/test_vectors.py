@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from samples import conormal, det2, near_collinear_pairs
 
-from wkit import vectors
+from wkit import cli, curves, numerics, shape_space, sweeps, vectors, weitzenboeck
 from wkit.vectors import (
     SQRT3,
     rotate_pi3,
@@ -222,6 +222,34 @@ class TestBivectorEntries:
                              - Fraction(x[j, r]) * Fraction(y[i, r]))
                     assert abs(Fraction(g[i, r]) - exact) <= Fraction(2 * EPS) * abs(exact)
         assert not np.concatenate(entries, axis=0)[:, 40:].any()
+
+
+class TestScalingPasses:
+    """Each kernel boundary scales its values in one pass: ``_plane`` takes
+    one exponent, one scaling and one split over u and v together, and
+    each caller scales its results back in one ``_scale`` call."""
+
+    @pytest.mark.parametrize("run, caps", [
+        (lambda: weitzenboeck.verify_identity([1.0, 2.0], [3.0, -1.0]), (7, 1, 1)),
+        (lambda: cli.main(["defect", "--vectors", "1,2", "3,-1"]), (8, 1, 1)),
+    ], ids=["verify_identity", "cli-defect-vectors"])
+    def test_call_counts(self, run, caps, monkeypatch, capsys):
+        counts = {}
+        for name, real in [("_scale", vectors._scale), ("_exponent", vectors._exponent),
+                           ("split", numerics.split)]:
+            counts[name] = 0
+
+            def spy(*args, _name=name, _real=real, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            for module in (numerics, vectors, weitzenboeck, shape_space, curves, sweeps, cli):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, spy)
+        run()
+        assert capsys.readouterr().err == ""
+        for (name, n), cap in zip(counts.items(), caps):
+            assert 0 < n <= cap, f"{name}: {n} calls, at most {cap} expected"
 
 
 class TestRotatePi3:
