@@ -112,8 +112,6 @@ def cmd_defect(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.count < 1:
-        raise ValueError(f"count must be >= 1, got {args.count}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.exact:

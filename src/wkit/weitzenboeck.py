@@ -115,21 +115,44 @@ def verify_identity(u, v, tol: float = 1e-9) -> IdentityReport:
     return IdentityReport(lhs, 2.0 * SQRT3 * float(w[0]), d_int, d_exp, residual, equal)
 
 
-def _scaled_pieces(u, v) -> tuple[int, int, int, tuple[int, int], tuple[int, int]]:
-    """The integer core of ``verify_exact``: ``(L, lhs, w, X, Y)`` of the pair
-    scaled by L, as that docstring defines them."""
-    u = [_coerce(x).as_integer_ratio() for x in u]
-    v = [_coerce(x).as_integer_ratio() for x in v]
-    if len(u) != 2 or len(v) != 2:
-        raise ValueError("verify_exact is defined for dimension 2 only")
-    (a0, b0), (a1, b1) = u
-    (c0, d0), (c1, d1) = v
-    L = 2 * math.lcm(b0, b1, d0, d1)
-    U0, U1, V0, V1 = a0 * (L // b0), a1 * (L // b1), c0 * (L // d0), c1 * (L // d1)
-    lhs = U0 * U0 + U1 * U1 + V0 * V0 + V1 * V1 + (U0 + V0) ** 2 + (U1 + V1) ** 2
-    w = U0 * V1 - U1 * V0
-    Y = (-V1 // 2, V0 // 2) if w >= 0 else (V1 // 2, -V0 // 2)
-    return L, lhs, w, (U0 + V0 // 2, U1 + V1 // 2), Y
+def _residual_coefficients(x0, y0, x1, y1, a0, b0, a1, b1, p=None):
+    """``(a, b', w)`` of the planar pair u = (x0/a0, y0/b0), v = (x1/a1, y1/b1).
+
+    With D = 2*a0*b0*a1*b1, U = D*u, V = D*v = 2*h, X = U + h and q = (-h1, h0),
+    u + R(v) = (X + sqrt(3)*sign(w)*q)/D (w = 0 counts as positive), and the
+    residual times D^2 is a + sign(w)*b'*sqrt(3), where
+
+        a = lhs - 2|X|^2 - 6|q|^2,   b' = -2w - 4<X, q>,
+
+    lhs = |U|^2 + |V|^2 + |U+V|^2 and w = U0*V1 - U1*V0. Exact for Python
+    ints (``p`` None). For an int64 column ``p`` of primes below 2**31 and
+    int64 arrays below 2**30 in magnitude: residues in [0, p), a row per
+    prime and a column per pair; each product is reduced at once, so none
+    reaches p**2 < 2**62, and no sum 32*p.
+
+    Bound: for |num| and den <= M, |U_i| <= 2*M**4, |h_i| <= M**4,
+    |X_i| <= 3*M**4 and |U_i + V_i| <= 4*M**4, so term by term
+    |lhs| <= 48*M**8, |X|^2 <= 18*M**8, |q|^2 <= 2*M**8, |w| <= 8*M**8,
+    |<X, q>| <= 6*M**8, and |a| <= 96*M**8 and |b'| <= 40*M**8. Primes
+    whose product exceeds twice that decide a = b' = 0 (CRT).
+    """
+    def mod(z):
+        return z if p is None else z % p
+
+    def mul(s, t):
+        return mod(s * t)
+
+    a0b0, a1b1 = mul(a0, b0), mul(a1, b1)
+    U0, U1 = mul(2 * x0, mul(b0, a1b1)), mul(2 * y0, mul(a0, a1b1))
+    h0, h1 = mul(x1, mul(b1, a0b0)), mul(y1, mul(a1, a0b0))
+    X0, X1 = mod(U0 + h0), mod(U1 + h1)
+    S0, S1 = mod(U0 + 2 * h0), mod(U1 + 2 * h1)
+    hh = mul(h0, h0) + mul(h1, h1)  # |h|^2 = |q|^2 = |V|^2/4
+    lhs = mul(U0, U0) + mul(U1, U1) + 4 * hh + mul(S0, S0) + mul(S1, S1)
+    w = mod(2 * (mul(U0, h1) - mul(U1, h0)))
+    a = mod(lhs - 2 * (mul(X0, X0) + mul(X1, X1)) - 6 * hh)
+    b = mod(-2 * w - 4 * (mul(X1, h0) - mul(X0, h1)))
+    return a, b, w
 
 
 def verify_exact(u, v) -> QSqrt3:
@@ -137,27 +160,24 @@ def verify_exact(u, v) -> QSqrt3:
 
     ``u`` and ``v`` are planar vectors with exact rational coordinates
     (int, Fraction, numpy integers, or strings like "3/7"). The residual
-    lhs - 2*sqrt(3)*|w| - 2*|u + R(v)|^2 is homogeneous of degree 2, so it
-    is computed on U = L*u and V = L*v with L = 2*lcm(the four
-    denominators): integer vectors, V even. There lhs = |U|^2 + |V|^2 +
-    |U+V|^2, w = U1*V2 - U2*V1 is the signed wedge, and U + R(V) =
-    X + sqrt(3)*Y with the integer vectors X = U + V/2 and Y = q/2, where
-    q = (-V2, V1) or (V2, -V1) is the quarter turn with <U, q> = -|w| (the
-    plane is oriented from u to v; for w = 0 either works and the
-    counterclockwise one is used). The residual is then
-
-        (lhs - 2|X|^2 - 6|Y|^2  +  (-2|w| - 4<X, Y>)*sqrt(3)) / L^2,
-
-    returned as one exact field element. It is zero for every input; a
-    nonzero result would disprove the identity. A zero residual is one
-    shared zero element; ``QSqrt3`` has no mutating operation.
+    lhs - 2*sqrt(3)*|w| - 2*|u + R(v)|^2 is homogeneous of degree 2: it is
+    (a + sign(w)*b'*sqrt(3))/D^2 with the integers of
+    ``_residual_coefficients``, returned as one exact field element. It is
+    zero for every input; a nonzero result would disprove the identity. A
+    zero residual is one shared zero element; ``QSqrt3`` has no mutating
+    operation.
     """
-    L, lhs, w, (x0, x1), (y0, y1) = _scaled_pieces(u, v)
-    a = lhs - 2 * (x0 * x0 + x1 * x1) - 6 * (y0 * y0 + y1 * y1)
-    b = -2 * abs(w) - 4 * (x0 * y0 + x1 * y1)
+    u = [_coerce(x).as_integer_ratio() for x in u]
+    v = [_coerce(x).as_integer_ratio() for x in v]
+    if len(u) != 2 or len(v) != 2:
+        raise ValueError("verify_exact is defined for dimension 2 only")
+    (x0, a0), (y0, b0) = u
+    (x1, a1), (y1, b1) = v
+    a, b, w = _residual_coefficients(x0, y0, x1, y1, a0, b0, a1, b1)
     if not (a or b):
         return _ZERO
-    return QSqrt3(Fraction(a, L * L), Fraction(b, L * L))
+    D2 = (2 * a0 * b0 * a1 * b1) ** 2
+    return QSqrt3(Fraction(a, D2), Fraction(b if w >= 0 else -b, D2))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Sample helpers shared by the test modules."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -38,6 +39,21 @@ def conormal(u, v):
     scaled back by 2**b, and its collinear flag; a Python bool for one pair."""
     _, c, degenerate, _, b = _plane(*_check_pair(u, v))
     return _scale(c, b[..., None]), _item(degenerate)
+
+
+def random_rational_pair(rng, max_magnitude):
+    """One planar pair of Fractions, |num| and den <= max_magnitude: four
+    numerators, then four denominators, as the exact sweep draws them."""
+    num = rng.integers(-max_magnitude, max_magnitude + 1, size=4)
+    den = rng.integers(1, max_magnitude + 1, size=4)
+    coords = [Fraction(int(n), int(d)) for n, d in zip(num, den)]
+    return (coords[0], coords[1]), (coords[2], coords[3])
+
+
+def random_rational_pairs(count, seed=0):
+    """The exact sweep's sample as (u, v) pairs of Fractions, one draw per pair."""
+    rng = np.random.default_rng(seed)
+    return [random_rational_pair(rng, 10**6) for _ in range(count)]
 
 
 def random_triangles(count, seed=0, low=0.1, high=10.0):

@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from samples import INTEGER_TRIANGLES, power_of_two_range
+from samples import INTEGER_TRIANGLES, power_of_two_range, random_rational_pairs
 
-from wkit import cli, curves, sweeps
-from wkit.qsqrt3 import QSqrt3
+from wkit import cli, curves, sweeps, weitzenboeck
 from wkit.weitzenboeck import Triangle, verify_identity
 
 _ENV = {**os.environ, "PYTHONHASHSEED": "0"}
@@ -218,21 +217,27 @@ class TestSweep:
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_exact_sweep_names_first_nonzero_pair(self, fmt, monkeypatch, capsys):
-        # The benchmark's fault hook: wkit.sweeps.verify_exact, here wrong on
-        # pair 3 only.
-        real = sweeps.verify_exact
-        calls = iter(range(10))
+        # The shared residual polynomial, here 1 off in a on pair 3 only, which
+        # it knows by its coordinates: in the sweep's modular check, and in
+        # verify_exact's witness, whose D is 2*(the product of the denominators).
+        u, v = random_rational_pairs(4, seed=0)[3]
+        coords = (*u, *v)
+        real = weitzenboeck._residual_coefficients
 
-        def corrupted(u, v):
-            residual = real(u, v)
-            return residual + QSqrt3("-1/7", 2) if next(calls) == 3 else residual
+        def faulty(x0, y0, x1, y1, a0, b0, a1, b1, p=None):
+            a, b, w = real(x0, y0, x1, y1, a0, b0, a1, b1, p=p)
+            hit = np.logical_and.reduce([np.equal(x * c.denominator, c.numerator * d) for x, d, c
+                                         in zip((x0, y0, x1, y1), (a0, b0, a1, b1), coords)])
+            return (a + int(hit), b, w) if p is None else ((a + hit) % p, b, w)
 
-        monkeypatch.setattr(sweeps, "verify_exact", corrupted)
+        monkeypatch.setattr(weitzenboeck, "_residual_coefficients", faulty)
+        monkeypatch.setattr(sweeps, "_residual_coefficients", faulty)
         rc = cli.main(["sweep", "--exact", "--count", "10", "--seed", "0", "--format", fmt])
         out = capsys.readouterr().out
         assert rc == 1
+        D = 2 * math.prod(c.denominator for c in coords)
         expected = {"nonzero_residuals": "1", "first_nonzero_pair": "3",
-                    "first_nonzero_residual": "-1/7 + 2*sqrt(3)", "result": "fail"}
+                    "first_nonzero_residual": f"1/{D * D} + 0*sqrt(3)", "result": "fail"}
         if fmt == "json":
             payload = json.loads(out)
             assert {k: str(payload[k]) for k in expected} == expected

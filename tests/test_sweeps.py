@@ -1,18 +1,20 @@
+import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from mpmath import mp
-from samples import conormal, near_collinear_pairs, random_pairs, random_triangles
+from samples import (
+    conormal,
+    near_collinear_pairs,
+    random_pairs,
+    random_rational_pairs,
+    random_triangles,
+)
 
 from wkit import sweeps, weitzenboeck
-from wkit.sweeps import (
-    pair_stacks,
-    random_rational_pairs,
-    run_exact_sweep,
-    run_identity_sweep,
-)
+from wkit.qsqrt3 import QSqrt3
+from wkit.sweeps import pair_stacks, run_exact_sweep, run_identity_sweep
 from wkit.vectors import wedge
 from wkit.weitzenboeck import identity_batch, verify_identity
 
@@ -158,9 +160,10 @@ def test_sweep_with_empty_dimension_stacks(count):
     _check_per_pair_reduction(count, seed=3)
 
 
-# The per-pair sample loops the sweeps ran before they drew whole stacks.
-# They stay here as the oracles of the streams: the stacks must hold the
-# same doubles and the same fractions, draw for draw.
+# The per-pair sample loops the sweeps ran before they drew whole stacks or
+# blocks. They stay as the oracles of the streams (the rational one in
+# samples.py): the stacks must hold the same doubles, and the exact sweep's
+# blocks the same fractions, draw for draw.
 
 def per_pair_sample(count, seed):
     rng = np.random.default_rng(seed)
@@ -176,13 +179,6 @@ def per_pair_sample(count, seed):
             v = rng.uniform(-10.0, 10.0, dim)
         pairs.append((u, v))
     return pairs
-
-
-def random_rational_pair(rng, max_magnitude):
-    num = rng.integers(-max_magnitude, max_magnitude + 1, size=4)
-    den = rng.integers(1, max_magnitude + 1, size=4)
-    coords = [Fraction(int(n), int(d)) for n, d in zip(num, den)]
-    return (coords[0], coords[1]), (coords[2], coords[3])
 
 
 def _joined_stacks(count, seed):
@@ -271,14 +267,29 @@ def test_default_chunk_memory():
     assert peak < 10e6
 
 
+def _spy_blocks(monkeypatch):
+    """The (n, 8) blocks that the exact sweep hands to its residual polynomial."""
+    real, blocks = sweeps._residual_coefficients, []
+
+    def spy(*pair, p=None):
+        if p is not None:
+            blocks.append(np.stack(pair, axis=1))
+        return real(*pair, p=p)
+
+    monkeypatch.setattr(sweeps, "_residual_coefficients", spy)
+    return blocks
+
+
 @pytest.mark.parametrize("seed", [0, 1, 12345])
 @pytest.mark.parametrize("block", [3, sweeps._EXACT_BLOCK])
 def test_rational_pairs_match_per_pair_stream(seed, block, monkeypatch):
     monkeypatch.setattr(sweeps, "_EXACT_BLOCK", block)
     count = 10_000 if block > 3 else 50
-    rng = np.random.default_rng(seed)
-    expected = [random_rational_pair(rng, 10**6) for _ in range(count)]
-    assert list(random_rational_pairs(count, seed)) == expected
+    blocks = _spy_blocks(monkeypatch)
+    assert run_exact_sweep(count, seed).passed
+    assert [len(b) for b in blocks] == [min(block, count - i) for i in range(0, count, block)]
+    rows = np.concatenate(blocks)
+    assert [sweeps._rational_pair(row) for row in rows] == random_rational_pairs(count, seed)
 
 
 def test_small_sweep_passes():
@@ -296,18 +307,103 @@ def test_exact_sweep_passes():
     assert res.first_nonzero_pair is None and res.first_nonzero_residual is None
 
 
+def flip_quarter_turn(real):
+    """The residual polynomial with q turned the wrong way. a does not see
+    the sign of q, and -2w - 4<X, q> = b' gives -2w - 4<X, -q> = -4w - b'."""
+    def flipped(*pair, p=None):
+        a, b, w = real(*pair, p=p)
+        b = -4 * w - b
+        return a, (b if p is None else b % p), w
+
+    return flipped
+
+
 def test_exact_sweep_fails_every_pair_with_the_quarter_turn_flipped(monkeypatch):
-    # Y = -q/2 turns v the wrong way; the residual is then nonzero on every
-    # pair, and no fast path for a zero residual may hide that.
-    real = weitzenboeck._scaled_pieces
-
-    def flipped(u, v):
-        L, lhs, w, X, (y0, y1) = real(u, v)
-        return L, lhs, w, X, (-y0, -y1)
-
-    monkeypatch.setattr(weitzenboeck, "_scaled_pieces", flipped)
+    # The residual is then nonzero on every pair, in the modular check and
+    # in verify_exact's, and no fast path for a zero residual may hide that.
+    flipped = flip_quarter_turn(weitzenboeck._residual_coefficients)
+    monkeypatch.setattr(weitzenboeck, "_residual_coefficients", flipped)
+    monkeypatch.setattr(sweeps, "_residual_coefficients", flipped)
     res = run_exact_sweep(200, seed=0)
     assert (res.nonzero_residuals, res.first_nonzero_pair) == (200, 0)
+    assert res.first_nonzero_residual == str(weitzenboeck.verify_exact(*random_rational_pairs(1)[0]))
+    assert res.first_nonzero_residual.startswith("0 + -")
+
+
+def test_exact_sweep_spot_checks_verify_exact(monkeypatch):
+    # The first pair of each block also goes through verify_exact, so a wrong
+    # verify_exact fails the sweep once per block although the modular check
+    # passes every pair.
+    real = sweeps.verify_exact
+    monkeypatch.setattr(sweeps, "verify_exact", lambda u, v: real(u, v) + QSqrt3("1/1000000000000"))
+    res = run_exact_sweep(1000, seed=0)
+    assert (res.nonzero_residuals, res.first_nonzero_pair) == (4, 0)
+    assert res.first_nonzero_residual == "1/1000000000000 + 0*sqrt(3)"
+
+
+@pytest.mark.parametrize("sweep", [run_exact_sweep, run_identity_sweep])
+@pytest.mark.parametrize("count", [0, -5])
+def test_sweeps_reject_a_count_below_one(sweep, count, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(sweeps.np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match=f"^count must be >= 1, got {count}$"):
+        sweep(count)
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_primes_decide_the_residual():
+    # _residual_coefficients derives |a| <= 96*M**8 and |b'| <= 40*M**8 for
+    # |num| and den <= M. A coefficient that is 0 modulo each prime is a
+    # multiple of their product, so it is 0 if the product exceeds twice the
+    # bound; each prime below 2**31 keeps a product of residues below 2**62.
+    doc = " ".join(weitzenboeck._residual_coefficients.__doc__.split())
+    assert "|a| <= 96*M**8 and |b'| <= 40*M**8" in doc
+    primes = sweeps._PRIMES.ravel().tolist()
+    assert sweeps._PRIMES.shape == (6, 1) and sweeps._PRIMES.dtype == np.int64
+    assert len(set(primes)) == 6
+    assert all(_is_prime(q) and q < 2**31 for q in primes)
+    assert math.prod(primes) > 2 * 96 * sweeps._EXACT_MAX**8
+
+
+def _extreme_and_drawn_rows():
+    """Every sign pattern of +-10**6 numerators over 10**6 and 1 denominators
+    (256 rows), then 10**4 rows of the exact sweep's stream."""
+    M = sweeps._EXACT_MAX
+    nums = np.array(np.meshgrid(*[[-M, M]] * 4)).reshape(4, -1).T
+    dens = np.array(np.meshgrid(*[[M, 1]] * 4)).reshape(4, -1).T
+    extreme = np.concatenate([np.repeat(nums, 16, axis=0), np.tile(dens, (16, 1))], axis=1)
+    rng = np.random.default_rng(7)
+    drawn = rng.integers(np.tile(np.repeat([-M, 1], 4), 10_000), M + 1).reshape(-1, 8)
+    return np.concatenate([extreme, drawn])
+
+
+@pytest.mark.parametrize("polynomial", ["shared", "flipped"])
+def test_residues_match_the_exact_coefficients(polynomial):
+    # The int64 path against the Python-int one reduced modulo each prime,
+    # pair by pair. a and b' vanish identically, so the flipped quarter turn,
+    # whose b' = -4w is nonzero off the collinear pairs, also compares
+    # nonzero values.
+    poly = weitzenboeck._residual_coefficients
+    if polynomial == "flipped":
+        poly = flip_quarter_turn(poly)
+    rows = _extreme_and_drawn_rows()
+    assert len({tuple(r) for r in rows[:256]}) == 256
+    residues = np.stack(poly(*rows.T, p=sweeps._PRIMES))  # (3, 6, n)
+    primes = sweeps._PRIMES.ravel().tolist()
+    for j, row in enumerate(rows.tolist()):
+        exact = poly(*row)
+        assert residues[:, :, j].tolist() == [[c % q for q in primes] for c in exact]
+    nonzero = np.any(residues[:2] != 0, axis=(0, 1))
+    if polynomial == "flipped":
+        assert np.array_equal(nonzero, np.any(residues[2] != 0, axis=0))
+        assert nonzero[256:].all() and nonzero[:256].sum() > 100
+    else:
+        assert not nonzero.any()
 
 
 def test_rational_pair_bounds():

@@ -5,17 +5,22 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from samples import INTEGER_TRIANGLES, power_of_two_range, random_pairs, random_triangles
+from samples import (
+    INTEGER_TRIANGLES,
+    power_of_two_range,
+    random_pairs,
+    random_rational_pairs,
+    random_triangles,
+)
 
 from wkit import weitzenboeck
 from wkit.qsqrt3 import QSqrt3
 from wkit.shape_space import classify, shape_point
-from wkit.sweeps import random_rational_pairs
 from wkit.vectors import SQRT3, _scale
 from wkit.weitzenboeck import (
     IdentityReport,
     Triangle,
-    _scaled_pieces,
+    _residual_coefficients,
     identity_batch,
     triangle_defect,
     triangle_to_vectors,
@@ -252,18 +257,16 @@ def qsqrt3_evaluation(u, v):
 
 
 def check_against_oracle(u, v):
-    """Each nonzero piece of the integer core, rescaled, against the oracle.
+    """The integer core's wedge and residual, rescaled, against the oracle.
 
     Returns the signed wedge of the scaled pair.
     """
-    L, lhs, w, (x0, x1), (y0, y1) = _scaled_pieces(u, v)
-    L2 = L * L
-    o_lhs, o_wedge, o_defect, o_residual = qsqrt3_evaluation(u, v)
-    assert QSqrt3(Fraction(lhs, L2)) == o_lhs
-    assert QSqrt3(0, Fraction(2 * abs(w), L2)) == o_wedge
-    defect = QSqrt3(Fraction(2 * (x0 * x0 + x1 * x1) + 6 * (y0 * y0 + y1 * y1), L2),
-                    Fraction(4 * (x0 * y0 + x1 * y1), L2))
-    assert defect == o_defect
+    (x0, a0), (y0, b0), (x1, a1), (y1, b1) = (Fraction(x).as_integer_ratio() for x in (*u, *v))
+    a, b, w = _residual_coefficients(x0, y0, x1, y1, a0, b0, a1, b1)
+    D2 = (2 * a0 * b0 * a1 * b1) ** 2
+    _, o_wedge, _, o_residual = qsqrt3_evaluation(u, v)
+    assert QSqrt3(0, Fraction(2 * abs(w), D2)) == o_wedge
+    assert QSqrt3(Fraction(a, D2), Fraction(b if w >= 0 else -b, D2)) == o_residual
     assert verify_exact(u, v) == o_residual == QSqrt3(0, 0)
     return w
 
@@ -295,7 +298,7 @@ class TestVerifyExact:
 
     def test_random_rational_pairs(self):
         for seed in (0, 1, 12345):
-            for u, v in random_rational_pairs(700, seed=seed):
+            for u, v in random_rational_pairs(700, seed):
                 check_against_oracle(u, v)
 
     @given(planar, planar)
@@ -318,21 +321,22 @@ class TestVerifyExact:
         assert check_against_oracle(u, v) == 0
         assert check_against_oracle(tuple(mu * x for x in v), v) == 0
 
-    @pytest.mark.parametrize("piece, expected", [(1, QSqrt3(Fraction(1, 36), 0)),
-                                                 (2, QSqrt3(0, Fraction(2, 36)))])
+    @pytest.mark.parametrize("piece, expected", [(0, QSqrt3(Fraction(1, 36), 0)),
+                                                 (1, QSqrt3(0, Fraction(-1, 36)))],
+                             ids=["a", "b"])
     def test_residual_assembled_from_the_pieces(self, piece, expected, monkeypatch):
-        # Here L = 6 and w = -72. One more unit in the scaled lhs, or one less
-        # in |w|, moves the residual by 1/L^2 or 2*sqrt(3)/L^2: verify_exact
-        # reads the pieces, whatever they are.
-        real = weitzenboeck._scaled_pieces
+        # Here D = 6 and w = -72. One more unit in a, or in b', moves the
+        # residual by 1/D^2, or by sign(w)*sqrt(3)/D^2: verify_exact reads the
+        # coefficients, whatever they are.
+        real = weitzenboeck._residual_coefficients
 
-        def perturbed(u, v):
-            pieces = list(real(u, v))
+        def perturbed(*pair):
+            pieces = list(real(*pair))
             pieces[piece] += 1
             return tuple(pieces)
 
-        monkeypatch.setattr(weitzenboeck, "_scaled_pieces", perturbed)
-        assert real(("1/3", 1), (2, 0))[:3] == (6, 416, -72)
+        monkeypatch.setattr(weitzenboeck, "_residual_coefficients", perturbed)
+        assert real(1, 1, 2, 0, 3, 1, 1, 1) == (0, 0, -72)
         assert verify_exact(("1/3", 1), (2, 0)) == expected
 
     @pytest.mark.parametrize("u, v", [
