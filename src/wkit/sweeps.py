@@ -33,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .weitzenboeck import _residual_coefficients, identity_batch, verify_exact
+from .weitzenboeck import _identity_terms, identity_batch, verify_exact
 
 _DIMS = range(2, 9)
 _LOW, _HIGH = -10.0, 10.0
@@ -50,15 +50,16 @@ _OFFSETS = np.cumsum([0] + [2 * d for d in _DIMS])
 # stress period both restart, and at most _BATCH_ROWS rows per dimension.
 _CHUNK_PAIRS = _BATCH_ROWS // _STRESS_PERIOD * _STRESS_PERIOD * len(_DIMS)
 # Pairs per rng.integers call of the exact sweep, drawn as one (n, 8) int64 array and checked
-# modulo _PRIMES as (6, n) residue arrays. `wkit sweep --exact --count 10000` peaks at 35.3 MiB
-# (in-process maxrss) with 256; 1,024 ran 1.35x faster but peaked 1.0 MiB higher, 4,096 4.5 MiB.
-_EXACT_BLOCK = 256
+# modulo _PRIMES as (6, n) residue arrays. `bench/run.py --workload sweep-exact` peaks at
+# 37.38 MB with 128, as low as the per-pair Fraction check this replaced (37.41 MB); 256 ran 1.1x
+# faster but peaked 0.12 MB higher, and 64 ran 1.5x slower in-process.
+_EXACT_BLOCK = 128
 # Bound on the numerators' magnitude and on the denominators of the exact sweep's coordinates.
 _EXACT_MAX = 10**6
-# Primes below 2**31 whose product, 9.8e55, exceeds twice 96*_EXACT_MAX**8, the bound on the
-# residual coefficients that _residual_coefficients derives.
-_PRIMES = np.array([[2147483647], [2147483629], [2147483587],
-                    [2147483579], [2147483563], [2147483549]], dtype=np.int64)
+# The six largest primes below 2**29, whose product, 2.4e52, exceeds twice 96*_EXACT_MAX**8, the
+# bound on the residual's coefficients that _identity_terms derives.
+_PRIMES = np.array([[536870909], [536870879], [536870869],
+                    [536870849], [536870839], [536870837]], dtype=np.int64)
 
 
 def pair_stacks(count: int, seed: int = 0) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
@@ -204,8 +205,8 @@ def run_exact_sweep(count: int, seed: int = 0) -> ExactSweepResult:
     for first in range(0, count, _EXACT_BLOCK):
         n = min(_EXACT_BLOCK, count - first)
         block = rng.integers(low[:8 * n], _EXACT_MAX + 1).reshape(n, 8)
-        a, b, _ = _residual_coefficients(*block.T, p=_PRIMES)
-        failed = np.any(a | b, axis=0)
+        lhs, w, dx, dq = _identity_terms(*block.T, p=_PRIMES)
+        failed = np.any((lhs - dx) | ((2 * w + dq) % _PRIMES), axis=0)
         failed[0] |= bool(verify_exact(*_rational_pair(block[0])))
         if not nonzero and failed.any():
             i = int(np.argmax(failed))

@@ -115,20 +115,22 @@ def verify_identity(u, v, tol: float = 1e-9) -> IdentityReport:
     return IdentityReport(lhs, 2.0 * SQRT3 * float(w[0]), d_int, d_exp, residual, equal)
 
 
-def _residual_coefficients(x0, y0, x1, y1, a0, b0, a1, b1, p=None):
-    """``(a, b', w)`` of the planar pair u = (x0/a0, y0/b0), v = (x1/a1, y1/b1).
+def _identity_terms(x0, y0, x1, y1, a0, b0, a1, b1, p=None):
+    """``(lhs, w, dx, dq)`` of the planar pair u = (x0/a0, y0/b0), v = (x1/a1, y1/b1).
 
     With D = 2*a0*b0*a1*b1, U = D*u, V = D*v = 2*h, X = U + h and q = (-h1, h0),
-    u + R(v) = (X + sqrt(3)*sign(w)*q)/D (w = 0 counts as positive), and the
-    residual times D^2 is a + sign(w)*b'*sqrt(3), where
+    lhs = |U|^2 + |V|^2 + |U+V|^2 and w = U0*V1 - U1*V0 are D^2 times the
+    identity's left side and wedge. u + R(v) = (X + sqrt(3)*sign(w)*q)/D (w = 0
+    counts as positive), so D^2 times the defect is dx + sign(w)*dq*sqrt(3) and
+    D^2 times the residual is a + sign(w)*b'*sqrt(3), where
 
-        a = lhs - 2|X|^2 - 6|q|^2,   b' = -2w - 4<X, q>,
+        dx = 2|X|^2 + 6|q|^2,   dq = 4<X, q>,   a = lhs - dx,   b' = -2w - dq.
 
-    lhs = |U|^2 + |V|^2 + |U+V|^2 and w = U0*V1 - U1*V0. Exact for Python
-    ints (``p`` None). For an int64 column ``p`` of primes below 2**31 and
-    int64 arrays below 2**30 in magnitude: residues in [0, p), a row per
-    prime and a column per pair; each product is reduced at once, so none
-    reaches p**2 < 2**62, and no sum 32*p.
+    Exact for Python ints (``p`` None). For an int64 column ``p`` of primes
+    below 2**29 and int64 arrays below 2**29 in magnitude: residues in [0, p),
+    a row per prime and a column per pair. A product with an input factor is
+    reduced at once; each other sum holds at most 28 products of residues,
+    so nothing reaches 28*p**2 < 2**63.
 
     Bound: for |num| and den <= M, |U_i| <= 2*M**4, |h_i| <= M**4,
     |X_i| <= 3*M**4 and |U_i + V_i| <= 4*M**4, so term by term
@@ -139,20 +141,17 @@ def _residual_coefficients(x0, y0, x1, y1, a0, b0, a1, b1, p=None):
     def mod(z):
         return z if p is None else z % p
 
-    def mul(s, t):
-        return mod(s * t)
-
-    a0b0, a1b1 = mul(a0, b0), mul(a1, b1)
-    U0, U1 = mul(2 * x0, mul(b0, a1b1)), mul(2 * y0, mul(a0, a1b1))
-    h0, h1 = mul(x1, mul(b1, a0b0)), mul(y1, mul(a1, a0b0))
-    X0, X1 = mod(U0 + h0), mod(U1 + h1)
-    S0, S1 = mod(U0 + 2 * h0), mod(U1 + 2 * h1)
-    hh = mul(h0, h0) + mul(h1, h1)  # |h|^2 = |q|^2 = |V|^2/4
-    lhs = mul(U0, U0) + mul(U1, U1) + 4 * hh + mul(S0, S0) + mul(S1, S1)
-    w = mod(2 * (mul(U0, h1) - mul(U1, h0)))
-    a = mod(lhs - 2 * (mul(X0, X0) + mul(X1, X1)) - 6 * hh)
-    b = mod(-2 * w - 4 * (mul(X1, h0) - mul(X0, h1)))
-    return a, b, w
+    a0b0, a1b1 = mod(a0 * b0), mod(a1 * b1)
+    U0, U1 = mod(2 * x0 * mod(b0 * a1b1)), mod(2 * y0 * mod(a0 * a1b1))
+    h0, h1 = mod(x1 * mod(b1 * a0b0)), mod(y1 * mod(a1 * a0b0))
+    X0, X1 = U0 + h0, U1 + h1
+    hh = h0 * h0 + h1 * h1  # |h|^2 = |q|^2 = |V|^2/4
+    # U + V = X + h
+    lhs = mod(U0 * U0 + U1 * U1 + 4 * hh + (X0 + h0) ** 2 + (X1 + h1) ** 2)
+    w = mod(2 * (U0 * h1 - U1 * h0))
+    dx = mod(2 * (X0 * X0 + X1 * X1) + 6 * hh)
+    dq = mod(4 * (X1 * h0 - X0 * h1))
+    return lhs, w, dx, dq
 
 
 def verify_exact(u, v) -> QSqrt3:
@@ -161,11 +160,10 @@ def verify_exact(u, v) -> QSqrt3:
     ``u`` and ``v`` are planar vectors with exact rational coordinates
     (int, Fraction, numpy integers, or strings like "3/7"). The residual
     lhs - 2*sqrt(3)*|w| - 2*|u + R(v)|^2 is homogeneous of degree 2: it is
-    (a + sign(w)*b'*sqrt(3))/D^2 with the integers of
-    ``_residual_coefficients``, returned as one exact field element. It is
-    zero for every input; a nonzero result would disprove the identity. A
-    zero residual is one shared zero element; ``QSqrt3`` has no mutating
-    operation.
+    (a + sign(w)*b'*sqrt(3))/D^2 with the integers of ``_identity_terms``,
+    returned as one exact field element. It is zero for every input; a
+    nonzero result would disprove the identity. A zero residual is one
+    shared zero element; ``QSqrt3`` has no mutating operation.
     """
     u = [_coerce(x).as_integer_ratio() for x in u]
     v = [_coerce(x).as_integer_ratio() for x in v]
@@ -173,7 +171,8 @@ def verify_exact(u, v) -> QSqrt3:
         raise ValueError("verify_exact is defined for dimension 2 only")
     (x0, a0), (y0, b0) = u
     (x1, a1), (y1, b1) = v
-    a, b, w = _residual_coefficients(x0, y0, x1, y1, a0, b0, a1, b1)
+    lhs, w, dx, dq = _identity_terms(x0, y0, x1, y1, a0, b0, a1, b1)
+    a, b = lhs - dx, -2 * w - dq
     if not (a or b):
         return _ZERO
     D2 = (2 * a0 * b0 * a1 * b1) ** 2

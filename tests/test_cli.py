@@ -217,21 +217,22 @@ class TestSweep:
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_exact_sweep_names_first_nonzero_pair(self, fmt, monkeypatch, capsys):
-        # The shared residual polynomial, here 1 off in a on pair 3 only, which
-        # it knows by its coordinates: in the sweep's modular check, and in
+        # The identity's shared terms, here 1 off in lhs on pair 3 only, which
+        # they know by its coordinates: in the sweep's modular check, and in
         # verify_exact's witness, whose D is 2*(the product of the denominators).
         u, v = random_rational_pairs(4, seed=0)[3]
         coords = (*u, *v)
-        real = weitzenboeck._residual_coefficients
+        real = weitzenboeck._identity_terms
 
         def faulty(x0, y0, x1, y1, a0, b0, a1, b1, p=None):
-            a, b, w = real(x0, y0, x1, y1, a0, b0, a1, b1, p=p)
+            lhs, w, dx, dq = real(x0, y0, x1, y1, a0, b0, a1, b1, p=p)
             hit = np.logical_and.reduce([np.equal(x * c.denominator, c.numerator * d) for x, d, c
                                          in zip((x0, y0, x1, y1), (a0, b0, a1, b1), coords)])
-            return (a + int(hit), b, w) if p is None else ((a + hit) % p, b, w)
+            lhs = lhs + int(hit) if p is None else (lhs + hit) % p
+            return lhs, w, dx, dq
 
-        monkeypatch.setattr(weitzenboeck, "_residual_coefficients", faulty)
-        monkeypatch.setattr(sweeps, "_residual_coefficients", faulty)
+        monkeypatch.setattr(weitzenboeck, "_identity_terms", faulty)
+        monkeypatch.setattr(sweeps, "_identity_terms", faulty)
         rc = cli.main(["sweep", "--exact", "--count", "10", "--seed", "0", "--format", fmt])
         out = capsys.readouterr().out
         assert rc == 1

@@ -269,19 +269,19 @@ def test_default_chunk_memory():
 
 def _spy_blocks(monkeypatch):
     """The (n, 8) blocks that the exact sweep hands to its residual polynomial."""
-    real, blocks = sweeps._residual_coefficients, []
+    real, blocks = sweeps._identity_terms, []
 
     def spy(*pair, p=None):
         if p is not None:
             blocks.append(np.stack(pair, axis=1))
         return real(*pair, p=p)
 
-    monkeypatch.setattr(sweeps, "_residual_coefficients", spy)
+    monkeypatch.setattr(sweeps, "_identity_terms", spy)
     return blocks
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345])
-@pytest.mark.parametrize("block", [3, sweeps._EXACT_BLOCK])
+@pytest.mark.parametrize("block", [3, sweeps._EXACT_BLOCK, 256])
 def test_rational_pairs_match_per_pair_stream(seed, block, monkeypatch):
     monkeypatch.setattr(sweeps, "_EXACT_BLOCK", block)
     count = 10_000 if block > 3 else 50
@@ -308,12 +308,12 @@ def test_exact_sweep_passes():
 
 
 def flip_quarter_turn(real):
-    """The residual polynomial with q turned the wrong way. a does not see
-    the sign of q, and -2w - 4<X, q> = b' gives -2w - 4<X, -q> = -4w - b'."""
+    """The identity's terms with q turned the wrong way: dq = 4<X, q> becomes
+    4<X, -q> = -dq, and no other term sees the sign of q. The callers then
+    form b' = -2w + dq = -4w."""
     def flipped(*pair, p=None):
-        a, b, w = real(*pair, p=p)
-        b = -4 * w - b
-        return a, (b if p is None else b % p), w
+        lhs, w, dx, dq = real(*pair, p=p)
+        return lhs, w, dx, (-dq if p is None else -dq % p)
 
     return flipped
 
@@ -321,9 +321,9 @@ def flip_quarter_turn(real):
 def test_exact_sweep_fails_every_pair_with_the_quarter_turn_flipped(monkeypatch):
     # The residual is then nonzero on every pair, in the modular check and
     # in verify_exact's, and no fast path for a zero residual may hide that.
-    flipped = flip_quarter_turn(weitzenboeck._residual_coefficients)
-    monkeypatch.setattr(weitzenboeck, "_residual_coefficients", flipped)
-    monkeypatch.setattr(sweeps, "_residual_coefficients", flipped)
+    flipped = flip_quarter_turn(weitzenboeck._identity_terms)
+    monkeypatch.setattr(weitzenboeck, "_identity_terms", flipped)
+    monkeypatch.setattr(sweeps, "_identity_terms", flipped)
     res = run_exact_sweep(200, seed=0)
     assert (res.nonzero_residuals, res.first_nonzero_pair) == (200, 0)
     assert res.first_nonzero_residual == str(weitzenboeck.verify_exact(*random_rational_pairs(1)[0]))
@@ -337,7 +337,8 @@ def test_exact_sweep_spot_checks_verify_exact(monkeypatch):
     real = sweeps.verify_exact
     monkeypatch.setattr(sweeps, "verify_exact", lambda u, v: real(u, v) + QSqrt3("1/1000000000000"))
     res = run_exact_sweep(1000, seed=0)
-    assert (res.nonzero_residuals, res.first_nonzero_pair) == (4, 0)
+    blocks = -(-1000 // sweeps._EXACT_BLOCK)
+    assert (res.nonzero_residuals, res.first_nonzero_pair) == (blocks, 0)
     assert res.first_nonzero_residual == "1/1000000000000 + 0*sqrt(3)"
 
 
@@ -357,16 +358,20 @@ def _is_prime(n):
 
 
 def test_primes_decide_the_residual():
-    # _residual_coefficients derives |a| <= 96*M**8 and |b'| <= 40*M**8 for
-    # |num| and den <= M. A coefficient that is 0 modulo each prime is a
-    # multiple of their product, so it is 0 if the product exceeds twice the
-    # bound; each prime below 2**31 keeps a product of residues below 2**62.
-    doc = " ".join(weitzenboeck._residual_coefficients.__doc__.split())
+    # _identity_terms derives |a| <= 96*M**8 and |b'| <= 40*M**8 for |num|
+    # and den <= M. A coefficient that is 0 modulo each prime is a multiple
+    # of their product, so it is 0 if the product exceeds twice the bound.
+    # Each prime below 2**29 keeps the int64 sums of up to 28 products of
+    # residues below 2**63, and the sweep's inputs stay below 2**29.
+    doc = " ".join(weitzenboeck._identity_terms.__doc__.split())
     assert "|a| <= 96*M**8 and |b'| <= 40*M**8" in doc
+    assert "primes below 2**29 and int64 arrays below 2**29 in magnitude" in doc
+    assert "nothing reaches 28*p**2 < 2**63" in doc
     primes = sweeps._PRIMES.ravel().tolist()
     assert sweeps._PRIMES.shape == (6, 1) and sweeps._PRIMES.dtype == np.int64
     assert len(set(primes)) == 6
-    assert all(_is_prime(q) and q < 2**31 for q in primes)
+    assert all(_is_prime(q) and q < 2**29 for q in primes)
+    assert 28 * max(primes) ** 2 < 2**63 and sweeps._EXACT_MAX < 2**29
     assert math.prod(primes) > 2 * 96 * sweeps._EXACT_MAX**8
 
 
@@ -383,27 +388,28 @@ def _extreme_and_drawn_rows():
 
 
 @pytest.mark.parametrize("polynomial", ["shared", "flipped"])
-def test_residues_match_the_exact_coefficients(polynomial):
+def test_residues_match_the_exact_terms(polynomial):
     # The int64 path against the Python-int one reduced modulo each prime,
-    # pair by pair. a and b' vanish identically, so the flipped quarter turn,
-    # whose b' = -4w is nonzero off the collinear pairs, also compares
-    # nonzero values.
-    poly = weitzenboeck._residual_coefficients
+    # pair by pair and term by term. lhs and dx are positive on every row
+    # and w nonzero off the collinear ones; the coefficients a = lhs - dx
+    # and b' = -2w - dq vanish, but for the flipped quarter turn, whose
+    # b' = -4w, which the modular terms must carry as well.
+    poly = weitzenboeck._identity_terms
     if polynomial == "flipped":
         poly = flip_quarter_turn(poly)
     rows = _extreme_and_drawn_rows()
     assert len({tuple(r) for r in rows[:256]}) == 256
-    residues = np.stack(poly(*rows.T, p=sweeps._PRIMES))  # (3, 6, n)
+    residues = np.stack(poly(*rows.T, p=sweeps._PRIMES))  # (4, 6, n)
     primes = sweeps._PRIMES.ravel().tolist()
-    for j, row in enumerate(rows.tolist()):
-        exact = poly(*row)
-        assert residues[:, :, j].tolist() == [[c % q for q in primes] for c in exact]
-    nonzero = np.any(residues[:2] != 0, axis=(0, 1))
-    if polynomial == "flipped":
-        assert np.array_equal(nonzero, np.any(residues[2] != 0, axis=0))
-        assert nonzero[256:].all() and nonzero[:256].sum() > 100
-    else:
-        assert not nonzero.any()
+    exact = [poly(*row) for row in rows.tolist()]
+    for j, terms in enumerate(exact):
+        assert residues[:, :, j].tolist() == [[t % q for q in primes] for t in terms]
+    lhs, w, dx, dq = zip(*exact)
+    assert min(lhs) > 0 and min(dx) > 0
+    assert all(w[256:]) and sum(map(bool, w[:256])) > 100
+    assert not any(x - y for x, y in zip(lhs, dx))
+    b = [-2 * x - y for x, y in zip(w, dq)]
+    assert b == ([-4 * x for x in w] if polynomial == "flipped" else [0] * len(w))
 
 
 def test_rational_pair_bounds():

@@ -20,7 +20,7 @@ from wkit.vectors import SQRT3, _scale
 from wkit.weitzenboeck import (
     IdentityReport,
     Triangle,
-    _residual_coefficients,
+    _identity_terms,
     identity_batch,
     triangle_defect,
     triangle_to_vectors,
@@ -257,16 +257,17 @@ def qsqrt3_evaluation(u, v):
 
 
 def check_against_oracle(u, v):
-    """The integer core's wedge and residual, rescaled, against the oracle.
+    """Each term of the integer core, rescaled, against the oracle.
 
     Returns the signed wedge of the scaled pair.
     """
     (x0, a0), (y0, b0), (x1, a1), (y1, b1) = (Fraction(x).as_integer_ratio() for x in (*u, *v))
-    a, b, w = _residual_coefficients(x0, y0, x1, y1, a0, b0, a1, b1)
+    lhs, w, dx, dq = _identity_terms(x0, y0, x1, y1, a0, b0, a1, b1)
     D2 = (2 * a0 * b0 * a1 * b1) ** 2
-    _, o_wedge, _, o_residual = qsqrt3_evaluation(u, v)
+    o_lhs, o_wedge, o_defect, o_residual = qsqrt3_evaluation(u, v)
+    assert QSqrt3(Fraction(lhs, D2)) == o_lhs
     assert QSqrt3(0, Fraction(2 * abs(w), D2)) == o_wedge
-    assert QSqrt3(Fraction(a, D2), Fraction(b if w >= 0 else -b, D2)) == o_residual
+    assert QSqrt3(Fraction(dx, D2), Fraction(dq if w >= 0 else -dq, D2)) == o_defect
     assert verify_exact(u, v) == o_residual == QSqrt3(0, 0)
     return w
 
@@ -280,7 +281,7 @@ coords = st.one_of(
     _fractions.map(str),
 )
 planar = st.tuples(coords, coords)
-BIG_DEN = 10**40 - 119  # odd, so only the 2 in L makes V even
+BIG_DEN = 10**40 - 119  # odd, so only the 2 in D makes V even
 
 
 class TestVerifyExact:
@@ -322,21 +323,24 @@ class TestVerifyExact:
         assert check_against_oracle(tuple(mu * x for x in v), v) == 0
 
     @pytest.mark.parametrize("piece, expected", [(0, QSqrt3(Fraction(1, 36), 0)),
-                                                 (1, QSqrt3(0, Fraction(-1, 36)))],
-                             ids=["a", "b"])
+                                                 (1, QSqrt3(0, Fraction(2, 36))),
+                                                 (2, QSqrt3(Fraction(-1, 36), 0)),
+                                                 (3, QSqrt3(0, Fraction(1, 36)))],
+                             ids=["lhs", "w", "dx", "dq"])
     def test_residual_assembled_from_the_pieces(self, piece, expected, monkeypatch):
-        # Here D = 6 and w = -72. One more unit in a, or in b', moves the
-        # residual by 1/D^2, or by sign(w)*sqrt(3)/D^2: verify_exact reads the
-        # coefficients, whatever they are.
-        real = weitzenboeck._residual_coefficients
+        # Here D = 6 and w = -72. One more unit in lhs or dx moves the residual
+        # by 1/D^2 or -1/D^2; one more in w, which stays negative, or in dq
+        # moves it by 2*sqrt(3)/D^2 or sqrt(3)/D^2: verify_exact forms the
+        # residual from the terms, whatever they are.
+        real = weitzenboeck._identity_terms
 
         def perturbed(*pair):
             pieces = list(real(*pair))
             pieces[piece] += 1
             return tuple(pieces)
 
-        monkeypatch.setattr(weitzenboeck, "_residual_coefficients", perturbed)
-        assert real(1, 1, 2, 0, 3, 1, 1, 1) == (0, 0, -72)
+        monkeypatch.setattr(weitzenboeck, "_identity_terms", perturbed)
+        assert real(1, 1, 2, 0, 3, 1, 1, 1) == (416, -72, 416, 144)
         assert verify_exact(("1/3", 1), (2, 0)) == expected
 
     @pytest.mark.parametrize("u, v", [
