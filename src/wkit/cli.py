@@ -112,8 +112,6 @@ def cmd_defect(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.exact:
         res = run_exact_sweep(args.count, args.seed)
         fields = [("nonzero_residuals", res.nonzero_residuals)]

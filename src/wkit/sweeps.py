@@ -50,10 +50,9 @@ _OFFSETS = np.cumsum([0] + [2 * d for d in _DIMS])
 # stress period both restart, and at most _BATCH_ROWS rows per dimension.
 _CHUNK_PAIRS = _BATCH_ROWS // _STRESS_PERIOD * _STRESS_PERIOD * len(_DIMS)
 # Pairs per rng.integers call of the exact sweep, drawn as one (n, 8) int64 array and checked
-# modulo _PRIMES as (6, n) residue arrays. `bench/run.py --workload sweep-exact` peaks at
-# 37.38 MB with 128, as low as the per-pair Fraction check this replaced (37.41 MB); 256 ran 1.1x
-# faster but peaked 0.12 MB higher, and 64 ran 1.5x slower in-process.
-_EXACT_BLOCK = 128
+# modulo _PRIMES. `bench/run.py --workload sweep-exact` peaks at 37.49 MB with 256, as with 128
+# before; 512 peaked 0.28 MB higher, and 64 ran 1.5x slower in-process.
+_EXACT_BLOCK = 256
 # Bound on the numerators' magnitude and on the denominators of the exact sweep's coordinates.
 _EXACT_MAX = 10**6
 # The six largest primes below 2**29, whose product, 2.4e52, exceeds twice 96*_EXACT_MAX**8, the
@@ -142,6 +141,8 @@ def run_identity_sweep(count: int, seed: int = 0, tolerance: float = 1e-9) -> Sw
     """Check the identity, defect nonnegativity, and path agreement on a sample."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     max_res = max_neg = max_gap = 0.0
     for chunk in pair_stacks(count, seed):
         for U, V in chunk:
@@ -198,6 +199,8 @@ def run_exact_sweep(count: int, seed: int = 0) -> ExactSweepResult:
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     low = np.tile(np.repeat([-_EXACT_MAX, 1], 4), _EXACT_BLOCK)
     nonzero = 0
@@ -206,7 +209,7 @@ def run_exact_sweep(count: int, seed: int = 0) -> ExactSweepResult:
         n = min(_EXACT_BLOCK, count - first)
         block = rng.integers(low[:8 * n], _EXACT_MAX + 1).reshape(n, 8)
         lhs, w, dx, dq = _identity_terms(*block.T, p=_PRIMES)
-        failed = np.any((lhs - dx) | ((2 * w + dq) % _PRIMES), axis=0)
+        failed = np.any(((lhs - dx) % _PRIMES) | ((2 * w + dq) % _PRIMES), axis=0)
         failed[0] |= bool(verify_exact(*_rational_pair(block[0])))
         if not nonzero and failed.any():
             i = int(np.argmax(failed))

@@ -127,10 +127,12 @@ def _identity_terms(x0, y0, x1, y1, a0, b0, a1, b1, p=None):
         dx = 2|X|^2 + 6|q|^2,   dq = 4<X, q>,   a = lhs - dx,   b' = -2w - dq.
 
     Exact for Python ints (``p`` None). For an int64 column ``p`` of primes
-    below 2**29 and int64 arrays below 2**29 in magnitude: residues in [0, p),
-    a row per prime and a column per pair. A product with an input factor is
-    reduced at once; each other sum holds at most 28 products of residues,
-    so nothing reaches 28*p**2 < 2**63.
+    below 2**29 and int64 arrays of magnitude at most M, M**3 < 2**63: terms
+    congruent to these modulo p, a row per prime and a column per pair. Each
+    product of three denominators, at most M**3, is reduced once, and so is
+    its product with a numerator, so U and h lie in [0, p). The terms are
+    unreduced sums of products of those: 0 <= lhs, dx < 28*p**2, |w| < 2*p**2
+    and |dq| < 8*p**2, so nothing reaches 28*p**2 < 2**63.
 
     Bound: for |num| and den <= M, |U_i| <= 2*M**4, |h_i| <= M**4,
     |X_i| <= 3*M**4 and |U_i + V_i| <= 4*M**4, so term by term
@@ -141,16 +143,15 @@ def _identity_terms(x0, y0, x1, y1, a0, b0, a1, b1, p=None):
     def mod(z):
         return z if p is None else z % p
 
-    a0b0, a1b1 = mod(a0 * b0), mod(a1 * b1)
+    a0b0, a1b1 = a0 * b0, a1 * b1
     U0, U1 = mod(2 * x0 * mod(b0 * a1b1)), mod(2 * y0 * mod(a0 * a1b1))
     h0, h1 = mod(x1 * mod(b1 * a0b0)), mod(y1 * mod(a1 * a0b0))
     X0, X1 = U0 + h0, U1 + h1
-    hh = h0 * h0 + h1 * h1  # |h|^2 = |q|^2 = |V|^2/4
-    # U + V = X + h
-    lhs = mod(U0 * U0 + U1 * U1 + 4 * hh + (X0 + h0) ** 2 + (X1 + h1) ** 2)
-    w = mod(2 * (U0 * h1 - U1 * h0))
-    dx = mod(2 * (X0 * X0 + X1 * X1) + 6 * hh)
-    dq = mod(4 * (X1 * h0 - X0 * h1))
+    hh = h0 * h0 + h1 * h1  # |h|^2 = |q|^2 = |V|^2/4, and U + V = X + h
+    lhs = U0 * U0 + U1 * U1 + 4 * hh + (X0 + h0) ** 2 + (X1 + h1) ** 2
+    w = 2 * (U0 * h1 - U1 * h0)
+    dx = 2 * (X0 * X0 + X1 * X1) + 6 * hh
+    dq = 4 * (X1 * h0 - X0 * h1)
     return lhs, w, dx, dq
 
 

@@ -1077,7 +1077,7 @@ class TestTolerancePlumbing:
         for extra in ((), ("--exact",)):
             r = run_cli("sweep", "--count", "10", "--seed", "-1", *extra)
             assert r.returncode == 2
-            assert "--seed must be >= 0" in r.stderr
+            assert r.stderr == "error: seed must be >= 0, got -1\n"
             assert r.stdout == ""
 
 

@@ -281,15 +281,17 @@ def _spy_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345])
-@pytest.mark.parametrize("block", [3, sweeps._EXACT_BLOCK, 256])
+@pytest.mark.parametrize("block", [3, 128, sweeps._EXACT_BLOCK])
 def test_rational_pairs_match_per_pair_stream(seed, block, monkeypatch):
     monkeypatch.setattr(sweeps, "_EXACT_BLOCK", block)
-    count = 10_000 if block > 3 else 50
     blocks = _spy_blocks(monkeypatch)
-    assert run_exact_sweep(count, seed).passed
-    assert [len(b) for b in blocks] == [min(block, count - i) for i in range(0, count, block)]
-    rows = np.concatenate(blocks)
-    assert [sweeps._rational_pair(row) for row in rows] == random_rational_pairs(count, seed)
+    # block + 1 pairs leave one pair for the last block.
+    for count in (10_000 if block > 3 else 50, block + 1):
+        blocks.clear()
+        assert run_exact_sweep(count, seed).passed
+        assert [len(b) for b in blocks] == [min(block, count - i) for i in range(0, count, block)]
+        rows = np.concatenate(blocks)
+        assert [sweeps._rational_pair(row) for row in rows] == random_rational_pairs(count, seed)
 
 
 def test_small_sweep_passes():
@@ -313,7 +315,7 @@ def flip_quarter_turn(real):
     form b' = -2w + dq = -4w."""
     def flipped(*pair, p=None):
         lhs, w, dx, dq = real(*pair, p=p)
-        return lhs, w, dx, (-dq if p is None else -dq % p)
+        return lhs, w, dx, -dq
 
     return flipped
 
@@ -342,15 +344,29 @@ def test_exact_sweep_spot_checks_verify_exact(monkeypatch):
     assert res.first_nonzero_residual == "1/1000000000000 + 0*sqrt(3)"
 
 
-@pytest.mark.parametrize("sweep", [run_exact_sweep, run_identity_sweep])
-@pytest.mark.parametrize("count", [0, -5])
-def test_sweeps_reject_a_count_below_one(sweep, count, monkeypatch):
+def _forbid_draws(monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew a sample")
 
     monkeypatch.setattr(sweeps.np.random, "default_rng", no_draw)
+
+
+@pytest.mark.parametrize("sweep", [run_exact_sweep, run_identity_sweep])
+@pytest.mark.parametrize("count", [0, -5])
+def test_sweeps_reject_a_count_below_one(sweep, count, monkeypatch):
+    _forbid_draws(monkeypatch)
     with pytest.raises(ValueError, match=f"^count must be >= 1, got {count}$"):
         sweep(count)
+
+
+@pytest.mark.parametrize("sweep", [run_exact_sweep, run_identity_sweep])
+def test_sweeps_reject_a_negative_seed(sweep, monkeypatch):
+    # Before any draw, and after the count check.
+    _forbid_draws(monkeypatch)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        sweep(10, seed=-1)
+    with pytest.raises(ValueError, match="^count must be >= 1, got 0$"):
+        sweep(0, seed=-1)
 
 
 def _is_prime(n):
@@ -361,17 +377,20 @@ def test_primes_decide_the_residual():
     # _identity_terms derives |a| <= 96*M**8 and |b'| <= 40*M**8 for |num|
     # and den <= M. A coefficient that is 0 modulo each prime is a multiple
     # of their product, so it is 0 if the product exceeds twice the bound.
-    # Each prime below 2**29 keeps the int64 sums of up to 28 products of
-    # residues below 2**63, and the sweep's inputs stay below 2**29.
+    # The sweep's products of three inputs stay below M**3 < 2**63, and each
+    # prime below 2**29 keeps the unreduced terms and the sweep's
+    # differences of them, below 28*p**2 and 12*p**2, within int64.
     doc = " ".join(weitzenboeck._identity_terms.__doc__.split())
     assert "|a| <= 96*M**8 and |b'| <= 40*M**8" in doc
-    assert "primes below 2**29 and int64 arrays below 2**29 in magnitude" in doc
+    assert "primes below 2**29 and int64 arrays of magnitude at most M, M**3 < 2**63" in doc
+    assert "product of three denominators, at most M**3, is reduced once" in doc
+    assert "0 <= lhs, dx < 28*p**2, |w| < 2*p**2 and |dq| < 8*p**2" in doc
     assert "nothing reaches 28*p**2 < 2**63" in doc
     primes = sweeps._PRIMES.ravel().tolist()
     assert sweeps._PRIMES.shape == (6, 1) and sweeps._PRIMES.dtype == np.int64
     assert len(set(primes)) == 6
     assert all(_is_prime(q) and q < 2**29 for q in primes)
-    assert 28 * max(primes) ** 2 < 2**63 and sweeps._EXACT_MAX < 2**29
+    assert 28 * max(primes) ** 2 < 2**63 and sweeps._EXACT_MAX**3 < 2**63
     assert math.prod(primes) > 2 * 96 * sweeps._EXACT_MAX**8
 
 
@@ -389,18 +408,28 @@ def _extreme_and_drawn_rows():
 
 @pytest.mark.parametrize("polynomial", ["shared", "flipped"])
 def test_residues_match_the_exact_terms(polynomial):
-    # The int64 path against the Python-int one reduced modulo each prime,
-    # pair by pair and term by term. lhs and dx are positive on every row
-    # and w nonzero off the collinear ones; the coefficients a = lhs - dx
-    # and b' = -2w - dq vanish, but for the flipped quarter turn, whose
-    # b' = -4w, which the modular terms must carry as well.
+    # The int64 path against the Python-int one, pair by pair and term by
+    # term: congruent modulo each prime, and within the docstring's bounds,
+    # since the int64 terms are left unreduced. lhs and dx are positive on
+    # every row and w nonzero off the collinear ones; the coefficients
+    # a = lhs - dx and b' = -2w - dq vanish, but for the flipped quarter
+    # turn, whose b' = -4w, which the modular terms must carry as well.
     poly = weitzenboeck._identity_terms
     if polynomial == "flipped":
         poly = flip_quarter_turn(poly)
     rows = _extreme_and_drawn_rows()
     assert len({tuple(r) for r in rows[:256]}) == 256
-    residues = np.stack(poly(*rows.T, p=sweeps._PRIMES))  # (4, 6, n)
-    primes = sweeps._PRIMES.ravel().tolist()
+    P = sweeps._PRIMES
+    terms = np.stack(poly(*rows.T, p=P))  # (4, 6, n)
+    assert terms.dtype == np.int64
+    # The same evaluation on Python ints: equal, so no int64 sum or product wrapped.
+    assert np.array_equal(terms, np.stack(poly(*rows.T.astype(object), p=P.astype(object))))
+    lhs, w, dx, dq = terms
+    for t in (lhs, dx):
+        assert (t >= 0).all() and (t < 28 * P**2).all()
+    assert (abs(w) < 2 * P**2).all() and (abs(dq) < 8 * P**2).all()
+    residues = terms % P
+    primes = P.ravel().tolist()
     exact = [poly(*row) for row in rows.tolist()]
     for j, terms in enumerate(exact):
         assert residues[:, :, j].tolist() == [[t % q for q in primes] for t in terms]
