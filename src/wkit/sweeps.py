@@ -50,8 +50,8 @@ _OFFSETS = np.cumsum([0] + [2 * d for d in _DIMS])
 # stress period both restart, and at most _BATCH_ROWS rows per dimension.
 _CHUNK_PAIRS = _BATCH_ROWS // _STRESS_PERIOD * _STRESS_PERIOD * len(_DIMS)
 # Pairs per rng.integers call of the exact sweep, drawn as one (n, 8) int64 array and checked
-# modulo _PRIMES. `bench/run.py --workload sweep-exact` peaks at 37.49 MB with 256, as with 128
-# before; 512 peaked 0.28 MB higher, and 64 ran 1.5x slower in-process.
+# modulo _PRIMES. `bench/run.py --workload sweep-exact` peaks at 37.50 MB with 256; 128 peaked
+# 0.14 MB lower but ran 8% slower, and 512 ran 6% faster but peaked 0.25 MB higher.
 _EXACT_BLOCK = 256
 # Bound on the numerators' magnitude and on the denominators of the exact sweep's coordinates.
 _EXACT_MAX = 10**6

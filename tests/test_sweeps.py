@@ -377,9 +377,9 @@ def test_primes_decide_the_residual():
     # _identity_terms derives |a| <= 96*M**8 and |b'| <= 40*M**8 for |num|
     # and den <= M. A coefficient that is 0 modulo each prime is a multiple
     # of their product, so it is 0 if the product exceeds twice the bound.
-    # The sweep's products of three inputs stay below M**3 < 2**63, and each
-    # prime below 2**29 keeps the unreduced terms and the sweep's
-    # differences of them, below 28*p**2 and 12*p**2, within int64.
+    # The sweep's products of three inputs stay below M**3 < 2**63. For
+    # primes below 2**29, its unreduced terms and their differences stay
+    # below 28*p**2 < 2**63.
     doc = " ".join(weitzenboeck._identity_terms.__doc__.split())
     assert "|a| <= 96*M**8 and |b'| <= 40*M**8" in doc
     assert "primes below 2**29 and int64 arrays of magnitude at most M, M**3 < 2**63" in doc
@@ -431,8 +431,8 @@ def test_residues_match_the_exact_terms(polynomial):
     residues = terms % P
     primes = P.ravel().tolist()
     exact = [poly(*row) for row in rows.tolist()]
-    for j, terms in enumerate(exact):
-        assert residues[:, :, j].tolist() == [[t % q for q in primes] for t in terms]
+    for j, pair_terms in enumerate(exact):
+        assert residues[:, :, j].tolist() == [[t % q for q in primes] for t in pair_terms]
     lhs, w, dx, dq = zip(*exact)
     assert min(lhs) > 0 and min(dx) > 0
     assert all(w[256:]) and sum(map(bool, w[:256])) > 100
