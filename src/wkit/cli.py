@@ -2,8 +2,7 @@
 
 Output is deterministic: identical command lines (including seed) produce
 byte-identical stdout. Exit codes: 0 all checks pass, 1 verification
-failure or a printed value that is not finite, 2 input error. The env var
-WKIT_TOL overrides the default tolerance (1e-9) wherever --tol is not given.
+failure or a printed value that is not finite, 2 input error.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 
@@ -38,8 +36,6 @@ from .shape_space import (
 from .sweeps import run_exact_sweep, run_identity_sweep
 from .vectors import SQRT3, _scale
 from .weitzenboeck import Triangle, _unit_triangle, triangle_to_vectors, verify_identity
-
-_TOL_ENV = "WKIT_TOL"
 
 #: Most curve samples one --t range, or one series of --figure, may ask
 #: for; checked on the computed count before anything is allocated.
@@ -213,7 +209,7 @@ def cmd_curve(args) -> int:
     elif args.t is not None:
         raise ValueError("--t goes with --builtin; --input takes t from its file")
     else:
-        with open(args.input, encoding="utf-8") as fh:
+        with open(args.input, encoding="utf-8-sig") as fh:
             ts, pos = read_curve_csv(fh)
         jet = jet_from_samples(ts, pos, range(1, len(ts) - 1))
         del ts, pos  # the jet holds copies; the samples need not outlive it
@@ -263,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         # matches only a plain number such as -5 or -.5.
         p._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--tol", type=float, default=None,
-                       help=f"tolerance (default 1e-9, or ${_TOL_ENV})")
+        p.add_argument("--tol", type=float, default=1e-9, help="tolerance (default 1e-9)")
         p.set_defaults(func=func)
 
     p = sub.add_parser("defect", help="defect of a triangle or a vector pair")
@@ -304,9 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # Resolved before any command runs, so its errors come first.
-        tol = args.tol if args.tol is not None else float(os.environ.get(_TOL_ENV, "1e-9"))
-        args.tol = _positive(tol, "tolerance")
+        # Checked before any command runs, so its errors come first.
+        args.tol = _positive(args.tol, "tolerance")
         return args.func(args)
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

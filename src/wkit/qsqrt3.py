@@ -16,8 +16,6 @@ from fractions import Fraction
 
 
 def _coerce(x) -> Fraction:
-    if type(x) is Fraction:
-        return x
     if isinstance(x, float):
         raise TypeError("expected an exact rational (int, Fraction, or str), not float")
     if hasattr(x, "__index__"):

@@ -38,8 +38,6 @@ import numpy as np
 from .qsqrt3 import QSqrt3, _coerce
 from .vectors import SQRT3, _check_pair, _exponent, _plane, _scale
 
-_ZERO = QSqrt3()
-
 
 def identity_batch(U, V):
     """Evaluate the identity row by row on two (m, d) stacks.
@@ -163,8 +161,7 @@ def verify_exact(u, v) -> QSqrt3:
     lhs - 2*sqrt(3)*|w| - 2*|u + R(v)|^2 is homogeneous of degree 2: it is
     (a + sign(w)*b'*sqrt(3))/D^2 with the integers of ``_identity_terms``,
     returned as one exact field element. It is zero for every input; a
-    nonzero result would disprove the identity. A zero residual is one
-    shared zero element; ``QSqrt3`` has no mutating operation.
+    nonzero result would disprove the identity.
     """
     u = [_coerce(x).as_integer_ratio() for x in u]
     v = [_coerce(x).as_integer_ratio() for x in v]
@@ -174,8 +171,6 @@ def verify_exact(u, v) -> QSqrt3:
     (x1, a1), (y1, b1) = v
     lhs, w, dx, dq = _identity_terms(x0, y0, x1, y1, a0, b0, a1, b1)
     a, b = lhs - dx, -2 * w - dq
-    if not (a or b):
-        return _ZERO
     D2 = (2 * a0 * b0 * a1 * b1) ** 2
     return QSqrt3(Fraction(a, D2), Fraction(b if w >= 0 else -b, D2))
 

@@ -28,8 +28,7 @@ def run_cli(*args):
     """Run ``wkit`` in this process, under the test run's warning filters.
 
     Returns its exit code, stdout and stderr as a CompletedProcess; the
-    SystemExit of an argparse error becomes the exit code. Set WKIT_TOL
-    with ``monkeypatch.setenv``.
+    SystemExit of an argparse error becomes the exit code.
     """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -499,6 +498,14 @@ class TestCurve:
         r = run_cli("curve", "--input", str(path), "--format", fmt)
         assert r.returncode == 0, r.stderr
         assert _sha256(r.stdout) == digest
+
+    def test_input_with_byte_order_mark(self, tmp_path):
+        # Spreadsheets' "CSV UTF-8" export starts the file with a UTF-8 BOM.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        _write_helix_csv(plain, seed=8, n=100)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        r, s = (run_cli("curve", "--input", str(p)) for p in (plain, marked))
+        assert (s.returncode, s.stdout, s.stderr) == (0, r.stdout, r.stderr)
 
     def test_builtin_circle(self):
         r = run_cli("curve", "--builtin", "circle:2", "--t", "0:6.28:0.01", "--format", "json")
@@ -1024,17 +1031,13 @@ class TestCurveTable:
 
 
 class TestTolerancePlumbing:
-    def test_env_var_override(self):
-        # Through a fresh `python -m wkit.cli`, so the variable comes from
-        # the process environment.
+    def test_environment_does_not_set_the_tolerance(self):
+        # Through a fresh `python -m wkit.cli`: --tol is the only setter, so
+        # a variable in the process environment leaves the default in place.
         env = {**_ENV, "WKIT_TOL": "1e-30"}
         r = run_subprocess("sweep", "--count", "200", "--seed", "0", env=env)
-        assert r.returncode == 1  # absurd tolerance now fails
-
-    def test_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("WKIT_TOL", "1e-30")
-        r = run_cli("sweep", "--count", "200", "--seed", "0", "--tol", "1e-9")
-        assert r.returncode == 0
+        assert r.returncode == 0, r.stdout
+        assert dict(line.split() for line in r.stdout.splitlines())["tolerance"] == "1e-09"
 
     def test_exit_code_is_2_for_unknown_command(self):
         r = run_cli("frobnicate")
@@ -1045,27 +1048,20 @@ class TestTolerancePlumbing:
         assert r.returncode == 2
         assert "positive" in r.stderr
 
-    def test_infinite_tolerance_rejected(self, monkeypatch):
+    def test_infinite_tolerance_rejected(self):
         r = run_cli("sweep", "--count", "10", "--tol", "inf")
         assert r.returncode == 2
         assert "finite" in r.stderr
-        with monkeypatch.context() as m:
-            m.setenv("WKIT_TOL", "inf")
-            r = run_cli("sweep", "--count", "10")
-        assert r.returncode == 2
         r = run_cli("curve", "--builtin", "line", "--t", "0:1:0.5", "--unit-tol", "inf")
         assert r.returncode == 2
 
     # The tolerance is checked before anything else a command checks.
-    @pytest.mark.parametrize("env, args, message", [
-        (None, ["sweep", "--count", "0", "--tol", "0"],
-         "tolerance must be positive and finite, got 0.0"),
-        ("inf", ["curve", "--builtin", "line"], "tolerance must be positive and finite, got inf"),
-        ("abc", ["sweep", "--exact", "--count", "1"], "could not convert string to float: 'abc'"),
-    ], ids=["flag-zero", "env-inf", "env-abc"])
-    def test_tolerance_error_comes_first(self, env, args, message, monkeypatch):
-        if env is not None:
-            monkeypatch.setenv("WKIT_TOL", env)
+    @pytest.mark.parametrize("args, message", [
+        (["sweep", "--count", "0", "--tol", "0"], "tolerance must be positive and finite, got 0.0"),
+        (["curve", "--builtin", "line", "--tol", "inf"],
+         "tolerance must be positive and finite, got inf"),
+    ], ids=["flag-zero", "flag-inf"])
+    def test_tolerance_error_comes_first(self, args, message):
         r = run_cli(*args)
         assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
 
@@ -1091,6 +1087,16 @@ def test_module_entry_point():
     assert "defect_intrinsic" in r.stdout
 
 
+# sha256 of each demo's stdout. The last line of 03_half_disk.py says whether
+# matplotlib rendered the figure, so it is left out of that demo's digest.
+_DEMO_STDOUT = {
+    "01_defect_identity.py": "8c5e757280d8a8ce02f92e2b99439c519a93ced0d4f2c669df1f637b192eefb2",
+    "02_exact_arithmetic.py": "a60ed36ac62a5a82b70035844282202d0b08b6e1d85c98e215d6a93fc1c83ebb",
+    "03_half_disk.py": "a589ee7883425f93f8802a5dc40e521b0efc6410186219c9c227b9a4c6e90a2e",
+    "04_curve_curvature.py": "bdcdeffc181d5342c7fab3ee45596d6fb9821330482fd7354e505c103b209a39",
+}
+
+
 @pytest.mark.parametrize("demo", sorted(Path(__file__).resolve().parents[1].glob("demos/*.py")),
                          ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
@@ -1099,3 +1105,7 @@ def test_demo_runs(demo, tmp_path):
     r = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
                        cwd=tmp_path, env=env)
     assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines(keepends=True)
+    if demo.name == "03_half_disk.py":
+        lines = lines[:-1]
+    assert _sha256("".join(lines)) == _DEMO_STDOUT[demo.name]

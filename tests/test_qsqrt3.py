@@ -114,8 +114,8 @@ def test_zero_residual_equals_and_hashes_like_zero():
 
 
 def test_zero_residual_is_never_mutated():
-    # verify_exact returns one shared zero for every valid pair; arithmetic
-    # on a result must build a new element, not change that one.
+    # Arithmetic on a residual of verify_exact builds a new element; a later
+    # residual is still the exact zero.
     shifted = verify_exact((1, 0), (0, 1)) + QSqrt3("1/7")
     shifted += QSqrt3(0, 1)
     assert shifted == QSqrt3("1/7", 1)
