@@ -23,10 +23,22 @@ pairs, one per dimension, in 70 doubles: the pair of dimension d takes 2d
 of them, u then v, and a stress pair leaves the d - 1 doubles after its lam
 undrawn until v overwrites its slot. Each dimension's u and v stacks are
 then two column slices of the table.
+
+The exact sweep draws its integers from the standard library's Mersenne
+Twister, ``random.Random(seed)``, not from ``numpy.random``: nothing it
+prints depends on which pairs are drawn, and importing ``numpy.random``
+cost more than its whole modular check of 10**4 pairs. A block of n pairs
+is one ``randbytes(64*n)`` call read as n rows of eight little-endian
+64-bit words w, so pair i takes words 8i to 8i + 7 whatever the block
+size. The four numerators are w % (2M + 1) - M and the four denominators
+w % M + 1, for M = 10**6. Since floor(2**64 / R) >= 2**43 for every range
+R <= 2M + 1, each value's probability is within 1 +- 2**-43 of uniform.
 """
 
 from __future__ import annotations
 
+import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -49,12 +61,18 @@ _OFFSETS = np.cumsum([0] + [2 * d for d in _DIMS])
 # Pairs per chunk: whole periods of 700 pairs, after which the dimension cycle and the
 # stress period both restart, and at most _BATCH_ROWS rows per dimension.
 _CHUNK_PAIRS = _BATCH_ROWS // _STRESS_PERIOD * _STRESS_PERIOD * len(_DIMS)
-# Pairs per rng.integers call of the exact sweep, drawn as one (n, 8) int64 array and checked
-# modulo _PRIMES. `bench/run.py --workload sweep-exact` peaks at 37.50 MB with 256; 128 peaked
-# 0.14 MB lower but ran 8% slower, and 512 ran 6% faster but peaked 0.25 MB higher.
-_EXACT_BLOCK = 256
+# Pairs per randbytes call of the exact sweep, mapped to one (n, 8) int64 array and checked
+# modulo _PRIMES. `bench/run.py --workload sweep-exact` ran at a median 535k pairs/s with 512,
+# against 360k with 128, 443k with 256 and 534k with 1,024 (5 runs each, 2 shared vCPUs);
+# 128 to 512 all peak at 31.47 MB, and 1,024 at 32.06 MB.
+_EXACT_BLOCK = 512
 # Bound on the numerators' magnitude and on the denominators of the exact sweep's coordinates.
 _EXACT_MAX = 10**6
+# Per column of a drawn row, the range R that maps a 64-bit word w to w % R + low: four
+# numerators in [-_EXACT_MAX, _EXACT_MAX], then four denominators in [1, _EXACT_MAX]. The
+# ranges are uint64, since numpy turns uint64 mixed with int64 into float64.
+_EXACT_RANGES = np.repeat(np.array([2 * _EXACT_MAX + 1, _EXACT_MAX], dtype=np.uint64), 4)
+_EXACT_LOWS = np.repeat(np.array([-_EXACT_MAX, 1], dtype=np.int64), 4)
 # The six largest primes below 2**29, whose product, 2.4e52, exceeds twice 96*_EXACT_MAX**8, the
 # bound on the residual's coefficients that _identity_terms derives.
 _PRIMES = np.array([[536870909], [536870879], [536870869],
@@ -193,21 +211,27 @@ def run_exact_sweep(count: int, seed: int = 0) -> ExactSweepResult:
     """Verify the exact residual is the zero of Q[sqrt(3)] on random rational
     pairs whose coordinates have |numerator| and denominator <= 10**6.
 
-    A block of pairs is one ``rng.integers`` draw, four numerators then four
-    denominators per pair, checked modulo ``_PRIMES``. Its first pair, and
-    the first failing pair, also go through ``verify_exact``.
+    The integers come from ``random.Random(seed)``, whose import is free,
+    while ``numpy.random``'s cost more than the check of 10**4 pairs. A block
+    of n pairs is n rows of eight 64-bit words from one ``randbytes`` call,
+    each word w mapped to a numerator w % (2M + 1) - M or a denominator
+    w % M + 1, within 1 +- 2**-43 of uniform; pair i takes words 8i to 8i + 7
+    whatever the block size. The block is checked modulo ``_PRIMES``, and its
+    first pair, and the first failing pair, also go through ``verify_exact``.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    low = np.tile(np.repeat([-_EXACT_MAX, 1], 4), _EXACT_BLOCK)
+    # operator.index takes ints and numpy integers by value and refuses the floats and strs
+    # that random.Random would otherwise accept.
+    rng = random.Random(operator.index(seed))
     nonzero = 0
     first_pair = first_residual = None
     for first in range(0, count, _EXACT_BLOCK):
         n = min(_EXACT_BLOCK, count - first)
-        block = rng.integers(low[:8 * n], _EXACT_MAX + 1).reshape(n, 8)
+        words = np.frombuffer(rng.randbytes(64 * n), "<u8").reshape(n, 8)
+        block = (words % _EXACT_RANGES).astype(np.int64) + _EXACT_LOWS
         lhs, w, dx, dq = _identity_terms(*block.T, p=_PRIMES)
         failed = np.any(((lhs - dx) % _PRIMES) | ((2 * w + dq) % _PRIMES), axis=0)
         failed[0] |= bool(verify_exact(*_rational_pair(block[0])))

@@ -1,6 +1,7 @@
 """Sample helpers shared by the test modules."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -41,19 +42,30 @@ def conormal(u, v):
     return _scale(c, b[..., None]), _item(degenerate)
 
 
-def random_rational_pair(rng, max_magnitude):
-    """One planar pair of Fractions, |num| and den <= max_magnitude: four
-    numerators, then four denominators, as the exact sweep draws them."""
-    num = rng.integers(-max_magnitude, max_magnitude + 1, size=4)
-    den = rng.integers(1, max_magnitude + 1, size=4)
-    coords = [Fraction(int(n), int(d)) for n, d in zip(num, den)]
-    return (coords[0], coords[1]), (coords[2], coords[3])
+def rational_pair_row(rng, max_magnitude):
+    """The eight integers of one planar pair, four numerators in
+    [-max_magnitude, max_magnitude] then four denominators in
+    [1, max_magnitude], each from its own 8-byte draw of the
+    ``random.Random`` rng: a little-endian word w, taken modulo the range."""
+    def word():
+        return int.from_bytes(rng.randbytes(8), "little")
+
+    nums = [word() % (2 * max_magnitude + 1) - max_magnitude for _ in range(4)]
+    return nums + [word() % max_magnitude + 1 for _ in range(4)]
+
+
+def rational_pair_rows(count, seed=0):
+    """The exact sweep's sample as rows of eight Python ints, one draw per integer."""
+    rng = random.Random(seed)
+    return [rational_pair_row(rng, 10**6) for _ in range(count)]
 
 
 def random_rational_pairs(count, seed=0):
-    """The exact sweep's sample as (u, v) pairs of Fractions, one draw per pair."""
-    rng = np.random.default_rng(seed)
-    return [random_rational_pair(rng, 10**6) for _ in range(count)]
+    """The exact sweep's sample as (u, v) pairs of Fractions."""
+    pairs = []
+    for x0, y0, x1, y1, a0, b0, a1, b1 in rational_pair_rows(count, seed):
+        pairs.append(((Fraction(x0, a0), Fraction(y0, b0)), (Fraction(x1, a1), Fraction(y1, b1))))
+    return pairs
 
 
 def random_triangles(count, seed=0, low=0.1, high=10.0):

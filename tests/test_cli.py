@@ -277,6 +277,27 @@ class TestSweep:
             "result             pass\n"
         )
 
+    def test_only_the_float_sweep_imports_numpy_random(self):
+        # The exact sweep draws from the standard library's random module, so
+        # in a fresh interpreter it leaves numpy.random unimported; the float
+        # sweep's stream is numpy's PCG64, which needs it.
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from wkit import cli\n"
+            "seen = ['numpy.random' in sys.modules]\n"
+            "for extra in (['--exact'], []):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(['sweep', *extra, '--count', '300']) == 0\n"
+            "    seen.append('numpy.random' in sys.modules)\n"
+            "print(json.dumps(seen))\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_ENV)
+        assert r.returncode == 0, r.stderr
+        seen = json.loads(r.stdout)
+        if seen[0]:
+            pytest.skip(f"numpy {np.__version__} imports numpy.random with numpy")
+        assert seen == [False, False, True]
+
 
 class TestShape:
     def test_sides_345(self):

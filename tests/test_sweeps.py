@@ -9,6 +9,7 @@ from samples import (
     near_collinear_pairs,
     random_pairs,
     random_rational_pairs,
+    rational_pair_rows,
     random_triangles,
 )
 
@@ -160,10 +161,11 @@ def test_sweep_with_empty_dimension_stacks(count):
     _check_per_pair_reduction(count, seed=3)
 
 
-# The per-pair sample loops the sweeps ran before they drew whole stacks or
-# blocks. They stay as the oracles of the streams (the rational one in
-# samples.py): the stacks must hold the same doubles, and the exact sweep's
-# blocks the same fractions, draw for draw.
+# The per-pair sample loops: the float sweep's is the loop it ran before it
+# drew whole stacks, the rational one in samples.py draws each integer of the
+# exact sweep from its own 8-byte word. They are the oracles of the streams:
+# the stacks must hold the same doubles, and the exact sweep's blocks the same
+# fractions, draw for draw.
 
 def per_pair_sample(count, seed):
     rng = np.random.default_rng(seed)
@@ -294,6 +296,38 @@ def test_rational_pairs_match_per_pair_stream(seed, block, monkeypatch):
         assert [sweeps._rational_pair(row) for row in rows] == random_rational_pairs(count, seed)
 
 
+# The first two rows of the exact sweep's stream. random.Random's seeding and
+# getrandbits define them, so a change in either, on any Python version the
+# package supports, shows here.
+FIRST_RATIONAL_ROWS = {
+    0: [[-858963, 950574, -804564, -915191, 420067, 131897, 570618, 309642],
+        [316910, 985228, 817097, -734004, 29172, 81914, 749501, 204216]],
+    4294967295: [[-997316, -916495, 275792, -521487, 643399, 542853, 888782, 643338],
+                 [145550, 454252, 121868, -433920, 205481, 891713, 709707, 116985]],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FIRST_RATIONAL_ROWS))
+def test_rational_stream_pinned(seed, monkeypatch):
+    blocks = _spy_blocks(monkeypatch)
+    assert run_exact_sweep(2, seed).passed
+    assert blocks[0].tolist() == FIRST_RATIONAL_ROWS[seed] == rational_pair_rows(2, seed)
+
+
+def test_exact_sweep_seed_contract(monkeypatch):
+    # The seed is an int or a numpy integer, read by value; a float or a str
+    # is refused, as numpy's default_rng refused them, not hashed.
+    blocks = _spy_blocks(monkeypatch)
+    run_exact_sweep(300, 5)
+    by_int = np.concatenate(blocks)
+    blocks.clear()
+    assert run_exact_sweep(300, np.uint64(5)).passed
+    assert np.array_equal(np.concatenate(blocks), by_int)
+    for seed in (1.5, "5"):
+        with pytest.raises(TypeError):
+            run_exact_sweep(300, seed)
+
+
 def test_small_sweep_passes():
     res = run_identity_sweep(2000, seed=0, tolerance=1e-9)
     assert res.passed
@@ -349,6 +383,7 @@ def _forbid_draws(monkeypatch):
         raise AssertionError("drew a sample")
 
     monkeypatch.setattr(sweeps.np.random, "default_rng", no_draw)
+    monkeypatch.setattr(sweeps.random, "Random", no_draw)
 
 
 @pytest.mark.parametrize("sweep", [run_exact_sweep, run_identity_sweep])
@@ -401,9 +436,7 @@ def _extreme_and_drawn_rows():
     nums = np.array(np.meshgrid(*[[-M, M]] * 4)).reshape(4, -1).T
     dens = np.array(np.meshgrid(*[[M, 1]] * 4)).reshape(4, -1).T
     extreme = np.concatenate([np.repeat(nums, 16, axis=0), np.tile(dens, (16, 1))], axis=1)
-    rng = np.random.default_rng(7)
-    drawn = rng.integers(np.tile(np.repeat([-M, 1], 4), 10_000), M + 1).reshape(-1, 8)
-    return np.concatenate([extreme, drawn])
+    return np.concatenate([extreme, rational_pair_rows(10_000, seed=7)])
 
 
 @pytest.mark.parametrize("polynomial", ["shared", "flipped"])
