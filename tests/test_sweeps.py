@@ -9,8 +9,8 @@ from samples import (
     near_collinear_pairs,
     random_pairs,
     random_rational_pairs,
-    rational_pair_rows,
     random_triangles,
+    rational_pair_rows,
 )
 
 from wkit import sweeps, weitzenboeck
@@ -316,7 +316,7 @@ def test_rational_stream_pinned(seed, monkeypatch):
 
 def test_exact_sweep_seed_contract(monkeypatch):
     # The seed is an int or a numpy integer, read by value; a float or a str
-    # is refused, as numpy's default_rng refused them, not hashed.
+    # is refused, not hashed as random.Random alone would hash it.
     blocks = _spy_blocks(monkeypatch)
     run_exact_sweep(300, 5)
     by_int = np.concatenate(blocks)
