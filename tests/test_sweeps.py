@@ -283,7 +283,8 @@ def _spy_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345])
-@pytest.mark.parametrize("block", [3, 128, sweeps._EXACT_BLOCK])
+# 256 was the block size before 512; it stays as a case of its own.
+@pytest.mark.parametrize("block", sorted({3, 128, 256, sweeps._EXACT_BLOCK}))
 def test_rational_pairs_match_per_pair_stream(seed, block, monkeypatch):
     monkeypatch.setattr(sweeps, "_EXACT_BLOCK", block)
     blocks = _spy_blocks(monkeypatch)
