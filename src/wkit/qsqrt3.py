@@ -56,7 +56,8 @@ class QSqrt3:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._a, self._b))
+        # Equal to a rational's hash when b = 0, as == is; a Fraction hashes as an equal int.
+        return hash(self._a) if self._b == 0 else hash((self._a, self._b))
 
     def __bool__(self) -> bool:
         return bool(self._a) or bool(self._b)

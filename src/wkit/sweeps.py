@@ -27,12 +27,15 @@ then two column slices of the table.
 The exact sweep draws its integers from the standard library's Mersenne
 Twister, ``random.Random(seed)``, not from ``numpy.random``: nothing it
 prints depends on which pairs are drawn, and importing ``numpy.random``
-cost more than its whole modular check of 10**4 pairs. A block of n pairs
-is one ``randbytes(64*n)`` call read as n rows of eight little-endian
-64-bit words w, so pair i takes words 8i to 8i + 7 whatever the block
-size. The four numerators are w % (2M + 1) - M and the four denominators
-w % M + 1, for M = 10**6. Since floor(2**64 / R) >= 2**43 for every range
-R <= 2M + 1, each value's probability is within 1 +- 2**-43 of uniform.
+cost more than its whole check of 10**4 pairs. A block of n pairs is one
+``randbytes(64*n)`` call read as n rows of eight little-endian 64-bit
+words w, so pair i takes words 8i to 8i + 7 whatever the block size. The
+four numerators are w % (2M + 1) - M and the four denominators w % M + 1,
+for M = 2**7, the largest power of two for which the identity's integer
+terms, at most 48*M**8 = 3*2**60 in magnitude, fit in int64. Since
+floor(2**64 / R) >= 2**55 for every range R <= 2M + 1 = 257, each value's
+probability is within 1 +- 2**-55 of uniform. So small an M also draws
+exactly collinear pairs (w = 0), about one in 10**4.
 """
 
 from __future__ import annotations
@@ -62,21 +65,18 @@ _OFFSETS = np.cumsum([0] + [2 * d for d in _DIMS])
 # stress period both restart, and at most _BATCH_ROWS rows per dimension.
 _CHUNK_PAIRS = _BATCH_ROWS // _STRESS_PERIOD * _STRESS_PERIOD * len(_DIMS)
 # Pairs per randbytes call of the exact sweep, mapped to one (n, 8) int64 array and checked
-# modulo _PRIMES. `bench/run.py --workload sweep-exact` ran at a median 535k pairs/s with 512,
-# against 360k with 128, 443k with 256 and 534k with 1,024 (5 runs each, 2 shared vCPUs);
-# 128 to 512 all peak at 31.47 MB, and 1,024 at 32.06 MB.
-_EXACT_BLOCK = 512
-# Bound on the numerators' magnitude and on the denominators of the exact sweep's coordinates.
-_EXACT_MAX = 10**6
+# in int64. `bench/run.py --workload sweep-exact` ran at a median 842k pairs/s with 1,024,
+# against 679k with 256, 788k with 512 and 827k with 2,048 (5 alternating runs each, 2 shared
+# vCPUs); 256 and 512 peak at 31.34 MB, 1,024 at 31.55 MB and 2,048 at 31.93 MB.
+_EXACT_BLOCK = 1024
+# Bound on the numerators' magnitude and on the denominators of the exact sweep's coordinates:
+# the largest power of two M with 48*M**8 < 2**63, the bound on _identity_terms's int64 terms.
+_EXACT_MAX = 2**7
 # Per column of a drawn row, the range R that maps a 64-bit word w to w % R + low: four
 # numerators in [-_EXACT_MAX, _EXACT_MAX], then four denominators in [1, _EXACT_MAX]. The
 # ranges are uint64, since numpy turns uint64 mixed with int64 into float64.
 _EXACT_RANGES = np.repeat(np.array([2 * _EXACT_MAX + 1, _EXACT_MAX], dtype=np.uint64), 4)
 _EXACT_LOWS = np.repeat(np.array([-_EXACT_MAX, 1], dtype=np.int64), 4)
-# The six largest primes below 2**29, whose product, 2.4e52, exceeds twice 96*_EXACT_MAX**8, the
-# bound on the residual's coefficients that _identity_terms derives.
-_PRIMES = np.array([[536870909], [536870879], [536870869],
-                    [536870849], [536870839], [536870837]], dtype=np.int64)
 
 
 def pair_stacks(count: int, seed: int = 0) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
@@ -161,6 +161,7 @@ def run_identity_sweep(count: int, seed: int = 0, tolerance: float = 1e-9) -> Sw
         raise ValueError(f"count must be >= 1, got {count}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    # np.maximum, unlike max, keeps a NaN, so a NaN measure fails the sweep.
     max_res = max_neg = max_gap = 0.0
     for chunk in pair_stacks(count, seed):
         for U, V in chunk:
@@ -168,16 +169,16 @@ def run_identity_sweep(count: int, seed: int = 0, tolerance: float = 1e-9) -> Sw
                 continue
             lhs, _, d_int, d_exp, residual = identity_batch(U, V)
             denom = np.maximum(1.0, lhs)
-            max_res = max(max_res, float(np.max(np.abs(residual) / denom)))
-            max_neg = max(max_neg, float(np.max(-d_int / denom)))
-            max_gap = max(max_gap, float(np.max(np.abs(d_int - d_exp) / denom)))
+            max_res = np.maximum(max_res, np.max(np.abs(residual) / denom))
+            max_neg = np.maximum(max_neg, np.max(-d_int / denom))
+            max_gap = np.maximum(max_gap, np.max(np.abs(d_int - d_exp) / denom))
     return SweepResult(
         count=count,
         seed=seed,
         tolerance=tolerance,
-        max_scaled_residual=max_res,
-        max_scaled_negativity=max(0.0, max_neg),
-        max_scaled_path_gap=max_gap,
+        max_scaled_residual=float(max_res),
+        max_scaled_negativity=float(max_neg) + 0.0,  # a -0.0 of -d_int prints as 0.0
+        max_scaled_path_gap=float(max_gap),
     )
 
 
@@ -209,15 +210,17 @@ def _rational_pair(row):
 
 def run_exact_sweep(count: int, seed: int = 0) -> ExactSweepResult:
     """Verify the exact residual is the zero of Q[sqrt(3)] on random rational
-    pairs whose coordinates have |numerator| and denominator <= 10**6.
+    pairs whose coordinates have |numerator| and denominator <= M = 2**7.
 
     The integers come from ``random.Random(seed)``, whose import is free,
     while ``numpy.random``'s cost more than the check of 10**4 pairs. A block
     of n pairs is n rows of eight 64-bit words from one ``randbytes`` call,
     each word w mapped to a numerator w % (2M + 1) - M or a denominator
-    w % M + 1, within 1 +- 2**-43 of uniform; pair i takes words 8i to 8i + 7
-    whatever the block size. The block is checked modulo ``_PRIMES``, and its
-    first pair, and the first failing pair, also go through ``verify_exact``.
+    w % M + 1, within 1 +- 2**-55 of uniform; pair i takes words 8i to 8i + 7
+    whatever the block size. The block's terms are computed in int64, exact
+    since none exceeds 48*M**8 < 2**63, and a pair fails when lhs != dx or
+    2w + dq != 0. The block's first pair, and the first failing pair, also go
+    through ``verify_exact``.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -232,8 +235,8 @@ def run_exact_sweep(count: int, seed: int = 0) -> ExactSweepResult:
         n = min(_EXACT_BLOCK, count - first)
         words = np.frombuffer(rng.randbytes(64 * n), "<u8").reshape(n, 8)
         block = (words % _EXACT_RANGES).astype(np.int64) + _EXACT_LOWS
-        lhs, w, dx, dq = _identity_terms(*block.T, p=_PRIMES)
-        failed = np.any(((lhs - dx) % _PRIMES) | ((2 * w + dq) % _PRIMES), axis=0)
+        lhs, w, dx, dq = _identity_terms(*block.T)
+        failed = (lhs != dx) | (2 * w + dq != 0)
         failed[0] |= bool(verify_exact(*_rational_pair(block[0])))
         if not nonzero and failed.any():
             i = int(np.argmax(failed))

@@ -113,7 +113,7 @@ def verify_identity(u, v, tol: float = 1e-9) -> IdentityReport:
     return IdentityReport(lhs, 2.0 * SQRT3 * float(w[0]), d_int, d_exp, residual, equal)
 
 
-def _identity_terms(x0, y0, x1, y1, a0, b0, a1, b1, p=None):
+def _identity_terms(x0, y0, x1, y1, a0, b0, a1, b1):
     """``(lhs, w, dx, dq)`` of the planar pair u = (x0/a0, y0/b0), v = (x1/a1, y1/b1).
 
     With D = 2*a0*b0*a1*b1, U = D*u, V = D*v = 2*h, X = U + h and q = (-h1, h0),
@@ -124,26 +124,16 @@ def _identity_terms(x0, y0, x1, y1, a0, b0, a1, b1, p=None):
 
         dx = 2|X|^2 + 6|q|^2,   dq = 4<X, q>,   a = lhs - dx,   b' = -2w - dq.
 
-    Exact for Python ints (``p`` None). For an int64 column ``p`` of primes
-    below 2**29 and int64 arrays of magnitude at most M, M**3 < 2**63: terms
-    congruent to these modulo p, a row per prime and a column per pair. Each
-    product of three denominators, at most M**3, is reduced once, and so is
-    its product with a numerator, so U and h lie in [0, p). The terms are
-    unreduced sums of products of those: 0 <= lhs, dx < 28*p**2, |w| < 2*p**2
-    and |dq| < 8*p**2, so nothing reaches 28*p**2 < 2**63.
-
+    Exact for Python ints, and for int64 arrays while nothing exceeds 2**63.
     Bound: for |num| and den <= M, |U_i| <= 2*M**4, |h_i| <= M**4,
     |X_i| <= 3*M**4 and |U_i + V_i| <= 4*M**4, so term by term
-    |lhs| <= 48*M**8, |X|^2 <= 18*M**8, |q|^2 <= 2*M**8, |w| <= 8*M**8,
-    |<X, q>| <= 6*M**8, and |a| <= 96*M**8 and |b'| <= 40*M**8. Primes
-    whose product exceeds twice that decide a = b' = 0 (CRT).
+    0 <= lhs <= 48*M**8, 0 <= dx <= 48*M**8, |w| <= 8*M**8 and
+    |dq| <= 24*M**8; every partial sum lies within these, and |a| <= 48*M**8
+    and |2w + dq| <= 40*M**8. For M = 2**7, 48*M**8 = 3*2**60 < 2**63.
     """
-    def mod(z):
-        return z if p is None else z % p
-
     a0b0, a1b1 = a0 * b0, a1 * b1
-    U0, U1 = mod(2 * x0 * mod(b0 * a1b1)), mod(2 * y0 * mod(a0 * a1b1))
-    h0, h1 = mod(x1 * mod(b1 * a0b0)), mod(y1 * mod(a1 * a0b0))
+    U0, U1 = 2 * x0 * b0 * a1b1, 2 * y0 * a0 * a1b1
+    h0, h1 = x1 * b1 * a0b0, y1 * a1 * a0b0
     X0, X1 = U0 + h0, U1 + h1
     hh = h0 * h0 + h1 * h1  # |h|^2 = |q|^2 = |V|^2/4, and U + V = X + h
     lhs = U0 * U0 + U1 * U1 + 4 * hh + (X0 + h0) ** 2 + (X1 + h1) ** 2

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from wkit.numerics import _det2, _two_prod, split
-from wkit.sweeps import pair_stacks
+from wkit.sweeps import _EXACT_MAX, pair_stacks
 from wkit.vectors import _check_pair, _item, _plane, _scale
 from wkit.weitzenboeck import Triangle
 
@@ -54,16 +54,17 @@ def rational_pair_row(rng, max_magnitude):
     return nums + [word() % max_magnitude + 1 for _ in range(4)]
 
 
-def rational_pair_rows(count, seed=0):
-    """The exact sweep's sample as rows of eight Python ints, one draw per integer."""
+def rational_pair_rows(count, seed=0, max_magnitude=_EXACT_MAX):
+    """Rows of eight Python ints, one draw per integer; with the default
+    bound, the exact sweep's sample."""
     rng = random.Random(seed)
-    return [rational_pair_row(rng, 10**6) for _ in range(count)]
+    return [rational_pair_row(rng, max_magnitude) for _ in range(count)]
 
 
-def random_rational_pairs(count, seed=0):
-    """The exact sweep's sample as (u, v) pairs of Fractions."""
+def random_rational_pairs(count, seed=0, max_magnitude=_EXACT_MAX):
+    """``rational_pair_rows`` as (u, v) pairs of Fractions."""
     pairs = []
-    for x0, y0, x1, y1, a0, b0, a1, b1 in rational_pair_rows(count, seed):
+    for x0, y0, x1, y1, a0, b0, a1, b1 in rational_pair_rows(count, seed, max_magnitude):
         pairs.append(((Fraction(x0, a0), Fraction(y0, b0)), (Fraction(x1, a1), Fraction(y1, b1))))
     return pairs
 

@@ -217,18 +217,17 @@ class TestSweep:
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_exact_sweep_names_first_nonzero_pair(self, fmt, monkeypatch, capsys):
         # The identity's shared terms, here 1 off in lhs on pair 3 only, which
-        # they know by its coordinates: in the sweep's modular check, and in
+        # they know by its coordinates: in the sweep's int64 check, and in
         # verify_exact's witness, whose D is 2*(the product of the denominators).
         u, v = random_rational_pairs(4, seed=0)[3]
         coords = (*u, *v)
         real = weitzenboeck._identity_terms
 
-        def faulty(x0, y0, x1, y1, a0, b0, a1, b1, p=None):
-            lhs, w, dx, dq = real(x0, y0, x1, y1, a0, b0, a1, b1, p=p)
+        def faulty(x0, y0, x1, y1, a0, b0, a1, b1):
+            lhs, w, dx, dq = real(x0, y0, x1, y1, a0, b0, a1, b1)
             hit = np.logical_and.reduce([np.equal(x * c.denominator, c.numerator * d) for x, d, c
                                          in zip((x0, y0, x1, y1), (a0, b0, a1, b1), coords)])
-            lhs = lhs + int(hit) if p is None else (lhs + hit) % p
-            return lhs, w, dx, dq
+            return lhs + (hit if isinstance(lhs, np.ndarray) else int(hit)), w, dx, dq
 
         monkeypatch.setattr(weitzenboeck, "_identity_terms", faulty)
         monkeypatch.setattr(sweeps, "_identity_terms", faulty)
@@ -246,6 +245,31 @@ class TestSweep:
             assert dict(zip(header.split(","), row.split(","))).items() >= expected.items()
         else:
             assert dict(line.split(None, 1) for line in out.splitlines()).items() >= expected.items()
+
+    @pytest.mark.parametrize("column, nan_fields", [
+        (4, ["max_scaled_residual"]),
+        (2, ["max_scaled_negativity", "max_scaled_path_gap"]),
+        (3, ["max_scaled_path_gap"]),
+    ], ids=["residual", "intrinsic", "explicit"])
+    def test_one_nan_pair_fails_the_sweep(self, column, nan_fields, monkeypatch):
+        # One NaN on one pair of one block: the maxima keep it, and the sweep
+        # prints it and fails.
+        real, calls = sweeps.identity_batch, []
+
+        def nan_once(U, V):
+            out = real(U, V)
+            calls.append(len(U))
+            if len(calls) == 3:
+                out[column][len(U) // 2] = np.nan
+            return out
+
+        monkeypatch.setattr(sweeps, "identity_batch", nan_once)
+        r = run_cli("sweep", "--count", "1000", "--seed", "0", "--format", "json")
+        assert r.returncode == 1
+        payload = json.loads(r.stdout)
+        assert payload["result"] == "fail"
+        for name in ("max_scaled_residual", "max_scaled_negativity", "max_scaled_path_gap"):
+            assert math.isnan(payload[name]) == (name in nan_fields)
 
     def test_impossible_tolerance_fails(self):
         r = run_cli("sweep", "--count", "500", "--seed", "0", "--tol", "1e-30")

@@ -113,6 +113,17 @@ def test_zero_residual_equals_and_hashes_like_zero():
     assert not zero
 
 
+@pytest.mark.parametrize("x", [0, 5, -7, Fraction(3, 7), Fraction(-10**30, 3)])
+def test_rational_element_hashes_like_the_rational(x):
+    # An element with b = 0 equals its rational part, so it hashes like it:
+    # a set holds one of the two, and a dict finds either key.
+    q = QSqrt3(x, 0)
+    assert q == x and hash(q) == hash(x)
+    assert len({x, q}) == 1
+    assert {x: 1}.get(q) == 1 and {q: 1}.get(x) == 1
+    assert hash(QSqrt3(x, 1)) != hash(QSqrt3(x, 0))
+
+
 def test_zero_residual_is_never_mutated():
     # Arithmetic on a residual of verify_exact builds a new element; a later
     # residual is still the exact zero.

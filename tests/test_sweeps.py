@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -17,7 +16,7 @@ from wkit import sweeps, weitzenboeck
 from wkit.qsqrt3 import QSqrt3
 from wkit.sweeps import pair_stacks, run_exact_sweep, run_identity_sweep
 from wkit.vectors import wedge
-from wkit.weitzenboeck import identity_batch, verify_identity
+from wkit.weitzenboeck import identity_batch, verify_exact, verify_identity
 
 
 def test_generation_is_deterministic():
@@ -273,18 +272,18 @@ def _spy_blocks(monkeypatch):
     """The (n, 8) blocks that the exact sweep hands to its residual polynomial."""
     real, blocks = sweeps._identity_terms, []
 
-    def spy(*pair, p=None):
-        if p is not None:
+    def spy(*pair):
+        if isinstance(pair[0], np.ndarray):  # not verify_exact's Python ints
             blocks.append(np.stack(pair, axis=1))
-        return real(*pair, p=p)
+        return real(*pair)
 
     monkeypatch.setattr(sweeps, "_identity_terms", spy)
     return blocks
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345])
-# 256 was the block size before 512; it stays as a case of its own.
-@pytest.mark.parametrize("block", sorted({3, 128, 256, sweeps._EXACT_BLOCK}))
+# 256 and 512 were the block sizes before 1,024; they stay as cases of their own.
+@pytest.mark.parametrize("block", sorted({3, 128, 256, 512, sweeps._EXACT_BLOCK}))
 def test_rational_pairs_match_per_pair_stream(seed, block, monkeypatch):
     monkeypatch.setattr(sweeps, "_EXACT_BLOCK", block)
     blocks = _spy_blocks(monkeypatch)
@@ -301,10 +300,10 @@ def test_rational_pairs_match_per_pair_stream(seed, block, monkeypatch):
 # getrandbits define them, so a change in either, on any Python version the
 # package supports, shows here.
 FIRST_RATIONAL_ROWS = {
-    0: [[-858963, 950574, -804564, -915191, 420067, 131897, 570618, 309642],
-        [316910, 985228, 817097, -734004, 29172, 81914, 749501, 204216]],
-    4294967295: [[-997316, -916495, 275792, -521487, 643399, 542853, 888782, 643338],
-                 [145550, 454252, 121868, -433920, 205481, 891713, 709707, 116985]],
+    0: [[38, -89, -40, -38, 99, 121, 58, 10],
+        [-88, 54, -64, -83, 116, 122, 61, 120]],
+    4294967295: [[-78, 125, -30, 21, 7, 5, 78, 10],
+                 [111, 14, -124, -71, 41, 65, 75, 121]],
 }
 
 
@@ -348,28 +347,30 @@ def flip_quarter_turn(real):
     """The identity's terms with q turned the wrong way: dq = 4<X, q> becomes
     4<X, -q> = -dq, and no other term sees the sign of q. The callers then
     form b' = -2w + dq = -4w."""
-    def flipped(*pair, p=None):
-        lhs, w, dx, dq = real(*pair, p=p)
+    def flipped(*pair):
+        lhs, w, dx, dq = real(*pair)
         return lhs, w, dx, -dq
 
     return flipped
 
 
 def test_exact_sweep_fails_every_pair_with_the_quarter_turn_flipped(monkeypatch):
-    # The residual is then nonzero on every pair, in the modular check and
-    # in verify_exact's, and no fast path for a zero residual may hide that.
+    # The residual's b' is then -4w, nonzero on every pair off the collinear
+    # ones, and seed 0 draws none of those among its first 10**4 pairs. So
+    # every pair fails, in the int64 check and in verify_exact's, and no
+    # fast path for a zero residual may hide that.
     flipped = flip_quarter_turn(weitzenboeck._identity_terms)
     monkeypatch.setattr(weitzenboeck, "_identity_terms", flipped)
     monkeypatch.setattr(sweeps, "_identity_terms", flipped)
-    res = run_exact_sweep(200, seed=0)
-    assert (res.nonzero_residuals, res.first_nonzero_pair) == (200, 0)
+    res = run_exact_sweep(10_000, seed=0)
+    assert (res.nonzero_residuals, res.first_nonzero_pair) == (10_000, 0)
     assert res.first_nonzero_residual == str(weitzenboeck.verify_exact(*random_rational_pairs(1)[0]))
     assert res.first_nonzero_residual.startswith("0 + -")
 
 
 def test_exact_sweep_spot_checks_verify_exact(monkeypatch):
     # The first pair of each block also goes through verify_exact, so a wrong
-    # verify_exact fails the sweep once per block although the modular check
+    # verify_exact fails the sweep once per block although the int64 check
     # passes every pair.
     real = sweeps.verify_exact
     monkeypatch.setattr(sweeps, "verify_exact", lambda u, v: real(u, v) + QSqrt3("1/1000000000000"))
@@ -405,34 +406,23 @@ def test_sweeps_reject_a_negative_seed(sweep, monkeypatch):
         sweep(0, seed=-1)
 
 
-def _is_prime(n):
-    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
-
-
-def test_primes_decide_the_residual():
-    # _identity_terms derives |a| <= 96*M**8 and |b'| <= 40*M**8 for |num|
-    # and den <= M. A coefficient that is 0 modulo each prime is a multiple
-    # of their product, so it is 0 if the product exceeds twice the bound.
-    # The sweep's products of three inputs stay below M**3 < 2**63. For
-    # primes below 2**29, its unreduced terms and their differences stay
-    # below 28*p**2 < 2**63.
+def test_int64_holds_the_terms():
+    # _identity_terms bounds every term and partial sum by 48*M**8 in
+    # magnitude for |num| and den <= M, so the sweep's int64 evaluation is
+    # exact for M = _EXACT_MAX, the largest power of two that keeps it so.
     doc = " ".join(weitzenboeck._identity_terms.__doc__.split())
-    assert "|a| <= 96*M**8 and |b'| <= 40*M**8" in doc
-    assert "primes below 2**29 and int64 arrays of magnitude at most M, M**3 < 2**63" in doc
-    assert "product of three denominators, at most M**3, is reduced once" in doc
-    assert "0 <= lhs, dx < 28*p**2, |w| < 2*p**2 and |dq| < 8*p**2" in doc
-    assert "nothing reaches 28*p**2 < 2**63" in doc
-    primes = sweeps._PRIMES.ravel().tolist()
-    assert sweeps._PRIMES.shape == (6, 1) and sweeps._PRIMES.dtype == np.int64
-    assert len(set(primes)) == 6
-    assert all(_is_prime(q) and q < 2**29 for q in primes)
-    assert 28 * max(primes) ** 2 < 2**63 and sweeps._EXACT_MAX**3 < 2**63
-    assert math.prod(primes) > 2 * 96 * sweeps._EXACT_MAX**8
+    assert "0 <= lhs <= 48*M**8, 0 <= dx <= 48*M**8, |w| <= 8*M**8 and |dq| <= 24*M**8" in doc
+    assert "|a| <= 48*M**8 and |2w + dq| <= 40*M**8" in doc
+    assert "For M = 2**7, 48*M**8 = 3*2**60 < 2**63" in doc
+    M = sweeps._EXACT_MAX
+    assert M == 2**7 and 48 * M**8 == 3 * 2**60 < 2**63 <= 48 * (2 * M) ** 8
+    assert sweeps._EXACT_RANGES.tolist() == [2 * M + 1] * 4 + [M] * 4
+    assert sweeps._EXACT_LOWS.tolist() == [-M] * 4 + [1] * 4
 
 
 def _extreme_and_drawn_rows():
-    """Every sign pattern of +-10**6 numerators over 10**6 and 1 denominators
-    (256 rows), then 10**4 rows of the exact sweep's stream."""
+    """Every sign pattern of +-M numerators over M and 1 denominators (256
+    rows), for M = _EXACT_MAX, then 10**4 rows of the exact sweep's stream."""
     M = sweeps._EXACT_MAX
     nums = np.array(np.meshgrid(*[[-M, M]] * 4)).reshape(4, -1).T
     dens = np.array(np.meshgrid(*[[M, 1]] * 4)).reshape(4, -1).T
@@ -441,45 +431,53 @@ def _extreme_and_drawn_rows():
 
 
 @pytest.mark.parametrize("polynomial", ["shared", "flipped"])
-def test_residues_match_the_exact_terms(polynomial):
+def test_int64_terms_match_the_exact_terms(polynomial):
     # The int64 path against the Python-int one, pair by pair and term by
-    # term: congruent modulo each prime, and within the docstring's bounds,
-    # since the int64 terms are left unreduced. lhs and dx are positive on
-    # every row and w nonzero off the collinear ones; the coefficients
-    # a = lhs - dx and b' = -2w - dq vanish, but for the flipped quarter
-    # turn, whose b' = -4w, which the modular terms must carry as well.
+    # term: equal, so no int64 sum or product wrapped. lhs and dx are
+    # positive on every row; the coefficients a = lhs - dx and
+    # b' = -2w - dq vanish, but for the flipped quarter turn, whose
+    # b' = -4w, which the int64 terms must carry as well.
     poly = weitzenboeck._identity_terms
     if polynomial == "flipped":
         poly = flip_quarter_turn(poly)
     rows = _extreme_and_drawn_rows()
     assert len({tuple(r) for r in rows[:256]}) == 256
-    P = sweeps._PRIMES
-    terms = np.stack(poly(*rows.T, p=P))  # (4, 6, n)
+    terms = np.stack(poly(*rows.T))  # (4, n)
     assert terms.dtype == np.int64
-    # The same evaluation on Python ints: equal, so no int64 sum or product wrapped.
-    assert np.array_equal(terms, np.stack(poly(*rows.T.astype(object), p=P.astype(object))))
-    lhs, w, dx, dq = terms
-    for t in (lhs, dx):
-        assert (t >= 0).all() and (t < 28 * P**2).all()
-    assert (abs(w) < 2 * P**2).all() and (abs(dq) < 8 * P**2).all()
-    residues = terms % P
-    primes = P.ravel().tolist()
+    assert np.array_equal(terms, np.stack(poly(*rows.T.astype(object))))
     exact = [poly(*row) for row in rows.tolist()]
-    for j, pair_terms in enumerate(exact):
-        assert residues[:, :, j].tolist() == [[t % q for q in primes] for t in pair_terms]
+    assert terms.T.tolist() == [list(t) for t in exact]
     lhs, w, dx, dq = zip(*exact)
     assert min(lhs) > 0 and min(dx) > 0
-    assert all(w[256:]) and sum(map(bool, w[:256])) > 100
+    assert sum(map(bool, w[:256])) > 100
     assert not any(x - y for x, y in zip(lhs, dx))
     b = [-2 * x - y for x, y in zip(w, dq)]
     assert b == ([-4 * x for x in w] if polynomial == "flipped" else [0] * len(w))
 
 
+def test_exact_sweep_draws_collinear_pairs_and_passes_them(monkeypatch):
+    # With |num| and den <= 2**7 the stream holds exactly collinear pairs
+    # (w = 0), which take the counterclockwise quarter turn: four in the
+    # first 3*10**4 pairs of seed 7.
+    blocks = _spy_blocks(monkeypatch)
+    assert run_exact_sweep(30_000, seed=7).passed
+    rows = np.concatenate(blocks)
+    lhs, w, dx, dq = weitzenboeck._identity_terms(*rows.T)
+    collinear = np.flatnonzero(w == 0)
+    assert collinear.tolist() == [7237, 15587, 22888, 29980]
+    assert (lhs[collinear] == dx[collinear]).all() and (dq[collinear] == 0).all()
+    for row in rows[collinear]:
+        (u0, u1), (v0, v1) = u, v = sweeps._rational_pair(row)
+        assert u0 * v1 == u1 * v0 and any(u) and any(v)
+        assert verify_exact(u, v) == 0
+
+
 def test_rational_pair_bounds():
+    M = sweeps._EXACT_MAX
     for u, v in random_rational_pairs(50, seed=0):
         for coord in (*u, *v):
-            assert abs(coord.numerator) <= 10**6
-            assert 1 <= coord.denominator <= 10**6
+            assert abs(coord.numerator) <= M
+            assert 1 <= coord.denominator <= M
 
 
 def test_random_triangles_valid_and_deterministic():
