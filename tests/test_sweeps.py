@@ -449,6 +449,7 @@ def test_int64_terms_match_the_exact_terms(polynomial):
     assert terms.T.tolist() == [list(t) for t in exact]
     lhs, w, dx, dq = zip(*exact)
     assert min(lhs) > 0 and min(dx) > 0
+    assert max(lhs) == max(dx) == 48 * sweeps._EXACT_MAX**8  # the bound is reached
     assert sum(map(bool, w[:256])) > 100
     assert not any(x - y for x, y in zip(lhs, dx))
     b = [-2 * x - y for x, y in zip(w, dq)]
