@@ -2,7 +2,7 @@
 
 Output is deterministic: identical command lines (including seed) produce
 byte-identical stdout. Exit codes: 0 all checks pass, 1 verification
-failure or a printed value that is not finite, 2 input error.
+failure or a printed value that is not finite (JSON null), 2 input error.
 """
 
 from __future__ import annotations
@@ -63,10 +63,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_safe(value):
+    """None (null) for a float that is not finite, which RFC 8259 JSON cannot hold."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _emit_pairs(pairs, fmt: str, stream) -> bool:
     """Write (key, value) pairs in ``fmt``; True when every float is finite."""
     if fmt == "json":
-        print(json.dumps(dict(pairs)), file=stream)
+        print(json.dumps({k: _json_safe(v) for k, v in pairs}), file=stream)
     elif fmt == "csv":
         stream.write(",".join(k for k, _ in pairs) + "\n")
         stream.write(",".join(_fmt(v) for _, v in pairs) + "\n")
@@ -233,10 +238,10 @@ def cmd_curve(args) -> int:
     ]
     row, write = _CURVE_ROWS[args.format], sys.stdout.write
     if args.format == "json":
-        # The bytes of json.dumps({"rows": [...], "summary": {...}}).
+        # The bytes of json.dumps({"rows": [...], "summary": {...}}) of _json_safe values.
         write('{"rows": [')
-        _write_rows(columns, json.dumps, row, ", ", write)
-        write(f'], "summary": {json.dumps(dict(summary))}}}\n')
+        _write_rows(columns, lambda x: json.dumps(list(map(_json_safe, x))), row, ", ", write)
+        write(f'], "summary": {json.dumps({k: _json_safe(v) for k, v in summary})}}}\n')
     else:
         write(row % tuple(_CURVE_HEADER))
         _write_rows(columns, repr, row, "", write)

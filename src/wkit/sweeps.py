@@ -28,13 +28,12 @@ The exact sweep draws its integers from the standard library's Mersenne
 Twister, ``random.Random(seed)``, not from ``numpy.random``: nothing it
 prints depends on which pairs are drawn, and importing ``numpy.random``
 cost more than its whole check of 10**4 pairs. A block of n pairs is one
-``randbytes(64*n)`` call read as n rows of eight little-endian 64-bit
-words w, so pair i takes words 8i to 8i + 7 whatever the block size. The
-four numerators are w % (2M + 1) - M and the four denominators w % M + 1,
-for M = 2**7, the largest power of two for which the identity's integer
-terms, at most 48*M**8 = 3*2**60 in magnitude, fit in int64. Since
-floor(2**64 / R) >= 2**55 for every range R <= 2M + 1 = 257, each value's
-probability is within 1 +- 2**-55 of uniform. So small an M also draws
+``randbytes(8*n)`` call read as n rows of eight signed bytes, so pair i
+takes bytes 8i to 8i + 7 whatever the block size. The four numerators are
+the bytes themselves, in [-M, M - 1], and the four denominators their low
+seven bits plus one, in [1, M], each exactly uniform, for M = 2**7: the
+largest power of two for which the identity's integer terms, at most
+48*M**8 = 3*2**60 in magnitude, fit in int64. So small an M also draws
 exactly collinear pairs (w = 0), about one in 10**4.
 """
 
@@ -65,18 +64,15 @@ _OFFSETS = np.cumsum([0] + [2 * d for d in _DIMS])
 # stress period both restart, and at most _BATCH_ROWS rows per dimension.
 _CHUNK_PAIRS = _BATCH_ROWS // _STRESS_PERIOD * _STRESS_PERIOD * len(_DIMS)
 # Pairs per randbytes call of the exact sweep, mapped to one (n, 8) int64 array and checked
-# in int64. `bench/run.py --workload sweep-exact` ran at a median 842k pairs/s with 1,024,
-# against 679k with 256, 788k with 512 and 827k with 2,048 (5 alternating runs each, 2 shared
-# vCPUs); 256 and 512 peak at 31.34 MB, 1,024 at 31.55 MB and 2,048 at 31.93 MB.
-_EXACT_BLOCK = 1024
+# in int64. `bench/run.py --workload sweep-exact` ran at a median 1,316k pairs/s with 2,048,
+# against 1,112k with 512 and 1,224k with 1,024 (5 alternating rounds, 2 shared vCPUs), and
+# 2,048 beat 1,024 in 5 of 5 more (medians 1,389k and 1,257k); 512 and 1,024 peak at 31.59 MB,
+# 2,048 at 31.70 MB.
+_EXACT_BLOCK = 2048
 # Bound on the numerators' magnitude and on the denominators of the exact sweep's coordinates:
 # the largest power of two M with 48*M**8 < 2**63, the bound on _identity_terms's int64 terms.
+# The byte map of run_exact_sweep needs M = 2**7, the range of a signed byte.
 _EXACT_MAX = 2**7
-# Per column of a drawn row, the range R that maps a 64-bit word w to w % R + low: four
-# numerators in [-_EXACT_MAX, _EXACT_MAX], then four denominators in [1, _EXACT_MAX]. The
-# ranges are uint64, since numpy turns uint64 mixed with int64 into float64.
-_EXACT_RANGES = np.repeat(np.array([2 * _EXACT_MAX + 1, _EXACT_MAX], dtype=np.uint64), 4)
-_EXACT_LOWS = np.repeat(np.array([-_EXACT_MAX, 1], dtype=np.int64), 4)
 
 
 def pair_stacks(count: int, seed: int = 0) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
@@ -214,13 +210,13 @@ def run_exact_sweep(count: int, seed: int = 0) -> ExactSweepResult:
 
     The integers come from ``random.Random(seed)``, whose import is free,
     while ``numpy.random``'s cost more than the check of 10**4 pairs. A block
-    of n pairs is n rows of eight 64-bit words from one ``randbytes`` call,
-    each word w mapped to a numerator w % (2M + 1) - M or a denominator
-    w % M + 1, within 1 +- 2**-55 of uniform; pair i takes words 8i to 8i + 7
-    whatever the block size. The block's terms are computed in int64, exact
-    since none exceeds 48*M**8 < 2**63, and a pair fails when lhs != dx or
-    2w + dq != 0. The block's first pair, and the first failing pair, also go
-    through ``verify_exact``.
+    of n pairs is n rows of eight signed bytes from one ``randbytes`` call:
+    four numerators as they are, in [-M, M - 1], and four denominators as
+    their low seven bits plus one, in [1, M], each exactly uniform; pair i
+    takes bytes 8i to 8i + 7 whatever the block size. The block's terms are
+    computed in int64, exact since none exceeds 48*M**8 < 2**63, and a pair
+    fails when lhs != dx or 2w + dq != 0. The block's first pair, and the
+    first failing pair, also go through ``verify_exact``.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -233,8 +229,8 @@ def run_exact_sweep(count: int, seed: int = 0) -> ExactSweepResult:
     first_pair = first_residual = None
     for first in range(0, count, _EXACT_BLOCK):
         n = min(_EXACT_BLOCK, count - first)
-        words = np.frombuffer(rng.randbytes(64 * n), "<u8").reshape(n, 8)
-        block = (words % _EXACT_RANGES).astype(np.int64) + _EXACT_LOWS
+        block = np.frombuffer(rng.randbytes(8 * n), np.int8).reshape(n, 8).astype(np.int64)
+        block[:, 4:] = (block[:, 4:] & (_EXACT_MAX - 1)) + 1
         lhs, w, dx, dq = _identity_terms(*block.T)
         failed = (lhs != dx) | (2 * w + dq != 0)
         failed[0] |= bool(verify_exact(*_rational_pair(block[0])))

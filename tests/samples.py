@@ -42,26 +42,29 @@ def conormal(u, v):
     return _scale(c, b[..., None]), _item(degenerate)
 
 
-def rational_pair_row(rng, max_magnitude):
-    """The eight integers of one planar pair, four numerators in
-    [-max_magnitude, max_magnitude] then four denominators in
-    [1, max_magnitude], each from its own 8-byte draw of the
-    ``random.Random`` rng: a little-endian word w, taken modulo the range."""
-    def word():
-        return int.from_bytes(rng.randbytes(8), "little")
+def rational_pair_row(rng, max_magnitude=None):
+    """The eight integers of one planar pair from the ``random.Random`` rng,
+    four numerators then four denominators. By default the exact sweep's,
+    mapped without numpy: the eight bytes of one ``randbytes(8)``, the
+    numerators as signed bytes, in [-M, M - 1], and the denominators as their
+    low seven bits plus one, in [1, M], for M = _EXACT_MAX = 2**7. With a
+    max_magnitude, numerators in [-max_magnitude, max_magnitude] and
+    denominators in [1, max_magnitude] from ``randint``."""
+    if max_magnitude is None:
+        data = rng.randbytes(8)
+        nums = [int.from_bytes(data[k:k + 1], "little", signed=True) for k in range(4)]
+        return nums + [data[k] % _EXACT_MAX + 1 for k in range(4, 8)]
+    m = max_magnitude
+    return [rng.randint(-m, m) for _ in range(4)] + [rng.randint(1, m) for _ in range(4)]
 
-    nums = [word() % (2 * max_magnitude + 1) - max_magnitude for _ in range(4)]
-    return nums + [word() % max_magnitude + 1 for _ in range(4)]
 
-
-def rational_pair_rows(count, seed=0, max_magnitude=_EXACT_MAX):
-    """Rows of eight Python ints, one draw per integer; with the default
-    bound, the exact sweep's sample."""
+def rational_pair_rows(count, seed=0, max_magnitude=None):
+    """Rows of eight Python ints; by default the exact sweep's sample."""
     rng = random.Random(seed)
     return [rational_pair_row(rng, max_magnitude) for _ in range(count)]
 
 
-def random_rational_pairs(count, seed=0, max_magnitude=_EXACT_MAX):
+def random_rational_pairs(count, seed=0, max_magnitude=None):
     """``rational_pair_rows`` as (u, v) pairs of Fractions."""
     pairs = []
     for x0, y0, x1, y1, a0, b0, a1, b1 in rational_pair_rows(count, seed, max_magnitude):

@@ -39,6 +39,15 @@ def run_cli(*args):
     return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, as RFC 8259
+    parsers such as jq and JavaScript's JSON.parse do."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_subprocess(*args, env=None):
     """Run ``python -m wkit.cli`` in a fresh interpreter."""
     return subprocess.run(
@@ -86,14 +95,16 @@ class TestDefect:
 
     def test_non_finite_result_fails(self):
         # lhs = 2e400 overflows. Each term is computed at unit scale and
-        # scaled back once, so it prints as a number or inf, never NaN.
-        r = run_cli("defect", "--vectors", "1e200,0", "0,1e200", "--format", "json")
-        assert r.returncode == 1
-        assert r.stderr == ""
-        assert "NaN" not in r.stdout
-        payload = json.loads(r.stdout)
-        assert payload["lhs"] == math.inf
-        assert not any(math.isnan(x) for x in payload.values() if isinstance(x, float))
+        # scaled back once, so it prints as a number or inf, never nan; JSON,
+        # which has neither, prints null.
+        args = ("defect", "--vectors", "1e200,0", "0,1e200")
+        r = run_cli(*args, "--format", "json")
+        assert (r.returncode, r.stderr) == (1, "")
+        payload = strict_json(r.stdout)
+        assert payload["lhs"] is None and payload["equality"] is False
+        r = run_cli(*args)
+        assert (r.returncode, r.stderr) == (1, "")
+        assert r.stdout.split()[:2] == ["lhs", "inf"] and "nan" not in r.stdout
 
     def test_scaled_equilateral_sides_are_equality(self):
         # The placement of the triangle is computed at unit scale: at 1e-170
@@ -266,10 +277,10 @@ class TestSweep:
         monkeypatch.setattr(sweeps, "identity_batch", nan_once)
         r = run_cli("sweep", "--count", "1000", "--seed", "0", "--format", "json")
         assert r.returncode == 1
-        payload = json.loads(r.stdout)
+        payload = strict_json(r.stdout)  # NaN prints as null
         assert payload["result"] == "fail"
         for name in ("max_scaled_residual", "max_scaled_negativity", "max_scaled_path_gap"):
-            assert math.isnan(payload[name]) == (name in nan_fields)
+            assert (payload[name] is None) == (name in nan_fields)
 
     def test_impossible_tolerance_fails(self):
         r = run_cli("sweep", "--count", "500", "--seed", "0", "--tol", "1e-30")
@@ -584,6 +595,15 @@ class TestCurve:
         assert all(math.isfinite(float(row[4])) for row in rows)
         assert r.stdout.splitlines()[-1].split() == ["result", "fail"]
 
+    def test_huge_curvature_prints_null_in_json(self):
+        # JSON has no inf: the rows' rhs_bound and defect print as null.
+        r = run_cli("curve", "--builtin", "circle:1e-160", "--t", "0:0.02:0.01", "--format", "json")
+        assert (r.returncode, r.stderr) == (1, "")
+        payload = strict_json(r.stdout)
+        assert [(row["rhs_bound"], row["defect"]) for row in payload["rows"]] == [(None, None)] * 3
+        assert [row["residual"] for row in payload["rows"]][0] == 0.0
+        assert payload["summary"]["result"] == "fail"
+
     # a^2 + b^2 underflows for the first helix and overflows for the second.
     def test_tiny_helix_prints_inf(self):
         r = run_cli("curve", "--builtin", "helix:1e-170:0", "--t", "0:0:1")
@@ -614,22 +634,37 @@ class TestCurve:
         r = run_cli("curve", "--builtin", spec, "--t", trange)
         assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
 
-    # |d| is taken without squaring, so neither norm over- or underflows.
-    @pytest.mark.parametrize("spec, norm", [("line:1,0,1e200", "1e+200"),
-                                            ("line:1e-310,0,0", "1e-310")])
-    def test_line_direction_norm_is_finite(self, spec, norm):
+    # The direction's length is held to --unit-tol by the unit-speed rule
+    # alone, as a sampled jet's is: |d| = 1e200 overflows to inf and 1e-310
+    # squared underflows to 0, with one error line and no warning.
+    @pytest.mark.parametrize("spec, residual", [("line:1,0,1e200", "inf"),
+                                                ("line:1e-310,0,0", "1.0"),
+                                                ("line:1,1,0", "0.41421356237309515")])
+    def test_line_direction_is_held_to_the_unit_tol(self, spec, residual):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            r = run_cli("curve", "--builtin", spec, "--t", "0:2:1")
+            r = run_cli("curve", "--builtin", spec, "--t", "0:2:1", "--unit-tol", "1e-6")
         assert caught == []
         assert (r.returncode, r.stdout) == (2, "")
-        assert r.stderr == f"error: line direction must be a unit vector, got |d| = {norm}\n"
+        assert r.stderr == f"error: unit-speed violated at t=0.0: | |d1| - 1 | = {residual} > 1e-06\n"
+
+    def test_unit_tol_admits_a_nearly_unit_line_direction(self):
+        # |d| = 1.000000005 is within --unit-tol 1e-6, not within the
+        # default 1e-12 of a builtin curve.
+        args = ("curve", "--builtin", "line:1,1e-4,0", "--t", "0:1:1")
+        r = run_cli(*args, "--unit-tol", "1e-6")
+        assert (r.returncode, r.stderr) == (0, "")
+        assert r.stdout.splitlines()[-1].split() == ["result", "pass"]
+        r = run_cli(*args)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == ("error: unit-speed violated at t=0.0: "
+                            "| |d1| - 1 | = 4.999999969612645e-09 > 1e-12\n")
 
     def test_line_direction_overflow_under_warnings_as_errors(self):
         r = run_subprocess("curve", "--builtin", "line:1,0,1e200", "--t", "0:2:1",
                            env={**_ENV, "PYTHONWARNINGS": "error::RuntimeWarning"})
         assert (r.returncode, r.stdout) == (2, "")
-        assert r.stderr == "error: line direction must be a unit vector, got |d| = 1e+200\n"
+        assert r.stderr == "error: unit-speed violated at t=0.0: | |d1| - 1 | = inf > 1e-12\n"
 
     def test_input_rejects_t_range(self, tmp_path):
         path = tmp_path / "helix.csv"
@@ -866,7 +901,7 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _EXTREME = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-200, 1.0,
                             1e200, 1.7e308, -1.7e308, 1.7976931348623157e308])
 _NUMBER = st.one_of(_EXTREME, _FINITE)
-_NON_FINITE = re.compile(r"(?i)\b(nan|inf|infinity)\b")
+_NON_FINITE = re.compile(r"(?i)\b(nan|inf|infinity|null)\b")  # JSON prints null
 
 
 @st.composite
@@ -1048,7 +1083,8 @@ def _table_columns(draw):
 class TestCurveTable:
     """``cli._write_rows`` prints each distinct value of a block once; its
     bytes equal those of formatting every row on its own: a %-format of the
-    repr of each value, or json.dumps of one dict per row."""
+    repr of each value, or json.dumps of one dict per row with null for
+    each infinity."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(_table_columns())
@@ -1057,13 +1093,17 @@ class TestCurveTable:
         expected = {
             "text": "".join("%22r  %22r  %22r  %22r  %22r\n" % row for row in rows),
             "csv": "".join("%r,%r,%r,%r,%r\n" % row for row in rows),
-            "json": json.dumps([dict(zip(cli._CURVE_HEADER, row)) for row in rows])[1:-1],
+            "json": json.dumps([dict(zip(cli._CURVE_HEADER, [x if math.isfinite(x) else None
+                                                            for x in row])) for row in rows])[1:-1],
         }
+        def json_dumps(values):  # cmd_curve's
+            return json.dumps(list(map(cli._json_safe, values)))
+
         for block_rows in (1, 3, 1024):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(curves, "_BLOCK_ROWS", block_rows)
                 for fmt, text in expected.items():
-                    dumps, sep = (json.dumps, ", ") if fmt == "json" else (repr, "")
+                    dumps, sep = (json_dumps, ", ") if fmt == "json" else (repr, "")
                     out = io.StringIO()
                     cli._write_rows(columns, dumps, cli._CURVE_ROWS[fmt], sep, out.write)
                     assert out.getvalue() == text, (fmt, block_rows)

@@ -40,8 +40,8 @@ class TestBuiltinJets:
             circle_jet(0.0, 1.0)
         with pytest.raises(ValueError):
             helix_jet(0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            line_jet([1, 1, 0], 0.0)  # not unit length
+        with pytest.raises(ValueError):  # not unit length, caught by the unit-speed rule
+            curvature_bound_report(line_jet([1, 1, 0], 0.0))
 
     def test_spec_parsing(self):
         assert builtin_curve("circle:2", 0.0).d2.tolist() == circle_jet(2.0, 0.0).d2.tolist()
@@ -71,8 +71,8 @@ class TestBuiltinJets:
          "d1 has non-finite coordinates at t=0.5"),
         (lambda: line_jet([math.nan, 0, 1], 0.0), "direction has non-finite coordinates"),
         (lambda: line_jet([[1, 0, 0]], 0.0), "line direction must be one 3-vector, got shape (1, 3)"),
-        (lambda: line_jet([1, 1, 0], 0.0),
-         "line direction must be a unit vector, got |d| = 1.4142135623730951"),
+        (lambda: curvature_bound_report(line_jet([1, 1, 0], 0.0)),
+         "unit-speed violated at t=0.0: | |d1| - 1 | = 0.41421356237309515 > 1e-06"),
         (lambda: builtin_curve("helix:1", 0.0), "helix spec is helix:A:B"),
         (lambda: builtin_curve("line:1,0,0:2", 0.0), "line spec is line or line:dx,dy,dz"),
         (lambda: jet_from_samples([0.0, 1.0, 2.0], np.zeros((3, 2)), 1),

@@ -282,8 +282,8 @@ def _spy_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345])
-# 256 and 512 were the block sizes before 1,024; they stay as cases of their own.
-@pytest.mark.parametrize("block", sorted({3, 128, 256, 512, sweeps._EXACT_BLOCK}))
+# 256, 512 and 1,024 were the block sizes before 2,048; they stay as cases of their own.
+@pytest.mark.parametrize("block", sorted({3, 128, 256, 512, 1024, sweeps._EXACT_BLOCK}))
 def test_rational_pairs_match_per_pair_stream(seed, block, monkeypatch):
     monkeypatch.setattr(sweeps, "_EXACT_BLOCK", block)
     blocks = _spy_blocks(monkeypatch)
@@ -300,10 +300,10 @@ def test_rational_pairs_match_per_pair_stream(seed, block, monkeypatch):
 # getrandbits define them, so a change in either, on any Python version the
 # package supports, shows here.
 FIRST_RATIONAL_ROWS = {
-    0: [[38, -89, -40, -38, 99, 121, 58, 10],
-        [-88, 54, -64, -83, 116, 122, 61, 120]],
-    4294967295: [[-78, 125, -30, 21, 7, 5, 78, 10],
-                 [111, 14, -124, -71, 41, 65, 75, 121]],
+    0: [[-51, 7, 44, -40, 63, 112, 32, 99],
+        [-84, 76, 9, -62, 3, 7, 104, 100]],
+    4294967295: [[9, -55, -90, -94, 117, 5, 29, 31],
+                 [65, -23, 4, 52, 42, 64, 33, 56]],
 }
 
 
@@ -365,7 +365,7 @@ def test_exact_sweep_fails_every_pair_with_the_quarter_turn_flipped(monkeypatch)
     res = run_exact_sweep(10_000, seed=0)
     assert (res.nonzero_residuals, res.first_nonzero_pair) == (10_000, 0)
     assert res.first_nonzero_residual == str(weitzenboeck.verify_exact(*random_rational_pairs(1)[0]))
-    assert res.first_nonzero_residual.startswith("0 + -")
+    assert res.first_nonzero_residual == "0 + -64171/66528*sqrt(3)"
 
 
 def test_exact_sweep_spot_checks_verify_exact(monkeypatch):
@@ -416,8 +416,6 @@ def test_int64_holds_the_terms():
     assert "For M = 2**7, 48*M**8 = 3*2**60 < 2**63" in doc
     M = sweeps._EXACT_MAX
     assert M == 2**7 and 48 * M**8 == 3 * 2**60 < 2**63 <= 48 * (2 * M) ** 8
-    assert sweeps._EXACT_RANGES.tolist() == [2 * M + 1] * 4 + [M] * 4
-    assert sweeps._EXACT_LOWS.tolist() == [-M] * 4 + [1] * 4
 
 
 def _extreme_and_drawn_rows():
@@ -458,26 +456,41 @@ def test_int64_terms_match_the_exact_terms(polynomial):
 
 def test_exact_sweep_draws_collinear_pairs_and_passes_them(monkeypatch):
     # With |num| and den <= 2**7 the stream holds exactly collinear pairs
-    # (w = 0), which take the counterclockwise quarter turn: four in the
-    # first 3*10**4 pairs of seed 7.
+    # (w = 0), which take the counterclockwise quarter turn: five in the
+    # first 7*10**4 pairs of seed 7, four of them with u = 0 or v = 0 and
+    # the one at 62998 with both nonzero.
     blocks = _spy_blocks(monkeypatch)
-    assert run_exact_sweep(30_000, seed=7).passed
+    assert run_exact_sweep(70_000, seed=7).passed
     rows = np.concatenate(blocks)
     lhs, w, dx, dq = weitzenboeck._identity_terms(*rows.T)
     collinear = np.flatnonzero(w == 0)
-    assert collinear.tolist() == [7237, 15587, 22888, 29980]
+    assert collinear.tolist() == [13546, 20930, 56342, 62998, 65247]
     assert (lhs[collinear] == dx[collinear]).all() and (dq[collinear] == 0).all()
-    for row in rows[collinear]:
-        (u0, u1), (v0, v1) = u, v = sweeps._rational_pair(row)
-        assert u0 * v1 == u1 * v0 and any(u) and any(v)
+    pairs = [sweeps._rational_pair(row) for row in rows[collinear]]
+    assert [any(u) and any(v) for u, v in pairs] == [False, False, False, True, False]
+    for u, v in pairs:
+        (u0, u1), (v0, v1) = u, v
+        assert u0 * v1 == u1 * v0
         assert verify_exact(u, v) == 0
+
+
+def test_exact_sweep_draws_every_value_of_its_ranges(monkeypatch):
+    # Each signed byte is a numerator in [-M, M - 1], each byte's low seven
+    # bits plus one a denominator in [1, M]: 10**4 pairs of seed 0 hold every
+    # value of both ranges and no other.
+    blocks = _spy_blocks(monkeypatch)
+    assert run_exact_sweep(10_000, seed=0).passed
+    rows = np.concatenate(blocks)
+    M = sweeps._EXACT_MAX
+    assert np.unique(rows[:, :4]).tolist() == list(range(-M, M))
+    assert np.unique(rows[:, 4:]).tolist() == list(range(1, M + 1))
 
 
 def test_rational_pair_bounds():
     M = sweeps._EXACT_MAX
     for u, v in random_rational_pairs(50, seed=0):
         for coord in (*u, *v):
-            assert abs(coord.numerator) <= M
+            assert -M <= coord.numerator <= M - 1
             assert 1 <= coord.denominator <= M
 
 
