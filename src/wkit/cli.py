@@ -41,11 +41,14 @@ from .weitzenboeck import Triangle, _unit_triangle, triangle_to_vectors, verify_
 #: for; checked on the computed count before anything is allocated.
 MAX_CURVE_SAMPLES = 10**6
 
-#: The columns of ``wkit curve``, and per format the %-format of a row of
-#: values printed by repr (22 wide in text) or, in JSON, by json.dumps.
+#: The columns of ``wkit curve``, and per format how a row of values
+#: printed by repr is laid out: the width each value is padded to (0:
+#: none), the text before, between and after its cells, and the text
+#: between rows. A JSON cell is its key (``_JSON_KEYS``) and its value.
 _CURVE_HEADER = ["t", "curvature", "rhs_bound", "defect", "residual"]
-_CURVE_ROWS = {"text": "%22s  %22s  %22s  %22s  %22s\n", "csv": "%s,%s,%s,%s,%s\n",
-               "json": '{"t": %s, "curvature": %s, "rhs_bound": %s, "defect": %s, "residual": %s}'}
+_CURVE_ROWS = {"text": (22, "", "  ", "\n", ""), "csv": (0, "", ",", "\n", ""),
+               "json": (0, "{", ", ", "}", ", ")}
+_JSON_KEYS = np.array([f"{json.dumps(k)}: " for k in _CURVE_HEADER], dtype=object)[:, None]
 
 #: One row of ``wkit shape --figure``: series name, then x and y as repr.
 _FIGURE_ROW = "%s,%r,%r\n"
@@ -191,16 +194,28 @@ def _parse_trange(text: str) -> np.ndarray:
     return values
 
 
-def _write_rows(columns, dumps, row: str, sep: str, write) -> None:
-    """Write ``row`` of the printed ``columns``, ``sep`` between rows, one
-    string per block. A block prints each distinct value once, told apart by
-    its bits (-0.0 is not 0.0), in one ``dumps`` of their list split at ", "."""
+def _write_rows(columns, fmt: str, write) -> None:
+    """Write the rows of the printed ``columns`` in ``fmt``, one string per
+    block. A block prints each distinct value once, told apart by its bits
+    (-0.0 is not 0.0), by repr (JSON prints null for a value that is not
+    finite), and pads it once; a row is one join of its cells, and the
+    block one join of its rows."""
+    width, start, sep, end, between = _CURVE_ROWS[fmt]
     for i, rows in enumerate(_row_blocks(len(columns[0]))):
         block = np.concatenate([c[rows] for c in columns])
         bits, at = np.unique(block.view(np.int64), return_inverse=True)
-        printed = dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
-        cells = np.array(printed, dtype=object)[at].reshape(len(columns), -1)
-        write(sep * (i > 0) + sep.join(map(row.__mod__, zip(*cells.tolist()))))
+        values = bits.view(np.float64)
+        printed = list(map(repr, values.tolist()))
+        if width:
+            printed = [s.rjust(width) for s in printed]
+        printed = np.array(printed, dtype=object)
+        if fmt == "json":
+            printed[~np.isfinite(values)] = "null"
+        cells = printed[at].reshape(len(columns), -1)
+        if fmt == "json":
+            cells = _JSON_KEYS + cells
+        text = (end + between + start).join(map(sep.join, zip(*cells.tolist())))
+        write(between * (i > 0) + start + text + end)
 
 
 def cmd_curve(args) -> int:
@@ -216,7 +231,7 @@ def cmd_curve(args) -> int:
     else:
         with open(args.input, encoding="utf-8-sig") as fh:
             ts, pos = read_curve_csv(fh)
-        jet = jet_from_samples(ts, pos, range(1, len(ts) - 1))
+        jet = jet_from_samples(ts, pos, np.arange(1, len(ts) - 1))
         del ts, pos  # the jet holds copies; the samples need not outlive it
 
     rep = curvature_bound_report(jet, unit_tol)
@@ -236,15 +251,16 @@ def cmd_curve(args) -> int:
         ("inequality_violations", violations),
         ("result", "pass" if clean else "fail"),
     ]
-    row, write = _CURVE_ROWS[args.format], sys.stdout.write
+    write = sys.stdout.write
     if args.format == "json":
         # The bytes of json.dumps({"rows": [...], "summary": {...}}) of _json_safe values.
         write('{"rows": [')
-        _write_rows(columns, lambda x: json.dumps(list(map(_json_safe, x))), row, ", ", write)
+        _write_rows(columns, "json", write)
         write(f'], "summary": {json.dumps({k: _json_safe(v) for k, v in summary})}}}\n')
     else:
-        write(row % tuple(_CURVE_HEADER))
-        _write_rows(columns, repr, row, "", write)
+        width, _, sep, end, _ = _CURVE_ROWS[args.format]
+        write(sep.join(h.rjust(width) for h in _CURVE_HEADER) + end)
+        _write_rows(columns, args.format, write)
         # CSV stdout holds the table alone, so its summary goes to stderr.
         _emit_pairs(summary, "text", sys.stderr if args.format == "csv" else sys.stdout)
     return 0 if clean else 1

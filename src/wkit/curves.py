@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
-from typing import NoReturn, TextIO
+from itertools import islice
+from typing import TextIO
 
 import numpy as np
 
@@ -33,12 +33,12 @@ from .weitzenboeck import _unit_identity
 SAMPLED_SPEED_TOL = 1e-6
 ANALYTIC_SPEED_TOL = 1e-12
 
-#: Rows per kernel call of ``curvature_bound_report``, and lines per block
-#: of ``read_curve_csv`` and of ``wkit curve``'s table. Both curve workloads
-#: of the benchmark peak at 34.9 MB RSS with 1,024, as with 512 (38.0 and
-#: 37.2 MB unblocked), and 0.3-0.6 MB higher with 2,048 or 4,096; 256 runs
-#: the builtin helix ~15% slower, as numpy's fixed cost per call takes over
-#: (2 shared vCPUs, Python 3.11, numpy 2.4).
+#: Rows per kernel call of ``curvature_bound_report``, lines per
+#: ``np.loadtxt`` call of ``read_curve_csv``, and rows per string written
+#: of ``wkit curve``'s table. With 1,024 the benchmark's curve workloads
+#: peak at 34.8 (builtin) and 35.7 MB (sampled) RSS, and with 4,096 at 36.9
+#: and 40.3 MB; 256 runs the builtin helix ~15% slower, as numpy's fixed
+#: cost per call takes over (2 shared vCPUs, Python 3.11, numpy 2.4).
 _BLOCK_ROWS = 1024
 
 
@@ -60,7 +60,8 @@ class CurveJet:
 
     A jet at one t holds a float t and 3-vectors d1, d2; a stacked jet holds
     n values of t and (n, 3) stacks, one row per t. ``unit_speed_residual``
-    = | |d1| - 1 | (per row) is computed on construction and stored; the
+    = | |d1| - 1 | (per row, |d1| at unit scale where its square would
+    leave the float range) is computed on construction and stored; the
     curvature operations check it against their tolerance, the constructor
     does not.
     """
@@ -83,9 +84,17 @@ class CurveJet:
         if bad.size:
             raise ValueError(f"d{1 if not finite[0][bad[0]] else 2} has non-finite coordinates "
                              f"at t={np.ravel(self.t)[bad[0]].item()!r}")
-        self.unit_speed_residual = _item(
-            np.abs(np.sqrt(np.einsum("...j,...j->...", self.d1, self.d1)) - 1.0)
-        )
+        d1 = self.d1.reshape(-1, 3)
+        speed = np.sqrt(np.einsum("...j,...j->...", d1, d1))
+        # Outside (2**-500, 2**500) the sum of squares may over- or
+        # underflow: such a row is taken again at its unit scale and scaled
+        # back once, so |d1| = 1e200 is not inf. Other rows keep their bits.
+        far = np.flatnonzero(~((speed > 2.0**-500) & (speed < 2.0**500)))
+        e = _exponent(d1[far], axis=-1)
+        unit = _scale(d1[far], -e[:, None])
+        speed[far] = _scale(np.sqrt(np.einsum("...j,...j->...", unit, unit)), e)
+        speed -= 1.0
+        self.unit_speed_residual = _item(np.abs(speed, out=speed).reshape(self.d1.shape[:-1]))
 
 
 def _require_unit_speed(jet: CurveJet, tol: float) -> None:
@@ -285,9 +294,12 @@ def read_curve_csv(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
 
     Blank lines are skipped; rows are numbered from the line after the
     header, blank lines included. The body is read ``_BLOCK_ROWS`` lines at
-    a time; each block is converted in one pass and checked as an array
-    against the last t before it. Only a rejected block is read again row
-    by row, to name the first bad row.
+    a time. numpy's C reader parses the non-blank rows of a block in one
+    call, to the bits of ``float()``; it accepts a strict subset of what
+    ``float()`` accepts (not ``1_0`` or non-ASCII digits). A block that it
+    rejects, or whose values are not finite or whose t does not increase
+    from the last t before it, is read again row by row with ``float()``,
+    which gives its values or names its first bad row.
     """
     header = stream.readline().strip()
     if [c.strip() for c in header.split(",")] != ["t", "x", "y", "z"]:
@@ -295,30 +307,45 @@ def read_curve_csv(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
     blocks, row, last = [np.empty((0, 4))], 1, -math.inf
     while lines := list(islice(stream, _BLOCK_ROWS)):
         rows = list(filter(None, map(str.strip, lines)))
-        data = None
-        if all(r.count(",") == 3 for r in rows):
-            # Split lazily: only one row's fields are alive at a time.
-            fields = chain.from_iterable(map(str.split, rows, repeat(",")))
-            try:
-                data = np.fromiter(map(float, fields), float, 4 * len(rows)).reshape(-1, 4)
-            except ValueError:
-                pass
-        if data is None or not np.isfinite(data).all():
-            _raise_first_bad_row(lines, row, last)
-        ts = np.concatenate(([last], data[:, 0]))
-        if not (ts[1:] > ts[:-1]).all():
-            _raise_first_bad_row(lines, row, last)
+        data = _parse_block(rows, last)
+        if data is None:
+            data = _read_rows(lines, row, last)
         blocks.append(data)
-        row, last = row + len(lines), ts[-1]
+        row += len(lines)
+        last = data[-1, 0] if len(data) else last
     data = np.concatenate(blocks)
     if len(data) < 3:
         raise ValueError("need at least 3 samples")
     return data[:, 0], data[:, 1:]
 
 
-def _raise_first_bad_row(lines: list[str], row: int, last: float) -> NoReturn:
-    """Raise the error of the first bad row of CSV body ``lines``, the first
-    of them numbered ``row`` and preceded by the parameter ``last``."""
+#: numpy before 1.23 parses loadtxt's fields in Python, and reads a field
+#: that float() rejects as hex when it holds "0x".
+_LOADTXT_READS_HEX = np.lib.NumpyVersion(np.__version__) < "1.23.0"
+
+
+def _parse_block(rows: list[str], last: float) -> np.ndarray | None:
+    """The (len(rows), 4) values of the CSV ``rows`` as numpy parses them,
+    or None unless all are finite and t increases strictly from ``last``."""
+    if not rows:  # loadtxt warns on empty input
+        return np.empty((0, 4))
+    if _LOADTXT_READS_HEX and any("0x" in r for r in rows):
+        return None
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape != (len(rows), 4) or not np.isfinite(data).all():
+        return None
+    ts = np.concatenate(([last], data[:, 0]))
+    return data if (ts[1:] > ts[:-1]).all() else None
+
+
+def _read_rows(lines: list[str], row: int, last: float) -> np.ndarray:
+    """The (n, 4) values of the n non-blank rows of CSV body ``lines``, each
+    read with ``float()``, the first line numbered ``row`` and preceded by
+    the parameter ``last``; or the error of the first bad row."""
+    values = []
     for row, line in enumerate(lines, start=row):
         line = line.strip()
         if not line:
@@ -327,12 +354,13 @@ def _raise_first_bad_row(lines: list[str], row: int, last: float) -> NoReturn:
         if len(fields) != 4:
             raise ValueError(f"malformed CSV at row {row}: expected 4 fields, got {len(fields)}")
         try:
-            values = [float(x) for x in fields]
+            value = [float(x) for x in fields]
         except ValueError as exc:
             raise ValueError(f"malformed CSV at row {row}: {exc}") from None
-        if not all(map(math.isfinite, values)):
+        if not all(map(math.isfinite, value)):
             raise ValueError(f"malformed CSV at row {row}: non-finite value in {line!r}")
-        if values[0] <= last:
+        if value[0] <= last:
             raise ValueError(f"parameter not strictly increasing at row {row}")
-        last = values[0]
-    raise AssertionError("a rejected block has a bad row")
+        values.append(value)
+        last = value[0]
+    return np.array(values, dtype=float).reshape(-1, 4)

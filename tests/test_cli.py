@@ -635,9 +635,9 @@ class TestCurve:
         assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
 
     # The direction's length is held to --unit-tol by the unit-speed rule
-    # alone, as a sampled jet's is: |d| = 1e200 overflows to inf and 1e-310
-    # squared underflows to 0, with one error line and no warning.
-    @pytest.mark.parametrize("spec, residual", [("line:1,0,1e200", "inf"),
+    # alone, as a sampled jet's is: |d| is taken at unit scale, so 1e200 and
+    # 1e-310 are named as they are, with one error line and no warning.
+    @pytest.mark.parametrize("spec, residual", [("line:1,0,1e200", "1e+200"),
                                                 ("line:1e-310,0,0", "1.0"),
                                                 ("line:1,1,0", "0.41421356237309515")])
     def test_line_direction_is_held_to_the_unit_tol(self, spec, residual):
@@ -664,7 +664,7 @@ class TestCurve:
         r = run_subprocess("curve", "--builtin", "line:1,0,1e200", "--t", "0:2:1",
                            env={**_ENV, "PYTHONWARNINGS": "error::RuntimeWarning"})
         assert (r.returncode, r.stdout) == (2, "")
-        assert r.stderr == "error: unit-speed violated at t=0.0: | |d1| - 1 | = inf > 1e-12\n"
+        assert r.stderr == "error: unit-speed violated at t=0.0: | |d1| - 1 | = 1e+200 > 1e-12\n"
 
     def test_input_rejects_t_range(self, tmp_path):
         path = tmp_path / "helix.csv"
@@ -1064,10 +1064,12 @@ def test_negative_values_need_no_equals(args, message):
         assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
 
 
-#: Table values: both zeros and infinities, subnormals, the largest double
-#: and a few small integers that repeat, or any finite double.
+#: Table values: both zeros and infinities, subnormals, the largest double,
+#: a repr of 24 characters (wider than the text table's 22-column pad) and a
+#: few small integers that repeat, or any finite double.
 _CELL = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
-                                   2.2250738585072014e-308, 1.7976931348623157e308,
+                                   2.2250738585072014e-308, -2.2250738585072014e-308,
+                                   1.7976931348623157e308,
                                    -1.7976931348623157e308, 1.0, 2.0, 3.0]),
                   st.floats(allow_nan=False, allow_infinity=False))
 
@@ -1081,10 +1083,10 @@ def _table_columns(draw):
 
 
 class TestCurveTable:
-    """``cli._write_rows`` prints each distinct value of a block once; its
-    bytes equal those of formatting every row on its own: a %-format of the
-    repr of each value, or json.dumps of one dict per row with null for
-    each infinity."""
+    """``cli._write_rows`` prints and pads each distinct value of a block
+    once and joins the cells of each row; its bytes equal those of
+    formatting every row on its own: a %-format of the repr of each value,
+    or json.dumps of one dict per row with null for each infinity."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(_table_columns())
@@ -1096,22 +1098,18 @@ class TestCurveTable:
             "json": json.dumps([dict(zip(cli._CURVE_HEADER, [x if math.isfinite(x) else None
                                                             for x in row])) for row in rows])[1:-1],
         }
-        def json_dumps(values):  # cmd_curve's
-            return json.dumps(list(map(cli._json_safe, values)))
-
         for block_rows in (1, 3, 1024):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(curves, "_BLOCK_ROWS", block_rows)
                 for fmt, text in expected.items():
-                    dumps, sep = (json_dumps, ", ") if fmt == "json" else (repr, "")
                     out = io.StringIO()
-                    cli._write_rows(columns, dumps, cli._CURVE_ROWS[fmt], sep, out.write)
+                    cli._write_rows(columns, fmt, out.write)
                     assert out.getvalue() == text, (fmt, block_rows)
 
     def test_signed_zeros_print_apart(self):
         columns = [np.array([0.0, -0.0, 0.0, -0.0])] * 5
         out = io.StringIO()
-        cli._write_rows(columns, repr, cli._CURVE_ROWS["csv"], "", out.write)
+        cli._write_rows(columns, "csv", out.write)
         assert out.getvalue() == "0.0,0.0,0.0,0.0,0.0\n-0.0,-0.0,-0.0,-0.0,-0.0\n" * 2
 
 

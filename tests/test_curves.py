@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from samples import helix_position
 
+from wkit import curves
 from wkit.curves import (
     CurveJet,
     builtin_curve,
@@ -30,6 +33,18 @@ class TestBuiltinJets:
         j = line_jet([1, 0, 0], 3.7)
         np.testing.assert_allclose(j.d1, [1, 0, 0], atol=0)
         np.testing.assert_allclose(j.d2, [0, 0, 0], atol=0)
+
+    # |d1| is taken at the unit scale of each row: a length beyond the
+    # square's range is named as it is, and a length within it keeps the
+    # bits of the plain sqrt(d1 . d1).
+    def test_unit_speed_residual_at_unit_scale(self):
+        assert line_jet([1.0, 0.0, 1e200], 0.0).unit_speed_residual == 1e200
+        big = math.ldexp(1.0, 600)
+        assert line_jet([3 * big, 4 * big, 0.0], [0.0, 1.0]).unit_speed_residual.tolist() == [5 * big] * 2
+        d1 = np.random.default_rng(1).normal(size=(1000, 3)) * np.logspace(-100, 100, 1000)[:, None]
+        plain = np.abs(np.sqrt(np.einsum("ij,ij->i", d1, d1)) - 1.0)
+        jet = CurveJet(t=np.arange(1000.0), d1=d1, d2=np.zeros_like(d1))
+        assert jet.unit_speed_residual.tolist() == plain.tolist()
 
     def test_helix_unit_speed_everywhere(self):
         for t in np.linspace(-7, 7, 50):
@@ -357,9 +372,11 @@ class TestReadCurveCsv:
         ("t,x,y,z\n0,1,0,0\n\n   \n0.1,1,0,0\n\n0.05,1,0,0\n",
          "parameter not strictly increasing at row 6"),
         ("t,x,y,z\n0,1,0,0\n\n0.1,1,0\n", "malformed CSV at row 3: expected 4 fields, got 3"),
+        ("t,x,y,z\n0,1,0,0\n0.1,0x1p0,0,0\n0.2,1,0,0\n",
+         "malformed CSV at row 2: could not convert string to float: '0x1p0'"),
     ], ids=["header", "no-header", "3-fields", "5-fields", "3-then-5-fields", "non-number",
             "empty-field", "decreasing", "repeated", "decrease-before-short-row", "2-samples", "no-samples",
-            "blank-lines-not-samples", "blank-lines-counted", "blank-line-before-short-row"])
+            "blank-lines-not-samples", "blank-lines-counted", "blank-line-before-short-row", "hex"])
     def test_error_messages(self, text, message):
         with pytest.raises(ValueError) as exc:
             read_curve_csv(io.StringIO(text))
@@ -373,3 +390,54 @@ class TestReadCurveCsv:
         with pytest.raises(ValueError) as exc:
             read_curve_csv(io.StringIO(text))
         assert str(exc.value) == f"malformed CSV at row 4: non-finite value in {row4!r}"
+
+    # Rows that numpy's reader rejects but float() reads (an underscore, a
+    # non-ASCII digit), blanks around fields, and 1,100 blank lines, which
+    # leave whole blocks without a sample at every block size.
+    @pytest.mark.parametrize("body", [
+        "0,1_0,0,0\n1,\u0661,0,0\n2,1_000.5,0,-\u0663\n",
+        " 0 , 1 ,\t2,3\t\n1,\u00a01,0 ,0\n 2,2\u2003,0,0\n",
+        "0,0,0,0\n" + "\n" * 1100 + "1,1,0,0\n2,2,0,0\n\n",
+    ], ids=["underscore-and-arabic-digits", "blanks-around-fields", "blank-line-gap"])
+    def test_blocks_match_the_per_row_reader(self, body, monkeypatch):
+        rows = [[float(x) for x in line.split(",")] for line in body.splitlines() if line.strip()]
+        for block_rows in (1, 3, 1024):
+            monkeypatch.setattr(curves, "_BLOCK_ROWS", block_rows)
+            ts, pos = read_curve_csv(io.StringIO("t,x,y,z\n" + body))
+            assert np.column_stack([ts, pos]).tolist() == rows
+
+    def test_short_row_alone_in_its_block(self, monkeypatch):
+        # Line 1,104 is the last; at block sizes 1, 3 and 1024 the blank
+        # lines before it fill the rest of its block.
+        text = "t,x,y,z\n0,0,0,0\n1,1,0,0\n2,2,0,0\n" + "\n" * 1100 + "3,3,0\n"
+        for block_rows in (1, 3, 1024):
+            monkeypatch.setattr(curves, "_BLOCK_ROWS", block_rows)
+            with pytest.raises(ValueError) as exc:
+                read_curve_csv(io.StringIO(text))
+            assert str(exc.value) == "malformed CSV at row 1104: expected 4 fields, got 3"
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(
+        st.just(""),
+        st.lists(st.one_of(st.floats().map(repr), st.sampled_from(
+            ["1_0", "\u0661", " 2 ", "\u00a03", "0x1p0", "nan", "-inf", "1e999", "", "abc", "+.5",
+             "1.", "0X1", "1e", "\x00"])), min_size=3, max_size=5).map(",".join)), max_size=12))
+    def test_any_body_reads_as_row_by_row(self, lines):
+        # Read in blocks of 1, 3 and 1024 lines, any body gives the values,
+        # or the error, of float() applied row by row to the whole of it.
+        body = [line + "\n" for line in lines]
+        try:
+            expected = curves._read_rows(body, 1, -math.inf).tolist()
+            if len(expected) < 3:
+                expected = "need at least 3 samples"
+        except ValueError as exc:
+            expected = str(exc)
+        for block_rows in (1, 3, 1024):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(curves, "_BLOCK_ROWS", block_rows)
+                try:
+                    ts, pos = read_curve_csv(io.StringIO("t,x,y,z\n" + "".join(body)))
+                    got = np.column_stack([ts, pos]).tolist()
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == expected, block_rows
