@@ -64,8 +64,8 @@ radius = 2.0
 for h in (1e-2, 1e-3, 1e-4):
     ts = np.array([-h, 0.0, h])
     pos = np.array([[radius * math.cos(t / radius), radius * math.sin(t / radius), 0.0] for t in ts])
-    jet = jet_from_samples(ts, pos, 1)
+    jet = jet_from_samples(ts, pos)  # one interior sample, t = 0
     # coarse steps miss unit speed by O(h^2); loosen the gate accordingly
-    k = curvature_bound_report(jet, tol=1e-4).curvature
+    k = curvature_bound_report(jet, tol=1e-4).curvature[0]
     print(f"  h = {h:g}: K_estimated = {k:.10f}, error = {abs(k - 1 / radius):.3e}, "
-          f"unit-speed residual = {jet.unit_speed_residual:.3e}")
+          f"unit-speed residual = {jet.unit_speed_residual[0]:.3e}")

@@ -230,9 +230,7 @@ def cmd_curve(args) -> int:
         raise ValueError("--t goes with --builtin; --input takes t from its file")
     else:
         with open(args.input, encoding="utf-8-sig") as fh:
-            ts, pos = read_curve_csv(fh)
-        jet = jet_from_samples(ts, pos, np.arange(1, len(ts) - 1))
-        del ts, pos  # the jet holds copies; the samples need not outlive it
+            jet = jet_from_samples(*read_curve_csv(fh))
 
     rep = curvature_bound_report(jet, unit_tol)
     max_residual = abs(rep.residual).max().item()

@@ -174,9 +174,9 @@ def circle_jet(radius: float, t) -> CurveJet:
         raise ValueError(f"circle needs a finite radius > 0, got {radius!r}")
     with np.errstate(all="ignore"):
         a = np.asarray(t, dtype=float) / radius
-        zero = np.zeros_like(a)
-        d1 = np.stack([-np.sin(a), np.cos(a), zero], axis=-1)
-        d2 = np.stack([-np.cos(a) / radius, -np.sin(a) / radius, zero], axis=-1)
+        sin, cos, zero = np.sin(a), np.cos(a), np.zeros_like(a)
+        d1 = np.stack([-sin, cos, zero], axis=-1)
+        d2 = np.stack([-cos / radius, -sin / radius, zero], axis=-1)
     return CurveJet(t=t, d1=d1, d2=d2)
 
 
@@ -186,8 +186,9 @@ def helix_jet(a: float, b: float, t) -> CurveJet:
     w = _helix_rate(a, b)
     with np.errstate(all="ignore"):
         wt = w * np.asarray(t, dtype=float)
-        d1 = np.stack([-a * w * np.sin(wt), a * w * np.cos(wt), np.full_like(wt, b * w)], axis=-1)
-        d2 = np.stack([-a * w * w * np.cos(wt), -a * w * w * np.sin(wt), np.zeros_like(wt)], axis=-1)
+        sin, cos = np.sin(wt), np.cos(wt)
+        d1 = np.stack([-a * w * sin, a * w * cos, np.full_like(wt, b * w)], axis=-1)
+        d2 = np.stack([-a * w * w * cos, -a * w * w * sin, np.zeros_like(wt)], axis=-1)
     return CurveJet(t=t, d1=d1, d2=d2)
 
 
@@ -240,14 +241,12 @@ def builtin_curve(spec: str, t) -> CurveJet:
 # ---------------------------------------------------------------------------
 # Finite-difference jets from sampled positions.
 
-def jet_from_samples(ts, positions, i) -> CurveJet:
-    """Central-difference jet at interior sample i of a uniform grid.
-
-    d1 ~ (p[i+1] - p[i-1]) / (2h) and d2 ~ (p[i+1] - 2 p[i] + p[i-1]) / h^2,
-    both O(h^2) accurate. ``i`` is one index or an array of indices, which
-    gives a stacked jet. Needs at least 3 samples, spacing uniform to
-    1e-9 relative, and 1 <= i <= len - 2. The unit-speed residual is
-    recorded on the jet, not enforced here.
+def jet_from_samples(ts, positions) -> CurveJet:
+    """Central-difference jet stacked over the interior samples 1..n-2 of a
+    uniform grid: d1 ~ (p[i+1] - p[i-1]) / (2h) and d2 ~ (p[i+1] - 2 p[i] +
+    p[i-1]) / h^2, both O(h^2) accurate. Needs at least 3 samples and spacing
+    uniform to 1e-9 relative. The unit-speed residual is recorded on the
+    jet, not enforced here.
     """
     ts = np.asarray(ts, dtype=float)
     pos = np.asarray(positions, dtype=float)
@@ -273,19 +272,16 @@ def jet_from_samples(ts, positions, i) -> CurveJet:
     if uneven.size:
         raise ValueError(f"sample spacing must be uniform to 1e-9 relative: "
                          f"{step(uneven[0])} differs from the first, {h!r}")
-    i = np.asarray(i)
-    outside = i[(i < 1) | (i > n - 2)]
-    if outside.size:
-        raise ValueError(f"index {outside.flat[0]} has no two neighbours in 0..{n - 1}")
     # The differences are taken on the curve scaled by 2**-e, which brings h
     # into [1/2, 1): d1 keeps its value and d2 is scaled back once, so 2*p and
     # h*h cannot over- or underflow alone; CurveJet rejects what is not finite.
     e = _exponent(h)
     hs, p = _scale(h, -e), _scale(pos, -e)
     with np.errstate(over="ignore", invalid="ignore"):
-        d1 = (p[i + 1] - p[i - 1]) / (2.0 * hs)
-        d2 = _scale((p[i + 1] - 2.0 * p[i] + p[i - 1]) / (hs * hs), -e)
-    return CurveJet(t=ts[i], d1=d1, d2=d2)
+        d1 = (p[2:] - p[:-2]) / (2.0 * hs)
+        d2 = _scale((p[2:] - 2.0 * p[1:-1] + p[:-2]) / (hs * hs), -e)
+    # A copy: a view of read_curve_csv's t column would keep all four alive.
+    return CurveJet(t=ts[1:-1].copy(), d1=d1, d2=d2)
 
 
 def read_curve_csv(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:

@@ -80,31 +80,11 @@ class QSqrt3:
         return QSqrt3(a * c + 3 * b * d, a * d + b * c)
 
     def sign(self) -> int:
-        """Exact sign of the real number a + b*sqrt(3), without floats.
-
-        If the coefficient signs agree (or one vanishes) the sign is
-        immediate; otherwise |a| vs sqrt(3)|b| is decided by comparing
-        a**2 with 3*b**2 in exact rational arithmetic.
-        """
-        sa = _sgn(self._a)
-        sb = _sgn(self._b)
-        if sb == 0:
-            return sa
-        if sa == 0 or sa == sb:
-            return sb
-        # Opposite signs; a**2 = 3*b**2 would make sqrt(3) rational, so the
-        # comparison is strict.
-        if self._a * self._a > 3 * self._b * self._b:
-            return sa
-        return sb
+        """Exact sign of a + b*sqrt(3): that of the larger term by a**2 vs
+        3*b**2, which are equal only at 0, as sqrt(3) is irrational."""
+        x = self._a if self._a * self._a > 3 * self._b * self._b else self._b
+        return (x > 0) - (x < 0)
 
     def __float__(self) -> float:
         return float(self._a) + float(self._b) * math.sqrt(3.0)
 
-
-def _sgn(x: Fraction) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0

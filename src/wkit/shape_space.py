@@ -125,7 +125,7 @@ def classify(t: Triangle, tol: float = 1e-9) -> str:
     p, circle, _ = _unit_shape(t)
     if abs(p.y - TANGENT_SLOPE * p.x) <= tol * p.x:
         return EQUILATERAL_TANGENT
-    boundary = ShapeCircle(center_x=circle.center_x, radius=circle.center_x / 2.0)
+    boundary = HalfDisk(circle.center_x)
     if abs(circle_residual(p, boundary)) <= tol * boundary.radius * boundary.radius:
         return ISOSCELES_LIMIT
     return INTERIOR

@@ -107,7 +107,10 @@ class IdentityReport:
 
 def verify_identity(u, v, tol: float = 1e-9) -> IdentityReport:
     """Evaluate both sides of the identity for one float pair."""
-    unit, w, k = _unit_identity(*(np.asarray(x, dtype=float)[None] for x in (u, v)))
+    u, v = _check_pair(u, v)
+    if u.ndim != 1:
+        raise ValueError(f"expected one pair of vectors, got a stack of shape {u.shape}")
+    unit, w, k = _unit_identity(u[None], v[None])
     lhs, _, d_int, d_exp, residual = _scale(unit, 2 * k)[:, 0].tolist()
     equal = bool(unit[3][0] <= tol * unit[0][0])
     return IdentityReport(lhs, 2.0 * SQRT3 * float(w[0]), d_int, d_exp, residual, equal)

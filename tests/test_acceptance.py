@@ -170,14 +170,14 @@ def test_criterion_7_curvature_bound():
     for radius in (0.5, 1.0, 2.0, 10.0):
         ts = np.array([-h, 0.0, h])
         pos = np.stack([helix_position(radius, 0.0, t) for t in ts])
-        jet = jet_from_samples(ts, pos, 1)
-        k = math.sqrt(float(np.cross(jet.d1, jet.d2) @ np.cross(jet.d1, jet.d2)))
+        jet = jet_from_samples(ts, pos)
+        k = math.sqrt(float(np.cross(jet.d1[0], jet.d2[0]) @ np.cross(jet.d1[0], jet.d2[0])))
         worst_fd = max(worst_fd, abs(k - 1.0 / radius))
     for a, b in ((1.0, 1.0), (2.0, 1.0), (1.0, 3.0)):
         ts = np.array([-h, 0.0, h])
         pos = np.stack([helix_position(a, b, t) for t in ts])
-        jet = jet_from_samples(ts, pos, 1)
-        c = np.cross(jet.d1, jet.d2)
+        jet = jet_from_samples(ts, pos)
+        c = np.cross(jet.d1[0], jet.d2[0])
         worst_fd = max(worst_fd, abs(math.sqrt(float(c @ c)) - a / (a * a + b * b)))
 
     ok = worst_resid < 1e-9 and violations == 0 and worst_fd < 1e-5

@@ -1048,13 +1048,15 @@ class TestDefectShapeContract:
      "unit-speed tolerance must be positive and finite, got -1e-05"),
     (["defect", "--sides", "-inf", "1", "1"], "sides must be finite"),
     (["defect", "--vectors", "-inf,0", "1,0"], "vector has non-finite coordinates"),
+    (["defect", "--vectors", "-1,2,3", "-4,5"],
+     "expected matching vectors of dimension >= 2, got shapes (3,) and (2,)"),
     (["shape", "--sides", "-Infinity", "1", "1"], "sides must be finite"),
     (["curve", "--builtin", "line", "--t", "-inf:0:1"],
      "bad range '-inf:0:1': START, STOP and STEP must be finite"),
     (["sweep", "--count", "10", "--tol", "-nan"], "tolerance must be positive and finite, got nan"),
 ], ids=["curve-t", "shape-sides", "shape-figure", "sweep-tol", "curve-unit-tol",
-        "defect-sides-inf", "defect-vectors-inf", "shape-sides-inf", "curve-t-inf",
-        "sweep-tol-nan"])
+        "defect-sides-inf", "defect-vectors-inf", "defect-vectors-shapes", "shape-sides-inf",
+        "curve-t-inf", "sweep-tol-nan"])
 def test_negative_values_need_no_equals(args, message):
     r = run_cli(*args)
     if message is None:

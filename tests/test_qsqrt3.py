@@ -136,6 +136,9 @@ def test_zero_residual_is_never_mutated():
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         QSqrt3(0.5, 0)
+    # Nor does == read a float as an element: the comparison is left to the
+    # float, and falls back to identity.
+    assert QSqrt3(1, 0) != 1.0
 
 
 @pytest.mark.parametrize("op", [
@@ -153,12 +156,15 @@ def test_numpy_integer_coefficients_do_not_wrap():
     # with a numpy overflow warning.
     x = QSqrt3(np.int8(100), np.int8(3))
     assert x * x == QSqrt3(10027, 600)
-    assert type(x.a.numerator) is int
+    assert type(x.a.numerator) is int and type(x.b.numerator) is int
+    assert (x.a, x.b) == (100, 3)
     assert QSqrt3(np.uint64(2**64 - 1), np.int64(-(2**63))) == QSqrt3(2**64 - 1, -(2**63))
 
 
 def test_string_coefficients():
     assert QSqrt3("1/2", "-3/4") == QSqrt3(Fraction(1, 2), Fraction(-3, 4))
+    # A string is a coefficient, not an element to compare with.
+    assert QSqrt3(1, 0) != "1"
 
 
 def test_repr_roundtrip():

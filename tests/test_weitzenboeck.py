@@ -224,8 +224,14 @@ class TestIdentityBatch:
             identity_batch([1.0, 0.0], [0.0, 1.0])
         with pytest.raises(ValueError):
             identity_batch(np.ones((2, 3)), np.ones((3, 3)))
-        with pytest.raises(ValueError):
+        # verify_identity names the caller's shapes, not its one-row stacks.
+        with pytest.raises(ValueError) as exc:
+            verify_identity([1.0, 2.0, 3.0], [4.0, 5.0])
+        assert str(exc.value) == ("expected matching vectors of dimension >= 2, "
+                                  "got shapes (3,) and (2,)")
+        with pytest.raises(ValueError) as exc:
             verify_identity([[1.0, 0.0]], [[0.0, 1.0]])
+        assert str(exc.value) == "expected one pair of vectors, got a stack of shape (1, 2)"
 
 
 def qsqrt3_evaluation(u, v):
