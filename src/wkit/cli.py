@@ -321,7 +321,7 @@ def main(argv=None) -> int:
         # Checked before any command runs, so its errors come first.
         args.tol = _positive(args.tol, "tolerance")
         return args.func(args)
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

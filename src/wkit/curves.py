@@ -205,11 +205,11 @@ def _helix_rate(a: float, b: float) -> float:
 
 def line_jet(direction, t) -> CurveJet:
     """Exact jet of the line along ``direction``; K = 0, second derivative zero."""
-    d = _as_vec3(direction, "direction")
+    d = np.asarray(direction, dtype=float)
+    if d.shape != (3,):
+        raise ValueError(f"line direction must be one 3-vector, got shape {d.shape}")
     if not np.isfinite(d).all():
         raise ValueError("direction has non-finite coordinates")
-    if d.ndim != 1:
-        raise ValueError(f"line direction must be one 3-vector, got shape {d.shape}")
     d2 = np.zeros(np.shape(t) + (3,))
     return CurveJet(t=t, d1=d2 + d, d2=d2)
 

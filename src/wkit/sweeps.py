@@ -208,15 +208,13 @@ def run_exact_sweep(count: int, seed: int = 0) -> ExactSweepResult:
     """Verify the exact residual is the zero of Q[sqrt(3)] on random rational
     pairs whose coordinates have |numerator| and denominator <= M = 2**7.
 
-    The integers come from ``random.Random(seed)``, whose import is free,
-    while ``numpy.random``'s cost more than the check of 10**4 pairs. A block
-    of n pairs is n rows of eight signed bytes from one ``randbytes`` call:
-    four numerators as they are, in [-M, M - 1], and four denominators as
-    their low seven bits plus one, in [1, M], each exactly uniform; pair i
-    takes bytes 8i to 8i + 7 whatever the block size. The block's terms are
-    computed in int64, exact since none exceeds 48*M**8 < 2**63, and a pair
-    fails when lhs != dx or 2w + dq != 0. The block's first pair, and the
-    first failing pair, also go through ``verify_exact``.
+    The pairs are the module's byte draw. A block's terms are computed in
+    int64, exact since none exceeds 48*M**8 < 2**63, and a pair fails when
+    lhs != dx or 2w + dq != 0; the block's first pair and the first failing
+    one also go through ``verify_exact``. So the sweep checks one quadratic
+    identity in four free integers (U0, U1, h0, h1), its int64 evaluation
+    and the draw, but not how the rationals are scaled to those integers:
+    any scaling passes, and the tests' per-term oracle covers it.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

@@ -9,10 +9,11 @@ right-most term is the nonnegative defect: it measures how far the triangle
 with edge vectors u, v is from equilateral, and vanishes exactly when
 u = -R(v), i.e. when |u| = |v| = |u+v|.
 
-``_unit_identity`` is the one float evaluation: it works on (m, d) row
-stacks at unit scale. ``identity_batch`` is its scaled view, and
-``verify_identity`` and the curve report call it directly. It computes the
-defect along two deliberately independent paths:
+``_unit_identity`` is the one float evaluation, on (m, d) row stacks at
+unit scale: ``identity_batch`` is its scaled view, and ``verify_identity``
+and the curve report call it directly. The public entries and ``CurveJet``
+check their input once; ``_plane`` and ``_unit_identity`` trust their
+callers. The defect takes two deliberately independent paths:
 
 * ``defect_intrinsic`` - the closed coordinate-free formula
   2*(|u|^2 + |v|^2 + <u,v> - sqrt(3)*(u ^ v)), no rotation constructed;
@@ -44,12 +45,14 @@ def identity_batch(U, V):
 
     Returns the arrays ``(lhs, wedge, defect_intrinsic, defect_explicit,
     residual)``, one entry per row, with residual = lhs - 2*sqrt(3)*wedge -
-    defect_explicit. The two defects are computed independently of each
-    other, so each is the other's oracle. A row with v = 0 has no plane to
-    turn in; there R(0) = 0 and its explicit defect is 2*|u|^2.
+    defect_explicit. A row with v = 0 has no plane to turn in; there
+    R(0) = 0 and its explicit defect is 2*|u|^2.
     """
-    (lhs, _, d_int, d_exp, residual), w, k = _unit_identity(U, V)
-    lhs, d_int, d_exp, residual = (_scale(x, 2 * k) for x in (lhs, d_int, d_exp, residual))
+    U, V = _check_pair(U, V)
+    if U.ndim != 2:
+        raise ValueError(f"expected (m, d) row stacks, got shape {U.shape}")
+    unit, w, k = _unit_identity(U, V)
+    lhs, _, d_int, d_exp, residual = _scale(unit, 2 * k)
     return lhs, w, d_int, d_exp, residual
 
 
@@ -58,10 +61,7 @@ def _unit_identity(U, V):
     row i computed on u and v scaled by one 2**-k[i] that brings the larger
     to unit size, so the first five are 4**-k of their value. ``w`` is the
     wedge at ``_plane``'s own scales, so v negligible beside u does not zero
-    it."""
-    U, V = _check_pair(U, V)
-    if U.ndim != 2:
-        raise ValueError(f"expected (m, d) row stacks, got shape {U.shape}")
+    it. Trusts its caller for finite float stacks of one shape, d >= 2."""
     r, conormal, _, a, b = _plane(U, V)
     k = np.maximum(a, b)
     w = _scale(r, a + b)
@@ -153,8 +153,9 @@ def verify_exact(u, v) -> QSqrt3:
     (int, Fraction, numpy integers, or strings like "3/7"). The residual
     lhs - 2*sqrt(3)*|w| - 2*|u + R(v)|^2 is homogeneous of degree 2: it is
     (a + sign(w)*b'*sqrt(3))/D^2 with the integers of ``_identity_terms``,
-    returned as one exact field element. It is zero for every input; a
-    nonzero result would disprove the identity.
+    returned as one exact field element. a and b' vanish as polynomials in
+    U and h, so the residual is zero for every input, and blind to how u
+    and v are scaled to U and h: the tests' per-term oracle checks that.
     """
     u = [_coerce(x).as_integer_ratio() for x in u]
     v = [_coerce(x).as_integer_ratio() for x in v]

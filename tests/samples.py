@@ -1,6 +1,8 @@
 """Sample helpers shared by the test modules."""
 
+import inspect
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -111,3 +113,64 @@ def power_of_two_range(values):
     """(lo, hi): every k for which 2**k times each nonzero integer of values
     is an exact, finite, nonzero double, subnormals included."""
     return -1074, 1024 - math.frexp(max(map(abs, values)))[1]
+
+
+class Poly:
+    """A polynomial with integer coefficients in n symbols: a dict from
+    exponent tuple to nonzero int. +, - and * combine it with ints and
+    polynomials, and ** raises it to a small int power: enough to run a
+    function written with those operators, such as
+    ``weitzenboeck._identity_terms``, on symbols and expand what it returns."""
+
+    def __init__(self, terms, n):
+        self.n = n
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    @classmethod
+    def symbols(cls, n):
+        return [cls({tuple(int(i == j) for j in range(n)): 1}, n) for i in range(n)]
+
+    def _lift(self, other):
+        return other if isinstance(other, Poly) else Poly({(0,) * self.n: other}, self.n)
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for e, c in self._lift(other).terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return Poly(terms, self.n)
+
+    def __neg__(self):
+        return Poly({e: -c for e, c in self.terms.items()}, self.n)
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        terms = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in self._lift(other).terms.items():
+                e = tuple(map(operator.add, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return Poly(terms, self.n)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __pow__(self, k):
+        result = self._lift(1)
+        for _ in range(k):
+            result = result * self
+        return result
+
+
+def mutated(func, old, new):
+    """A mutant of the module-level function ``func``: its source with the
+    one occurrence of ``old`` replaced by ``new``, compiled in a copy of its
+    module's namespace, for a test to show that a check sees the change."""
+    source = inspect.getsource(func)
+    assert source.count(old) == 1, f"{old!r} is not once in {func.__name__}"
+    scope = dict(func.__globals__)
+    exec(source.replace(old, new), scope)
+    return scope[func.__name__]

@@ -620,16 +620,18 @@ class TestCurve:
             assert row["curvature"] == pytest.approx(1e200 / 2e400, rel=1e-12)
 
     # The phase t/R or the second derivative overflows, or the spec is not
-    # finite: one error line that names the first bad t, nothing on stdout
-    # (run_cli turns a RuntimeWarning into an exception). A non-finite
-    # phase makes d1 non-finite, so CurveJet's check covers both.
+    # finite or no 3-vector: one error line that names the first bad t or
+    # the spec, nothing on stdout (run_cli turns a RuntimeWarning into an
+    # exception). A non-finite phase makes d1 non-finite, so CurveJet's
+    # check covers both.
     @pytest.mark.parametrize("spec, trange, message", [
         ("circle:1e-310", "0:0.02:0.01", "d2 has non-finite coordinates at t=0.0"),
         ("circle:1e-300", "0:1e10:1e5", "d1 has non-finite coordinates at t=179800000.0"),
         ("helix:1e-310:0", "0:0:1", "d1 has non-finite coordinates at t=0.0"),
         ("circle:inf", "0:1:1", "circle needs a finite radius > 0, got inf"),
         ("helix:1:nan", "0:1:1", "helix needs finite a and b, got 1.0 and nan"),
-    ], ids=["circle-d2", "circle-phase", "helix-d2", "circle-inf", "helix-nan"])
+        ("line:1,0", "0:1:1", "line direction must be one 3-vector, got shape (2,)"),
+    ], ids=["circle-d2", "circle-phase", "helix-d2", "circle-inf", "helix-nan", "line-short"])
     def test_closed_form_out_of_range_rejected(self, spec, trange, message):
         r = run_cli("curve", "--builtin", spec, "--t", trange)
         assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
@@ -1149,6 +1151,17 @@ class TestTolerancePlumbing:
     def test_tolerance_error_comes_first(self, args, message):
         r = run_cli(*args)
         assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+
+    # Exit 2 means bad input: a TypeError is a programming error and
+    # propagates out of main with its traceback.
+    def test_type_error_is_not_an_input_error(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise TypeError("a programming error")
+
+        monkeypatch.setattr(cli, "verify_identity", broken)
+        with pytest.raises(TypeError, match="a programming error"):
+            cli.main(["defect", "--vectors", "1,0", "0,1"])
+        assert capsys.readouterr() == ("", "")
 
     def test_count_below_one_rejected(self):
         r = run_cli("sweep", "--count", "0")

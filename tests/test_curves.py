@@ -86,6 +86,7 @@ class TestBuiltinJets:
          "d1 has non-finite coordinates at t=0.5"),
         (lambda: line_jet([math.nan, 0, 1], 0.0), "direction has non-finite coordinates"),
         (lambda: line_jet([[1, 0, 0]], 0.0), "line direction must be one 3-vector, got shape (1, 3)"),
+        (lambda: builtin_curve("line:1,0", 0.0), "line direction must be one 3-vector, got shape (2,)"),
         (lambda: curvature_bound_report(line_jet([1, 1, 0], 0.0)),
          "unit-speed violated at t=0.0: | |d1| - 1 | = 0.41421356237309515 > 1e-06"),
         (lambda: builtin_curve("helix:1", 0.0), "helix spec is helix:A:B"),
@@ -93,7 +94,7 @@ class TestBuiltinJets:
         (lambda: jet_from_samples([0.0, 1.0, 2.0], np.zeros((3, 2))),
          "positions must have shape (3, 3), got (3, 2)"),
     ], ids=["d1-shape", "d1-nan", "d2-first-bad-row", "d1-and-d2", "line-nan", "line-stack",
-            "line-length", "helix-spec", "line-spec", "positions-shape"])
+            "line-short", "line-length", "helix-spec", "line-spec", "positions-shape"])
     def test_rejection_messages(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()

@@ -224,6 +224,25 @@ class TestBivectorEntries:
         assert not np.concatenate(entries, axis=0)[:, 40:].any()
 
 
+def count_calls(monkeypatch, *names):
+    """Replace each named function, in every wkit module that binds it, with
+    a spy; return the dict of the spies' call counts."""
+    modules = (numerics, vectors, weitzenboeck, shape_space, curves, sweeps, cli)
+    counts = {}
+    for name in names:
+        real = next(getattr(m, name) for m in modules if hasattr(m, name))
+        counts[name] = 0
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    return counts
+
+
 class TestScalingPasses:
     """Each kernel boundary scales its values in one pass: ``_plane`` takes
     one exponent, one scaling and one split over u and v together, and
@@ -231,25 +250,41 @@ class TestScalingPasses:
 
     @pytest.mark.parametrize("run, caps", [
         (lambda: weitzenboeck.verify_identity([1.0, 2.0], [3.0, -1.0]), (7, 1, 1)),
+        (lambda: weitzenboeck.identity_batch([[1.0, 2.0], [0.5, 0.0]], [[3.0, -1.0], [0.0, 4.0]]),
+         (7, 1, 1)),
         (lambda: cli.main(["defect", "--vectors", "1,2", "3,-1"]), (8, 1, 1)),
-    ], ids=["verify_identity", "cli-defect-vectors"])
+    ], ids=["verify_identity", "identity_batch", "cli-defect-vectors"])
     def test_call_counts(self, run, caps, monkeypatch, capsys):
-        counts = {}
-        for name, real in [("_scale", vectors._scale), ("_exponent", vectors._exponent),
-                           ("split", numerics.split)]:
-            counts[name] = 0
-
-            def spy(*args, _name=name, _real=real, **kwargs):
-                counts[_name] += 1
-                return _real(*args, **kwargs)
-
-            for module in (numerics, vectors, weitzenboeck, shape_space, curves, sweeps, cli):
-                if getattr(module, name, None) is real:
-                    monkeypatch.setattr(module, name, spy)
+        counts = count_calls(monkeypatch, "_scale", "_exponent", "split")
         run()
         assert capsys.readouterr().err == ""
         for (name, n), cap in zip(counts.items(), caps):
             assert 0 < n <= cap, f"{name}: {n} calls, at most {cap} expected"
+
+
+class TestCheckOnce:
+    """Each input is checked once, where it enters: ``_check_pair`` runs once
+    per public call, and the curve report passes ``_unit_identity`` the
+    rows that ``CurveJet`` checked when it was built."""
+
+    @pytest.mark.parametrize("run", [
+        lambda: weitzenboeck.verify_identity([1.0, 2.0], [3.0, -1.0]),
+        lambda: weitzenboeck.identity_batch([[1.0, 2.0]] * 3, [[3.0, -1.0]] * 3),
+    ], ids=["verify_identity", "identity_batch"])
+    def test_one_check_per_call(self, run, monkeypatch):
+        counts = count_calls(monkeypatch, "_check_pair")
+        run()
+        assert counts == {"_check_pair": 1}
+
+    def test_curve_report_checks_no_pair(self, monkeypatch, capsys):
+        # Two and a half row blocks, so the report makes three kernel calls.
+        jet = curves.helix_jet(1.0, 3.0, np.arange(5 * curves._BLOCK_ROWS // 2) * 0.01)
+        counts = count_calls(monkeypatch, "_check_pair")
+        report = curves.curvature_bound_report(jet, curves.ANALYTIC_SPEED_TOL)
+        assert report.curvature.shape == jet.t.shape
+        assert cli.main(["curve", "--builtin", "helix:1:3", "--t", "0:30:0.01"]) == 0
+        assert capsys.readouterr().err == ""
+        assert counts == {"_check_pair": 0}
 
 
 class TestRotatePi3:

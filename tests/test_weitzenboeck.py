@@ -7,13 +7,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from samples import (
     INTEGER_TRIANGLES,
+    Poly,
+    mutated,
     power_of_two_range,
     random_pairs,
     random_rational_pairs,
     random_triangles,
 )
 
-from wkit import weitzenboeck
+from wkit import sweeps, weitzenboeck
 from wkit.qsqrt3 import QSqrt3
 from wkit.shape_space import classify, shape_point
 from wkit.vectors import SQRT3, _scale
@@ -268,7 +270,7 @@ def check_against_oracle(u, v):
     Returns the signed wedge of the scaled pair.
     """
     (x0, a0), (y0, b0), (x1, a1), (y1, b1) = (Fraction(x).as_integer_ratio() for x in (*u, *v))
-    lhs, w, dx, dq = _identity_terms(x0, y0, x1, y1, a0, b0, a1, b1)
+    lhs, w, dx, dq = weitzenboeck._identity_terms(x0, y0, x1, y1, a0, b0, a1, b1)
     D2 = (2 * a0 * b0 * a1 * b1) ** 2
     o_lhs, o_wedge, o_defect, o_residual = qsqrt3_evaluation(u, v)
     assert QSqrt3(Fraction(lhs, D2)) == o_lhs
@@ -383,6 +385,47 @@ class TestVerifyExact:
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError):
             verify_exact((1, 0, 0), (0, 1, 0))
+
+
+class TestIdentityTermsProof:
+    """``_identity_terms`` uses only +, -, * and **, so it runs on symbols:
+    expanded, lhs - dx and 2w + dq are the zero polynomial in the eight
+    integers of a pair, which proves the planar identity that the exact
+    sweep samples. They vanish in the free integers U0, U1, h0 and h1
+    whatever the scaling that forms them, so only the per-term oracle
+    (``check_against_oracle``) sees a wrong scaling."""
+
+    def test_terms_vanish_as_polynomials(self):
+        lhs, w, dx, dq = _identity_terms(*Poly.symbols(8))
+        assert lhs.terms and w.terms
+        assert (lhs - dx).terms == {} and (2 * w + dq).terms == {}
+
+    @pytest.mark.parametrize("old, new", [
+        ("dq = 4 *", "dq = -4 *"),
+        ("+ 6 * hh", "+ 5 * hh"),
+        ("+ 4 * hh", "+ 2 * hh"),
+        ("X0, X1 = U0 + h0,", "X0, X1 = U0 + 2 * h0,"),
+    ], ids=["dq-sign", "dx-6hh", "lhs-4hh", "X0-2h0"])
+    def test_a_wrong_term_is_a_nonzero_polynomial(self, old, new):
+        lhs, w, dx, dq = mutated(_identity_terms, old, new)(*Poly.symbols(8))
+        assert (lhs - dx).terms or (2 * w + dq).terms
+
+    @pytest.mark.parametrize("old, new", [
+        ("U0, U1 = 2 * x0 * b0 * a1b1,", "U0, U1 = 2 * x0 * a0 * a1b1,"),
+        ("h0, h1 = x1 * b1 * a0b0,", "h0, h1 = x1 * a0b0,"),
+    ], ids=["U0-from-a0", "h0-without-b1"])
+    def test_only_the_oracle_sees_a_wrong_scaling(self, old, new, monkeypatch):
+        mutant = mutated(_identity_terms, old, new)
+        lhs, w, dx, dq = mutant(*Poly.symbols(8))
+        assert (lhs - dx).terms == {} and (2 * w + dq).terms == {}
+        for module in (weitzenboeck, sweeps):
+            monkeypatch.setattr(module, "_identity_terms", mutant)
+        assert sweeps.run_exact_sweep(4096).passed
+        for u, v in [((Fraction(1, 3), Fraction(2, 5)), (Fraction(-3, 7), Fraction(4, 11))),
+                     ((Fraction(5, 2), -1), (Fraction(7, 9), Fraction(-1, 6)))]:
+            assert verify_exact(u, v) == QSqrt3(0, 0)
+            with pytest.raises(AssertionError):
+                check_against_oracle(u, v)
 
 
 class TestTriangle:
