@@ -12,15 +12,19 @@ import json
 import math
 import re
 import sys
+from functools import partial
 
 import numpy as np
 
 from .curves import (
     ANALYTIC_SPEED_TOL,
     SAMPLED_SPEED_TOL,
+    _grid_step,
+    _jet_rows,
+    _require_unit_speed,
     _row_blocks,
+    _sampled_jet,
     builtin_curve,
-    jet_from_samples,
     read_curve_csv,
     curvature_bound_report,
 )
@@ -194,13 +198,14 @@ def _parse_trange(text: str) -> np.ndarray:
     return values
 
 
-def _write_rows(columns, fmt: str, write) -> None:
+def _write_rows(columns, fmt: str, write) -> bool:
     """Write the rows of the printed ``columns`` in ``fmt``, one string per
-    block. A block prints each distinct value once, told apart by its bits
-    (-0.0 is not 0.0), by repr (JSON prints null for a value that is not
-    finite), and pads it once; a row is one join of its cells, and the
-    block one join of its rows."""
+    block; True when every value is finite. A block prints each distinct
+    value once, told apart by its bits (-0.0 is not 0.0), by repr (JSON
+    prints null for a value that is not finite), and pads it once; a row is
+    one join of its cells, and the block one join of its rows."""
     width, start, sep, end, between = _CURVE_ROWS[fmt]
+    finite = True
     for i, rows in enumerate(_row_blocks(len(columns[0]))):
         block = np.concatenate([c[rows] for c in columns])
         bits, at = np.unique(block.view(np.int64), return_inverse=True)
@@ -209,56 +214,82 @@ def _write_rows(columns, fmt: str, write) -> None:
         if width:
             printed = [s.rjust(width) for s in printed]
         printed = np.array(printed, dtype=object)
+        bad = ~np.isfinite(values)
+        finite = finite and not bad.any()
         if fmt == "json":
-            printed[~np.isfinite(values)] = "null"
+            printed[bad] = "null"
         cells = printed[at].reshape(len(columns), -1)
         if fmt == "json":
             cells = _JSON_KEYS + cells
         text = (end + between + start).join(map(sep.join, zip(*cells.tolist())))
         write(between * (i > 0) + start + text + end)
+    return finite
 
 
 def cmd_curve(args) -> int:
     default_unit_tol = SAMPLED_SPEED_TOL if args.builtin is None else ANALYTIC_SPEED_TOL
     unit_tol = args.unit_tol if args.unit_tol is not None else default_unit_tol
     _positive(unit_tol, "unit-speed tolerance")
+    # Builtin jets are built whole (at most MAX_CURVE_SAMPLES); sampled
+    # jets are built from the one parsed table, a block of rows at a time.
     if args.builtin is not None:
         if args.t is None:
             raise ValueError("--builtin needs --t START:STOP:STEP")
         jet = builtin_curve(args.builtin, _parse_trange(args.t))
+        n, block_jet = len(jet.t), partial(_jet_rows, jet)
     elif args.t is not None:
         raise ValueError("--t goes with --builtin; --input takes t from its file")
     else:
         with open(args.input, encoding="utf-8-sig") as fh:
-            jet = jet_from_samples(*read_curve_csv(fh))
+            ts, pos = read_curve_csv(fh)
+        n, block_jet = len(ts) - 2, partial(_sampled_jet, ts, pos, _grid_step(ts))
 
-    rep = curvature_bound_report(jet, unit_tol)
-    max_residual = abs(rep.residual).max().item()
+    # Pass 1 prints nothing: CurveJet rejects a non-finite row as its block
+    # is built, and the first slow row is named after the last block, so a
+    # non-finite row anywhere wins, as over one whole jet.
+    speed_residual, slow = 0.0, None
+    for rows in _row_blocks(n):
+        jet = block_jet(rows)
+        speed_residual = max(speed_residual, jet.unit_speed_residual.max().item())
+        if slow is None and speed_residual > unit_tol:
+            slow = jet
+    if slow is not None:
+        _require_unit_speed(slow, unit_tol)
     # The identity's constant term assumes |d1| = 1 exactly, so it can only
     # be checked down to the unit-speed slack of the data itself.
-    budget = args.tol + 3.0 * jet.unit_speed_residual.max().item()
-    violations = int((2.0 * SQRT3 * rep.curvature > rep.rhs_bound + budget).sum())
-    columns = (jet.t, rep.curvature, rep.rhs_bound, rep.defect, rep.residual)
-    finite = all(np.isfinite(c).all() for c in columns)
-    clean = finite and max_residual <= budget and violations == 0
+    budget = args.tol + 3.0 * speed_residual
 
+    write = sys.stdout.write
+    width, _, sep, end, between = _CURVE_ROWS[args.format]
+    if args.format == "json":
+        # The bytes of json.dumps({"rows": [...], "summary": {...}}) of _json_safe values.
+        write('{"rows": [')
+    else:
+        write(sep.join(h.rjust(width) for h in _CURVE_HEADER) + end)
+    # Pass 2 rebuilds each block's jet and prints its rows. np.maximum
+    # keeps a NaN residual, as the maximum over the whole column would.
+    max_residual, violations, finite = 0.0, 0, True
+    for i, rows in enumerate(_row_blocks(n)):
+        jet = block_jet(rows)
+        rep = curvature_bound_report(jet, unit_tol)
+        max_residual = np.maximum(max_residual, np.abs(rep.residual).max())
+        violations += int((2.0 * SQRT3 * rep.curvature > rep.rhs_bound + budget).sum())
+        write(between * (i > 0))
+        columns = (jet.t, rep.curvature, rep.rhs_bound, rep.defect, rep.residual)
+        finite = _write_rows(columns, args.format, write) and finite
+
+    max_residual = max_residual.item()
+    clean = finite and max_residual <= budget and violations == 0
     summary = [
-        ("samples", len(jet.t)),
+        ("samples", n),
         ("max_abs_residual", max_residual),
         ("residual_budget", budget),
         ("inequality_violations", violations),
         ("result", "pass" if clean else "fail"),
     ]
-    write = sys.stdout.write
     if args.format == "json":
-        # The bytes of json.dumps({"rows": [...], "summary": {...}}) of _json_safe values.
-        write('{"rows": [')
-        _write_rows(columns, "json", write)
         write(f'], "summary": {json.dumps({k: _json_safe(v) for k, v in summary})}}}\n')
     else:
-        width, _, sep, end, _ = _CURVE_ROWS[args.format]
-        write(sep.join(h.rjust(width) for h in _CURVE_HEADER) + end)
-        _write_rows(columns, args.format, write)
         # CSV stdout holds the table alone, so its summary goes to stderr.
         _emit_pairs(summary, "text", sys.stderr if args.format == "csv" else sys.stdout)
     return 0 if clean else 1

@@ -34,17 +34,19 @@ SAMPLED_SPEED_TOL = 1e-6
 ANALYTIC_SPEED_TOL = 1e-12
 
 #: Rows per kernel call of ``curvature_bound_report``, lines per
-#: ``np.loadtxt`` call of ``read_curve_csv``, and rows per string written
-#: of ``wkit curve``'s table. With 1,024 the benchmark's curve workloads
-#: peak at 34.8 (builtin) and 35.7 MB (sampled) RSS, and with 4,096 at 36.9
-#: and 40.3 MB; 256 runs the builtin helix ~15% slower, as numpy's fixed
-#: cost per call takes over (2 shared vCPUs, Python 3.11, numpy 2.4).
+#: ``np.loadtxt`` call of ``read_curve_csv``, steps per grid check, and
+#: jets per block of ``wkit curve``'s two passes and its table. With 1,024
+#: the benchmark's curve workloads peak at 34.3 (builtin) and 34.6 MB
+#: (sampled) RSS, and with 4,096 at 36.3 and 38.0 MB; 256 runs the builtin
+#: helix ~15% slower, as numpy's fixed cost per call takes over (2 shared
+#: vCPUs, Python 3.11, numpy 2.4).
 _BLOCK_ROWS = 1024
 
 
 def _row_blocks(n: int) -> list[slice]:
-    """Consecutive slices of at most ``_BLOCK_ROWS`` rows that cover range(n)."""
-    return [slice(i, i + _BLOCK_ROWS) for i in range(0, n, _BLOCK_ROWS)]
+    """Consecutive slices of at most ``_BLOCK_ROWS`` rows that cover range(n),
+    each with its stop within n."""
+    return [slice(i, min(i + _BLOCK_ROWS, n)) for i in range(0, n, _BLOCK_ROWS)]
 
 
 def _as_vec3(x, name: str) -> np.ndarray:
@@ -54,7 +56,7 @@ def _as_vec3(x, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass
+@dataclass(frozen=True)
 class CurveJet:
     """First and second derivative of a curve at one or more parameter values.
 
@@ -63,7 +65,8 @@ class CurveJet:
     = | |d1| - 1 | (per row, |d1| at unit scale where its square would
     leave the float range) is computed on construction and stored; the
     curvature operations check it against their tolerance, the constructor
-    does not.
+    does not. A jet is frozen and its arrays are read-only views, so it
+    keeps what its checks saw; the caller's own arrays stay writeable.
     """
 
     t: float | np.ndarray
@@ -72,29 +75,43 @@ class CurveJet:
     unit_speed_residual: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.d1 = _as_vec3(self.d1, "d1")
-        self.d2 = _as_vec3(self.d2, "d2")
-        self.t = _item(np.asarray(self.t, dtype=float))
-        if self.d2.shape != self.d1.shape or np.shape(self.t) != self.d1.shape[:-1]:
+        d1, d2 = _as_vec3(self.d1, "d1"), _as_vec3(self.d2, "d2")
+        t = _item(np.asarray(self.t, dtype=float))
+        if d2.shape != d1.shape or np.shape(t) != d1.shape[:-1]:
             raise ValueError(
-                f"jet shapes disagree: t {np.shape(self.t)}, d1 {self.d1.shape}, d2 {self.d2.shape}"
+                f"jet shapes disagree: t {np.shape(t)}, d1 {d1.shape}, d2 {d2.shape}"
             )
-        finite = [np.isfinite(d).all(axis=-1).ravel() for d in (self.d1, self.d2)]
-        bad = np.flatnonzero(~(finite[0] & finite[1]))
-        if bad.size:
-            raise ValueError(f"d{1 if not finite[0][bad[0]] else 2} has non-finite coordinates "
-                             f"at t={np.ravel(self.t)[bad[0]].item()!r}")
-        d1 = self.d1.reshape(-1, 3)
-        speed = np.sqrt(np.einsum("...j,...j->...", d1, d1))
+        # Rows are looked at one by one only to name the first bad one.
+        if not (np.isfinite(d1).all() and np.isfinite(d2).all()):
+            finite = [np.isfinite(d).all(axis=-1).ravel() for d in (d1, d2)]
+            bad = np.flatnonzero(~(finite[0] & finite[1]))[0]
+            raise ValueError(f"d{1 if not finite[0][bad] else 2} has non-finite coordinates "
+                             f"at t={np.ravel(t)[bad].item()!r}")
+        rows = d1.reshape(-1, 3)
+        speed = np.sqrt(np.einsum("...j,...j->...", rows, rows))
         # Outside (2**-500, 2**500) the sum of squares may over- or
         # underflow: such a row is taken again at its unit scale and scaled
         # back once, so |d1| = 1e200 is not inf. Other rows keep their bits.
         far = np.flatnonzero(~((speed > 2.0**-500) & (speed < 2.0**500)))
-        e = _exponent(d1[far], axis=-1)
-        unit = _scale(d1[far], -e[:, None])
-        speed[far] = _scale(np.sqrt(np.einsum("...j,...j->...", unit, unit)), e)
+        if far.size:
+            e = _exponent(rows[far], axis=-1)
+            unit = _scale(rows[far], -e[:, None])
+            speed[far] = _scale(np.sqrt(np.einsum("...j,...j->...", unit, unit)), e)
         speed -= 1.0
-        self.unit_speed_residual = _item(np.abs(speed, out=speed).reshape(self.d1.shape[:-1]))
+        residual = _item(np.abs(speed, out=speed).reshape(d1.shape[:-1]))
+        for name, value in (("t", t), ("d1", d1), ("d2", d2), ("unit_speed_residual", residual)):
+            if isinstance(value, np.ndarray):
+                value = value.view()
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+
+def _jet_rows(jet: CurveJet, rows: slice) -> CurveJet:
+    """The rows ``rows`` of a stacked jet, as checked when it was built."""
+    part = object.__new__(CurveJet)
+    for name in ("t", "d1", "d2", "unit_speed_residual"):
+        object.__setattr__(part, name, getattr(jet, name)[rows])
+    return part
 
 
 def _require_unit_speed(jet: CurveJet, tol: float) -> None:
@@ -255,33 +272,52 @@ def jet_from_samples(ts, positions) -> CurveJet:
         raise ValueError("need at least 3 samples for central differences")
     if pos.shape != (n, 3):
         raise ValueError(f"positions must have shape ({n}, 3), got {pos.shape}")
+    return _sampled_jet(ts, pos, _grid_step(ts), slice(0, n - 2))
+
+
+def _grid_step(ts: np.ndarray) -> float:
+    """The first step h of the grid ``ts``, once every step is checked
+    against it, ``_BLOCK_ROWS`` steps at a time. A step that does not
+    increase t wins over one beyond the float range, which wins over an
+    uneven one; each names the first such step of the grid."""
+    wide = uneven = None
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = np.diff(ts)
-    # Both checks are written so that a NaN step fails them.
-    if not np.all(steps > 0):
-        raise ValueError("parameter values must be strictly increasing")
+        h = float(ts[1] - ts[0])
+        for rows in _row_blocks(len(ts) - 1):
+            steps = np.diff(ts[rows.start:rows.stop + 1])
+            # Each check is written so that a NaN step fails it.
+            if not np.all(steps > 0):
+                raise ValueError("parameter values must be strictly increasing")
+            if wide is None and (k := np.flatnonzero(np.isinf(steps))).size:
+                wide = rows.start + k[0]
+            if uneven is None and (k := np.flatnonzero(~(np.abs(steps - h) <= 1e-9 * h))).size:
+                uneven = rows.start + k[0]
 
     def step(k):
         return f"the step from t={ts[k].item()!r} to t={ts[k + 1].item()!r}"
 
-    wide = np.flatnonzero(np.isinf(steps))
-    if wide.size:
-        raise ValueError(f"{step(wide[0])} exceeds the float range")
-    h = float(steps[0])
-    uneven = np.flatnonzero(~(np.abs(steps - h) <= 1e-9 * h))
-    if uneven.size:
+    if wide is not None:
+        raise ValueError(f"{step(wide)} exceeds the float range")
+    if uneven is not None:
         raise ValueError(f"sample spacing must be uniform to 1e-9 relative: "
-                         f"{step(uneven[0])} differs from the first, {h!r}")
+                         f"{step(uneven)} differs from the first, {h!r}")
+    return h
+
+
+def _sampled_jet(ts: np.ndarray, pos: np.ndarray, h: float, rows: slice) -> CurveJet:
+    """The central-difference jet of the interior samples ``rows`` (row j
+    at sample j + 1) of the grid ``ts`` whose step ``_grid_step`` gave as h.
+    Each row gets the same bits in any slice."""
     # The differences are taken on the curve scaled by 2**-e, which brings h
     # into [1/2, 1): d1 keeps its value and d2 is scaled back once, so 2*p and
     # h*h cannot over- or underflow alone; CurveJet rejects what is not finite.
-    e = _exponent(h)
-    hs, p = _scale(h, -e), _scale(pos, -e)
+    e = math.frexp(h)[1]
+    hs, p = math.ldexp(h, -e), _scale(pos[rows.start:rows.stop + 2], -e)
     with np.errstate(over="ignore", invalid="ignore"):
         d1 = (p[2:] - p[:-2]) / (2.0 * hs)
         d2 = _scale((p[2:] - 2.0 * p[1:-1] + p[:-2]) / (hs * hs), -e)
-    # A copy: a view of read_curve_csv's t column would keep all four alive.
-    return CurveJet(t=ts[1:-1].copy(), d1=d1, d2=d2)
+    # A copy, as d1 and d2 are: the jet holds no view of the caller's grid.
+    return CurveJet(t=ts[rows.start + 1:rows.stop + 1].copy(), d1=d1, d2=d2)
 
 
 def read_curve_csv(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
@@ -295,23 +331,25 @@ def read_curve_csv(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
     ``float()`` accepts (not ``1_0`` or non-ASCII digits). A block that it
     rejects, or whose values are not finite or whose t does not increase
     from the last t before it, is read again row by row with ``float()``,
-    which gives its values or names its first bad row.
+    which gives its values or names its first bad row. Each block's values
+    are appended to one buffer, which grows without a copy of the whole
+    table or a zero fill: the table costs 32 bytes a sample.
     """
     header = stream.readline().strip()
     if [c.strip() for c in header.split(",")] != ["t", "x", "y", "z"]:
         raise ValueError(f"expected header 't,x,y,z', got {header!r}")
-    blocks, row, last = [np.empty((0, 4))], 1, -math.inf
+    table, row, last = bytearray(), 1, -math.inf
     while lines := list(islice(stream, _BLOCK_ROWS)):
         rows = list(filter(None, map(str.strip, lines)))
         data = _parse_block(rows, last)
         if data is None:
             data = _read_rows(lines, row, last)
-        blocks.append(data)
+        table += data.tobytes()
         row += len(lines)
         last = data[-1, 0] if len(data) else last
-    data = np.concatenate(blocks)
-    if len(data) < 3:
+    if len(table) < 3 * 4 * 8:
         raise ValueError("need at least 3 samples")
+    data = np.frombuffer(table).reshape(-1, 4)
     return data[:, 0], data[:, 1:]
 
 

@@ -798,15 +798,24 @@ class TestCurve:
 
     # 3,073 rows: at block sizes 1, 3 and 1024 the last row is alone in the
     # last block, and the t of row 3,073 is the first after a block boundary.
-    @pytest.mark.parametrize("last, message", [
-        ("30.72,1,2", "malformed CSV at row 3073: expected 4 fields, got 3"),
-        ("30.72,nan,0,0", "malformed CSV at row 3073: non-finite value in '30.72,nan,0,0'"),
-        ("30.71,0,0,0", "parameter not strictly increasing at row 3073"),
-        ("30.72,3,0,0", "unit-speed violated at t=30.71: | |d1| - 1 | = "),
-    ], ids=["fields", "non-finite", "not-increasing", "unit-speed"])
-    def test_error_in_the_last_block(self, last, message, tmp_path, monkeypatch):
+    # In the last two, x jumps to 1e305 at the last row: the last jet's d1,
+    # 5e306, is finite, but its d2, 1e309, is not. In the last, x = -0.02
+    # at t = 0 also gives the first jet speed 2, a unit-speed violation in
+    # the first block; the non-finite jet is named all the same, as it is
+    # when the whole jet is checked before its speed.
+    @pytest.mark.parametrize("x0, last, message", [
+        (0.0, "30.72,1,2", "malformed CSV at row 3073: expected 4 fields, got 3"),
+        (0.0, "30.72,nan,0,0", "malformed CSV at row 3073: non-finite value in '30.72,nan,0,0'"),
+        (0.0, "30.71,0,0,0", "parameter not strictly increasing at row 3073"),
+        (0.0, "30.72,3,0,0", "unit-speed violated at t=30.71: | |d1| - 1 | = "),
+        (0.0, "30.72,1e305,0,0", "d2 has non-finite coordinates at t=30.71\n"),
+        (-0.02, "30.72,1e305,0,0", "d2 has non-finite coordinates at t=30.71\n"),
+    ], ids=["fields", "non-finite", "not-increasing", "unit-speed", "non-finite-jet",
+            "non-finite-jet-wins"])
+    def test_error_in_the_last_block(self, x0, last, message, tmp_path, monkeypatch):
         path = tmp_path / "late.csv"
-        path.write_text("t,x,y,z\n" + "".join(f"{k / 100!r},{k / 100!r},0,0\n" for k in range(3072))
+        path.write_text(f"t,x,y,z\n0.0,{x0!r},0,0\n"
+                        + "".join(f"{k / 100!r},{k / 100!r},0,0\n" for k in range(1, 3072))
                         + last + "\n")
         for rows in (1, 3, curves._BLOCK_ROWS):
             monkeypatch.setattr(curves, "_BLOCK_ROWS", rows)
@@ -817,13 +826,14 @@ class TestCurve:
     @pytest.mark.parametrize("source", ["builtin", "input"])
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_curve_memory_bounded_by_block(self, source, fmt, tmp_path):
-        # The jet's t, d1, d2 and unit-speed residual and the report's four
-        # columns are whole arrays, 96 bytes a jet; building them, and the
-        # violation count over them, take at most half as much again in
-        # whole-column temporaries. The table is written a block at a time.
-        # (Rows turned into Python objects all at once cost 350-910 bytes a
-        # jet.)
-        jet_bytes = (1 + 3 + 3 + 1 + 4) * 8
+        # --input keeps one parsed table of t, x, y, z, 32 bytes a sample,
+        # and builds its jets, report and rows a block at a time. --builtin
+        # keeps its one jet: t, d1, d2 and the unit-speed residual, 64 bytes
+        # a jet. The table grows with up to an eighth spare, and the rest is
+        # bounded by a block, so the bound allows half as much again. (The
+        # whole jet with the report's four whole columns cost 108-139 bytes
+        # a jet; rows turned into Python objects all at once 350-910.)
+        jet_bytes = {"builtin": (1 + 3 + 3 + 1) * 8, "input": 4 * 8}[source]
         argv = {}
         for jets in (1_000, 10_000):
             if source == "builtin":

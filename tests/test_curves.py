@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -212,6 +213,41 @@ class TestStackedJets:
             CurveJet(t=[0.0, 1.0], d1=np.ones((2, 3)), d2=np.ones(3))
 
 
+class TestFrozenJet:
+    """A jet keeps what its checks saw: no field can be rebound and no array
+    written through the jet, which the report trusts. The caller's own
+    arrays stay writeable."""
+
+    @pytest.mark.parametrize("t", [0.5, [0.5, 1.5]], ids=["single", "stacked"])
+    def test_fields_cannot_change(self, t):
+        def report():
+            return [np.asarray(x).tolist() for x in dataclasses.astuple(curvature_bound_report(jet))]
+
+        jet = helix_jet(1.0, 3.0, t)
+        before = report()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            jet.d1 = np.full_like(jet.d1, np.nan)
+        for name in ("t", "d1", "d2", "unit_speed_residual"):
+            value = getattr(jet, name)
+            if isinstance(value, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    value[..., 0] = np.nan
+        assert report() == before
+
+    def test_callers_arrays_stay_writeable(self):
+        t, d1, d2 = np.array([0.0, 1.0]), np.eye(3)[:2].copy(), np.zeros((2, 3))
+        jet = CurveJet(t=t, d1=d1, d2=d2)
+        d1[0, 0] = 2.0
+        assert t.flags.writeable and d2.flags.writeable
+        assert not (jet.t.flags.writeable or jet.d1.flags.writeable or jet.d2.flags.writeable)
+
+    def test_sampled_jet_is_read_only(self):
+        ts = np.linspace(0.0, 1.0, 11)
+        jet = jet_from_samples(ts, np.stack([ts, 0 * ts, 0 * ts], axis=-1))
+        with pytest.raises(ValueError, match="read-only"):
+            jet.d2[0, 0] = np.nan
+
+
 class TestCurvatureBoundReport:
     def test_circle_radius_2(self):
         rep = curvature_bound_report(circle_jet(2.0, 0.0), 1e-12)
@@ -316,6 +352,41 @@ class TestJetFromSamples:
         ts = [0.0, 0.01, 0.02, bad, 0.04]
         with pytest.raises(ValueError):
             jet_from_samples(ts, np.zeros((5, 3)))
+
+
+    def test_rows_of_any_slice_match_the_whole_jet(self):
+        # `wkit curve --input` builds its jets a block of rows at a time,
+        # with the grid's h: each row keeps the bits of the whole jet's row.
+        ts = (1234 + np.arange(3100)) / 100
+        pos = np.stack([helix_position(1.0, 3.0, t) for t in ts])
+        whole = jet_from_samples(ts, pos)
+        h = curves._grid_step(ts)
+        for rows in (slice(0, 1024), slice(1024, 2048), slice(2048, 3098), slice(5, 3001),
+                     slice(3097, 3098)):
+            part = curves._sampled_jet(ts, pos, h, rows)
+            for name in ("t", "d1", "d2", "unit_speed_residual"):
+                assert getattr(part, name).tolist() == getattr(whole, name)[rows].tolist()
+
+    # The grid is checked a block of steps at a time, each step against the
+    # first: whatever the block size, a step that does not increase wins
+    # over one beyond the float range, which wins over an uneven one, and
+    # the first of each kind is named.
+    @pytest.mark.parametrize("changes, message", [
+        ({2: 2.5, 8: 7.0}, "parameter values must be strictly increasing"),
+        ({2: 2.5, 9: math.inf}, "the step from t=8.0 to t=inf exceeds the float range"),
+        ({2: 2.5, 7: 7.5}, "sample spacing must be uniform to 1e-9 relative: "
+                           "the step from t=1.0 to t=2.5 differs from the first, 1.0"),
+        ({7: 7.5}, "sample spacing must be uniform to 1e-9 relative: "
+                   "the step from t=6.0 to t=7.5 differs from the first, 1.0"),
+    ], ids=["not-increasing", "wide", "uneven-first", "uneven-later"])
+    def test_first_bad_step_in_any_block(self, changes, message, monkeypatch):
+        ts = np.arange(10.0)
+        ts[list(changes)] = list(changes.values())
+        for block_rows in (1, 3, 1024):
+            monkeypatch.setattr(curves, "_BLOCK_ROWS", block_rows)
+            with pytest.raises(ValueError) as info:
+                jet_from_samples(ts, np.zeros((10, 3)))
+            assert str(info.value) == message, block_rows
 
 
 class TestReadCurveCsv:
