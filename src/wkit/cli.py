@@ -21,6 +21,7 @@ from .curves import (
     SAMPLED_SPEED_TOL,
     _grid_step,
     _jet_rows,
+    _positive,
     _require_unit_speed,
     _row_blocks,
     _sampled_jet,
@@ -56,12 +57,6 @@ _JSON_KEYS = np.array([f"{json.dumps(k)}: " for k in _CURVE_HEADER], dtype=objec
 
 #: One row of ``wkit shape --figure``: series name, then x and y as repr.
 _FIGURE_ROW = "%s,%r,%r\n"
-
-
-def _positive(value: float, name: str) -> float:
-    if not (0 < value < math.inf):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return value
 
 
 def _fmt(value) -> str:
@@ -199,31 +194,26 @@ def _parse_trange(text: str) -> np.ndarray:
 
 
 def _write_rows(columns, fmt: str, write) -> bool:
-    """Write the rows of the printed ``columns`` in ``fmt``, one string per
-    block; True when every value is finite. A block prints each distinct
-    value once, told apart by its bits (-0.0 is not 0.0), by repr (JSON
-    prints null for a value that is not finite), and pads it once; a row is
-    one join of its cells, and the block one join of its rows."""
+    """Write the rows of one block of printed ``columns`` in ``fmt`` as one
+    string; True when every value is finite. Each distinct value is printed
+    once, told apart by its bits (-0.0 is not 0.0), by repr (JSON prints
+    null for a value that is not finite), and padded once; a row is one
+    join of its cells, and the block one join of its rows."""
     width, start, sep, end, between = _CURVE_ROWS[fmt]
-    finite = True
-    for i, rows in enumerate(_row_blocks(len(columns[0]))):
-        block = np.concatenate([c[rows] for c in columns])
-        bits, at = np.unique(block.view(np.int64), return_inverse=True)
-        values = bits.view(np.float64)
-        printed = list(map(repr, values.tolist()))
-        if width:
-            printed = [s.rjust(width) for s in printed]
-        printed = np.array(printed, dtype=object)
-        bad = ~np.isfinite(values)
-        finite = finite and not bad.any()
-        if fmt == "json":
-            printed[bad] = "null"
-        cells = printed[at].reshape(len(columns), -1)
-        if fmt == "json":
-            cells = _JSON_KEYS + cells
-        text = (end + between + start).join(map(sep.join, zip(*cells.tolist())))
-        write(between * (i > 0) + start + text + end)
-    return finite
+    bits, at = np.unique(np.concatenate(columns).view(np.int64), return_inverse=True)
+    values = bits.view(np.float64)
+    printed = list(map(repr, values.tolist()))
+    if width:
+        printed = [s.rjust(width) for s in printed]
+    printed = np.array(printed, dtype=object)
+    bad = ~np.isfinite(values)
+    if fmt == "json":
+        printed[bad] = "null"
+    cells = printed[at].reshape(len(columns), -1)
+    if fmt == "json":
+        cells = _JSON_KEYS + cells
+    write(start + (end + between + start).join(map(sep.join, zip(*cells.tolist()))) + end)
+    return not bad.any()
 
 
 def cmd_curve(args) -> int:

@@ -33,10 +33,10 @@ from .weitzenboeck import _unit_identity
 SAMPLED_SPEED_TOL = 1e-6
 ANALYTIC_SPEED_TOL = 1e-12
 
-#: Rows per kernel call of ``curvature_bound_report``, lines per
-#: ``np.loadtxt`` call of ``read_curve_csv``, steps per grid check, and
-#: jets per block of ``wkit curve``'s two passes and its table. With 1,024
-#: the benchmark's curve workloads peak at 34.3 (builtin) and 34.6 MB
+#: Jets per block of ``wkit curve``'s two passes, so rows per call of
+#: ``curvature_bound_report`` and of the table writer; also lines per
+#: ``np.loadtxt`` call of ``read_curve_csv`` and steps per grid check. With
+#: 1,024 the benchmark's curve workloads peak at 34.3 (builtin) and 34.6 MB
 #: (sampled) RSS, and with 4,096 at 36.3 and 38.0 MB; 256 runs the builtin
 #: helix ~15% slower, as numpy's fixed cost per call takes over (2 shared
 #: vCPUs, Python 3.11, numpy 2.4).
@@ -47,6 +47,12 @@ def _row_blocks(n: int) -> list[slice]:
     """Consecutive slices of at most ``_BLOCK_ROWS`` rows that cover range(n),
     each with its stop within n."""
     return [slice(i, min(i + _BLOCK_ROWS, n)) for i in range(0, n, _BLOCK_ROWS)]
+
+
+def _positive(value: float, name: str) -> float:
+    if not (0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 def _as_vec3(x, name: str) -> np.ndarray:
@@ -115,6 +121,7 @@ def _jet_rows(jet: CurveJet, rows: slice) -> CurveJet:
 
 
 def _require_unit_speed(jet: CurveJet, tol: float) -> None:
+    _positive(tol, "unit-speed tolerance")
     bad = np.flatnonzero(np.asarray(jet.unit_speed_residual) > tol)
     if bad.size:
         i = bad[0]
@@ -143,8 +150,8 @@ class CurvatureBoundReport:
 
 
 def curvature_bound_report(jet: CurveJet, tol: float = SAMPLED_SPEED_TOL) -> CurvatureBoundReport:
-    """Evaluate the curvature identity and bound for a jet, one row block
-    per kernel call.
+    """Evaluate the curvature identity and bound for a jet, in one kernel
+    call on all its rows.
 
     The rotation acts on d2 in the plane span(d1, d2) oriented from d2 to
     d1. That orientation equals the one from d1 to -d2, and R(d2) =
@@ -157,29 +164,21 @@ def curvature_bound_report(jet: CurveJet, tol: float = SAMPLED_SPEED_TOL) -> Cur
     keeps rhs_bound >= 1, so no row needs e < 0), and each is scaled back
     once: a huge curvature gives rhs_bound inf, never a NaN residual.
 
-    The four columns are allocated once and filled ``_BLOCK_ROWS`` rows at
-    a time, so the work beyond them and the jet is bounded by one block.
-    A row gets the same bits in any block (``_plane``).
+    The kernel's temporaries take some 350 bytes a row beyond the jet, so
+    give a long stack in row slices (``wkit curve`` gives ``_BLOCK_ROWS``
+    rows a call): a row gets the same bits in any slice (``_plane``).
     """
     _require_unit_speed(jet, tol)
-    shape = jet.d1.shape[:-1]
-    D1, D2 = np.atleast_2d(jet.d1), np.atleast_2d(jet.d2)
-    columns = np.empty((4, len(D1)))
-    for rows in _row_blocks(len(D1)):
-        d1, v = D1[rows], -D2[rows]
-        (_, wedge, _, defect, _), curvature, k = _unit_identity(d1, v)
-        e = np.maximum(k, 0)
-        wedge, defect = (_scale(x, 2 * (k - e)) for x in (wedge, defect))
-        diff = d1 + v  # d1 - d2
-        for z in (diff, v):
-            _scale(z, -e[:, None], out=z)
-        rhs_bound = (_scale(1.0, -2 * e) + np.einsum("ij,ij->i", v, v)
-                     + np.einsum("ij,ij->i", diff, diff))
-        residual = 2.0 * SQRT3 * wedge - rhs_bound + defect
-        out = columns[:, rows]
-        out[0] = curvature
-        _scale([rhs_bound, defect, residual], 2 * e, out=out[1:])
-    return CurvatureBoundReport(*(_item(c.reshape(shape)) for c in columns))
+    d1, v = np.atleast_2d(jet.d1), -np.atleast_2d(jet.d2)
+    (_, wedge, _, defect, _), curvature, k = _unit_identity(d1, v)
+    e = np.maximum(k, 0)
+    wedge, defect = (_scale(x, 2 * (k - e)) for x in (wedge, defect))
+    diff, v = _scale([d1 + v, v], -e[:, None])  # d1 - d2 and -d2, at unit scale
+    rhs_bound = (_scale(1.0, -2 * e) + np.einsum("ij,ij->i", v, v)
+                 + np.einsum("ij,ij->i", diff, diff))
+    residual = 2.0 * SQRT3 * wedge - rhs_bound + defect
+    columns = curvature, *_scale([rhs_bound, defect, residual], 2 * e)
+    return CurvatureBoundReport(*(_item(c.reshape(jet.d1.shape[:-1])) for c in columns))
 
 
 # ---------------------------------------------------------------------------

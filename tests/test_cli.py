@@ -1112,13 +1112,10 @@ class TestCurveTable:
             "json": json.dumps([dict(zip(cli._CURVE_HEADER, [x if math.isfinite(x) else None
                                                             for x in row])) for row in rows])[1:-1],
         }
-        for block_rows in (1, 3, 1024):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(curves, "_BLOCK_ROWS", block_rows)
-                for fmt, text in expected.items():
-                    out = io.StringIO()
-                    cli._write_rows(columns, fmt, out.write)
-                    assert out.getvalue() == text, (fmt, block_rows)
+        for fmt, text in expected.items():
+            out = io.StringIO()
+            cli._write_rows(columns, fmt, out.write)
+            assert out.getvalue() == text, fmt
 
     def test_signed_zeros_print_apart(self):
         columns = [np.array([0.0, -0.0, 0.0, -0.0])] * 5

@@ -302,6 +302,15 @@ class TestCurvatureBoundReport:
             rep = curvature_bound_report(CurveJet(t=0.0, d1=d1, d2=d2), 1e-9)
             assert rep.defect == pytest.approx(rep.rhs_bound - 2 * SQRT3 * rep.curvature, abs=1e-9)
 
+    # The identity assumes |d1| = 1: a tolerance that fails no comparison
+    # (NaN) or admits any speed (inf) must not switch that check off.
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        jet = CurveJet(t=0.0, d1=[5, 0, 0], d2=[0, 1, 0])
+        with pytest.raises(ValueError) as exc:
+            curvature_bound_report(jet, tol)
+        assert str(exc.value) == f"unit-speed tolerance must be positive and finite, got {tol}"
+
 
 class TestJetFromSamples:
     @staticmethod
@@ -355,17 +364,28 @@ class TestJetFromSamples:
 
 
     def test_rows_of_any_slice_match_the_whole_jet(self):
-        # `wkit curve --input` builds its jets a block of rows at a time,
-        # with the grid's h: each row keeps the bits of the whole jet's row.
+        # `wkit curve` builds its jets and their report a block of rows at a
+        # time, with the grid's h: each row keeps the bits of the whole
+        # jet's row and of the whole jet's report.
+        def report(jet):
+            return [np.asarray(x).tolist() for x in dataclasses.astuple(curvature_bound_report(jet))]
+
         ts = (1234 + np.arange(3100)) / 100
         pos = np.stack([helix_position(1.0, 3.0, t) for t in ts])
+        slices = (slice(0, 1024), slice(1024, 2048), slice(2048, 3098), slice(5, 3001),
+                  slice(3097, 3098))
         whole = jet_from_samples(ts, pos)
+        whole_report = report(whole)
         h = curves._grid_step(ts)
-        for rows in (slice(0, 1024), slice(1024, 2048), slice(2048, 3098), slice(5, 3001),
-                     slice(3097, 3098)):
+        for rows in slices:
             part = curves._sampled_jet(ts, pos, h, rows)
             for name in ("t", "d1", "d2", "unit_speed_residual"):
                 assert getattr(part, name).tolist() == getattr(whole, name)[rows].tolist()
+            assert report(part) == [x[rows] for x in whole_report]
+        helix = helix_jet(1.0, 3.0, ts)
+        helix_report = report(helix)
+        for rows in slices:
+            assert report(curves._jet_rows(helix, rows)) == [x[rows] for x in helix_report]
 
     # The grid is checked a block of steps at a time, each step against the
     # first: whatever the block size, a step that does not increase wins
