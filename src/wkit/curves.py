@@ -190,9 +190,12 @@ def circle_jet(radius: float, t) -> CurveJet:
         raise ValueError(f"circle needs a finite radius > 0, got {radius!r}")
     with np.errstate(all="ignore"):
         a = np.asarray(t, dtype=float) / radius
-        sin, cos, zero = np.sin(a), np.cos(a), np.zeros_like(a)
-        d1 = np.stack([-sin, cos, zero], axis=-1)
-        d2 = np.stack([-cos / radius, -sin / radius, zero], axis=-1)
+        # d1 and d2 are written in place, through one buffer for sin(a), then cos(a).
+        d1, d2, trig = np.zeros(a.shape + (3,)), np.zeros(a.shape + (3,)), np.empty_like(a)
+        np.negative(np.sin(a, out=trig), out=d1[..., 0])
+        np.divide(trig, -radius, out=d2[..., 1])
+        d1[..., 1] = np.cos(a, out=trig)
+        np.divide(trig, -radius, out=d2[..., 0])
     return CurveJet(t=t, d1=d1, d2=d2)
 
 
@@ -202,9 +205,12 @@ def helix_jet(a: float, b: float, t) -> CurveJet:
     w = _helix_rate(a, b)
     with np.errstate(all="ignore"):
         wt = w * np.asarray(t, dtype=float)
-        sin, cos = np.sin(wt), np.cos(wt)
-        d1 = np.stack([-a * w * sin, a * w * cos, np.full_like(wt, b * w)], axis=-1)
-        d2 = np.stack([-a * w * w * cos, -a * w * w * sin, np.zeros_like(wt)], axis=-1)
+        d1, d2 = np.full(wt.shape + (3,), b * w), np.zeros(wt.shape + (3,))
+        trig = np.empty_like(wt)  # sin(wt), then cos(wt), as in circle_jet
+        np.multiply(np.sin(wt, out=trig), -a * w, out=d1[..., 0])
+        np.multiply(trig, -a * w * w, out=d2[..., 1])
+        np.multiply(np.cos(wt, out=trig), a * w, out=d1[..., 1])
+        np.multiply(trig, -a * w * w, out=d2[..., 0])
     return CurveJet(t=t, d1=d1, d2=d2)
 
 

@@ -1,28 +1,29 @@
 """Seeded randomized verification sweeps.
 
-The identity sweep draws vector pairs with components uniform in [-10, 10],
+The identity sweep draws vector pairs with components uniform in [-10, 10),
 cycling the dimension through 2..8, and injects a near-collinear stress
 pair (v = lam*u + eps*noise with eps alternating between 1e-6 and 1e-9)
 at a fixed 1% rate: cancellation near collinearity is the numerically hard
 regime for the wedge and for the rotation frame. The seed fully determines
 the sample sequence.
 
-The sample is never held as a list of pairs. ``pair_stacks`` draws it in
-chunks of 28,000 pairs (4,000 rows per dimension) straight into one table
-that every chunk reuses, and ``run_identity_sweep`` reduces the (m_d, d)
-stack of u rows and of v rows of each dimension d with ``identity_batch``
-into running maxima. Memory is therefore bounded by the chunk size, not by
-the count, and the maxima do not depend on where the chunks split the sample.
+The doubles come from SplitMix64 (Steele, Lea and Flood, OOPSLA 2014), a
+counter-based stream: output k for the key K is Stafford's mix 13 of
+K + (k + 1)*0x9E3779B97F4A7C15 mod 2**64, read as the double (z >> 11)*2**-53
+in [0, 1), and K is ``random.Random(seed).getrandbits(64)``. Pair i has
+dimension d = 2 + i % 7 and takes outputs 32i to 32i + 2d - 1, u then v,
+each mapped to [-10, 10) by lo + (hi - lo)*x. A stress pair, i % 100 = 99,
+also takes lam from output 32i + 2d, mapped to [-2, 2), and its uniform
+noise from the next d outputs, mapped to [-1, 1); its v is lam*u + eps*noise.
+Pair i thus depends on (seed, i) alone, and no draw goes through numpy.random.
 
-The draws are those of the per-pair loop, in its order: per pair u, then v
-or, for a stress pair, the scalar lam and the noise. Everything between two
-noise draws is a uniform double, so the 99 plain pairs, the stress pair's u
-and its lam come from one ``Generator.random`` fill, mapped afterwards by
-lo + (hi - lo)*x as ``Generator.uniform`` does. A table row holds seven
-pairs, one per dimension, in 70 doubles: the pair of dimension d takes 2d
-of them, u then v, and a stress pair leaves the d - 1 doubles after its lam
-undrawn until v overwrites its slot. Each dimension's u and v stacks are
-then two column slices of the table.
+The sample is never held as a list of pairs. ``pair_stacks`` walks it in
+chunks of 28,000 pairs (4,000 rows per dimension) and computes one
+dimension's pairs of a chunk at a time, as one (m, 2d) block whose two
+halves are the stacks of u rows and v rows; ``run_identity_sweep`` reduces
+each with ``identity_batch`` into running maxima before the next block is
+drawn. Memory is therefore bounded by one block, not by the count, and the
+maxima do not depend on where the chunks split the sample.
 
 The exact sweep draws its integers from the standard library's Mersenne
 Twister, ``random.Random(seed)``, not from ``numpy.random``: nothing it
@@ -54,15 +55,19 @@ _LOW, _HIGH = -10.0, 10.0
 _LAM_LOW, _LAM_HIGH = -2.0, 2.0
 _STRESS_PERIOD = 100
 _STRESS_EPS = (1e-6, 1e-9)
-# At most this many rows per dimension in a chunk. `wkit sweep --count 100000` peaks at 44 MB RSS
-# with 4,096 against 51 MB with 8,192 (same speed) and 61 MB with 65,536; 2,048 saves 3 MB more
-# but runs 5-10% slower, 1,024 ~50%, as numpy's fixed cost per call takes over.
+# At most this many rows per dimension in a chunk. With the former 70-column table, 10^5 pairs
+# peaked at 44 MB RSS with 4,096 against 51 MB with 8,192 (same speed) and 61 MB with 65,536;
+# 2,048 saved 3 MB more but ran 5-10% slower, 1,024 ~50%, as numpy's per-call cost took over.
 _BATCH_ROWS = 4096
-# _OFFSETS[d - 2] is the column where the pair of dimension d starts; 70 = _OFFSETS[-1] is a row.
-_OFFSETS = np.cumsum([0] + [2 * d for d in _DIMS])
 # Pairs per chunk: whole periods of 700 pairs, after which the dimension cycle and the
 # stress period both restart, and at most _BATCH_ROWS rows per dimension.
 _CHUNK_PAIRS = _BATCH_ROWS // _STRESS_PERIOD * _STRESS_PERIOD * len(_DIMS)
+# SplitMix64's increment, the multipliers and shifts of Stafford's mix 13, and the shift to 53
+# bits, as np.uint64 scalars so that numpy 1.x keeps uint64 arithmetic; pair i reads outputs
+# _PAIR_DRAWS*i + c for c <= 3d <= 24.
+_ONE, _GAMMA, _PAIR_DRAWS = np.uint64(1), np.uint64(0x9E3779B97F4A7C15), np.uint64(32)
+_MIX = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_SHIFTS = tuple(map(np.uint64, (30, 27, 31, 11)))
 # Pairs per randbytes call of the exact sweep, mapped to one (n, 8) int64 array and checked
 # in int64. `bench/run.py --workload sweep-exact` ran at a median 1,316k pairs/s with 2,048,
 # against 1,112k with 512 and 1,224k with 1,024 (5 alternating rounds, 2 shared vCPUs), and
@@ -75,53 +80,44 @@ _EXACT_BLOCK = 2048
 _EXACT_MAX = 2**7
 
 
-def pair_stacks(count: int, seed: int = 0) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
-    """The deterministic sample, chunk by chunk, as per-dimension row stacks.
+def _uniform(key: np.uint64, counters: np.ndarray) -> np.ndarray:
+    """Output k of SplitMix64 started at ``key``, for each uint64 k in
+    ``counters``, as a double (z >> 11)*2**-53 in [0, 1)."""
+    z = (counters + _ONE) * _GAMMA + key
+    z ^= z >> _SHIFTS[0]
+    z *= _MIX[0]
+    z ^= z >> _SHIFTS[1]
+    z *= _MIX[1]
+    z ^= z >> _SHIFTS[2]
+    return (z >> _SHIFTS[3]) * 2.0**-53
 
-    Each chunk is a list of seven ``(U, V)`` pairs of (m_d, d) arrays for
-    d = 2..8. Chunks start at multiples of 700 pairs, and pair j of a chunk
-    is row j // 7 of the stacks of dimension 2 + j % 7; a stack is empty
-    when the chunk holds no pair of its dimension. The arrays are strided
-    views of a table that the next chunk overwrites: copy what must outlive
-    it.
+
+def pair_stacks(count: int, seed: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The deterministic sample as per-dimension row stacks, one block at a time.
+
+    Each step yields the ``(U, V)`` pair of (m, d) arrays of one dimension d
+    of one chunk, for d = 2..8 in turn, chunk after chunk, and skips a
+    dimension with no pair in the chunk. Chunks start at multiples of 700
+    pairs, and pair j of a chunk is row j // 7 of the stacks of dimension
+    2 + j % 7. U and V are the halves of one fresh (m, 2d) block of the
+    stream that the module docstring defines.
     """
-    rng = np.random.default_rng(seed)
-    rows = -(-min(_CHUNK_PAIRS, max(count, 0)) // len(_DIMS))
-    # Zeros, not np.empty: the affine map below also runs over the pad
-    # doubles of the stress slots, which are never drawn.
-    table = np.zeros((rows, _OFFSETS[-1]))
-    flat = table.reshape(-1)
-    noise = np.empty((rows * len(_DIMS) // _STRESS_PERIOD, _DIMS[-1]))
+    key = np.uint64(random.Random(operator.index(seed)).getrandbits(64))
     for first in range(0, count, _CHUNK_PAIRS):
-        n = min(_CHUNK_PAIRS, count - first)
-        stress = np.arange(_STRESS_PERIOD - 1, n, _STRESS_PERIOD)  # positions in the chunk
-        col = stress % len(_DIMS)
-        dims = _DIMS[0] + col
-        at = stress // len(_DIMS) * _OFFSETS[-1] + _OFFSETS[col]
-        # One uniform run up to each stress pair's lam, then its noise.
-        start = 0
-        for k, (a, d) in enumerate(zip(at.tolist(), dims.tolist())):
-            rng.random(out=flat[start:a + d + 1])
-            rng.standard_normal(out=noise[k, :d])
-            start = a + 2 * d
-        used = n // len(_DIMS) * _OFFSETS[-1] + _OFFSETS[n % len(_DIMS)]
-        rng.random(out=flat[start:used])
-        # lam is read before the in-place map below overwrites its raw double.
-        lam = flat[at + dims] * (_LAM_HIGH - _LAM_LOW) + _LAM_LOW
-        x = flat[:used]
-        x *= _HIGH - _LOW
-        x += _LOW
-        eps = np.take(_STRESS_EPS, (first // _STRESS_PERIOD + np.arange(stress.size)) % 2)
-        stacks = []
-        for i, d in enumerate(_DIMS):
-            m = len(range(i, n, len(_DIMS)))  # pairs of dimension d in this chunk
-            U = table[:m, _OFFSETS[i]:_OFFSETS[i] + d]
-            V = table[:m, _OFFSETS[i] + d:_OFFSETS[i + 1]]
-            k = np.flatnonzero(col == i)  # the stress pairs of dimension d
-            r = stress[k] // len(_DIMS)
-            V[r] = lam[k, None] * U[r] + eps[k, None] * noise[k, :d]
-            stacks.append((U, V))
-        yield stacks
+        end = min(first + _CHUNK_PAIRS, count)
+        for i, d in enumerate(_DIMS[:end - first]):
+            pairs = np.arange(first + i, end, len(_DIMS), dtype=np.uint64)
+            at = pairs[:, None] * _PAIR_DRAWS  # the first output of each pair
+            block = _uniform(key, at + np.arange(2 * d, dtype=np.uint64))
+            block *= _HIGH - _LOW
+            block += _LOW
+            U, V = block[:, :d], block[:, d:]
+            r = np.flatnonzero(pairs % _STRESS_PERIOD == _STRESS_PERIOD - 1)
+            extra = _uniform(key, at[r] + np.arange(2 * d, 3 * d + 1, dtype=np.uint64))
+            lam = extra[:, :1] * (_LAM_HIGH - _LAM_LOW) + _LAM_LOW
+            eps = np.take(_STRESS_EPS, pairs[r] // _STRESS_PERIOD % 2)[:, None]
+            V[r] = lam * U[r] + eps * (2 * extra[:, 1:] - 1)
+            yield U, V
 
 
 @dataclass(frozen=True)
@@ -152,22 +148,20 @@ class SweepResult:
 
 
 def run_identity_sweep(count: int, seed: int = 0, tolerance: float = 1e-9) -> SweepResult:
-    """Check the identity, defect nonnegativity, and path agreement on a sample."""
+    """Check the identity, defect nonnegativity, and path agreement on the
+    sample of ``pair_stacks``, one block of pairs alive at a time."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     # np.maximum, unlike max, keeps a NaN, so a NaN measure fails the sweep.
     max_res = max_neg = max_gap = 0.0
-    for chunk in pair_stacks(count, seed):
-        for U, V in chunk:
-            if not len(U):
-                continue
-            lhs, _, d_int, d_exp, residual = identity_batch(U, V)
-            denom = np.maximum(1.0, lhs)
-            max_res = np.maximum(max_res, np.max(np.abs(residual) / denom))
-            max_neg = np.maximum(max_neg, np.max(-d_int / denom))
-            max_gap = np.maximum(max_gap, np.max(np.abs(d_int - d_exp) / denom))
+    for U, V in pair_stacks(count, seed):
+        lhs, _, d_int, d_exp, residual = identity_batch(U, V)
+        denom = np.maximum(1.0, lhs)
+        max_res = np.maximum(max_res, np.max(np.abs(residual) / denom))
+        max_neg = np.maximum(max_neg, np.max(-d_int / denom))
+        max_gap = np.maximum(max_gap, np.max(np.abs(d_int - d_exp) / denom))
     return SweepResult(
         count=count,
         seed=seed,

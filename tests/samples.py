@@ -17,10 +17,15 @@ from wkit.weitzenboeck import Triangle
 
 def random_pairs(count, seed=0):
     """The float sweep sample as a list of (u, v) pairs in sample order:
-    pair j of a chunk is row j // 7 of the stacks of dimension 2 + j % 7."""
+    pair j of a chunk is row j // 7 of the stacks of dimension 2 + j % 7.
+    Every chunk holds a pair of dimension 2, so its stack starts the chunk."""
+    chunks = []
+    for U, V in pair_stacks(count, seed):
+        if U.shape[1] == 2:
+            chunks.append([])
+        chunks[-1].append((U, V))
     pairs = []
-    for chunk in pair_stacks(count, seed):
-        stacks = [(u.copy(), v.copy()) for u, v in chunk]
+    for stacks in chunks:
         for j in range(sum(len(u) for u, _ in stacks)):
             u, v = stacks[j % len(stacks)]
             pairs.append((u[j // len(stacks)], v[j // len(stacks)]))

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,23 @@ class TestBuiltinJets:
     def test_helix_unit_speed_everywhere(self):
         for t in np.linspace(-7, 7, 50):
             assert helix_jet(1.0, 1.0, t).unit_speed_residual <= 1e-15
+
+    # A jet of n rows holds d1, d2 and the residual, 56 B a row. The builtins
+    # write d1 and d2 in place, with one buffer for the sines and then the
+    # cosines: 80 B a row at the peak, against 96 B when d1 and d2 were
+    # stacked from separate columns.
+    @pytest.mark.parametrize("jet", [lambda t: circle_jet(2.0, t), lambda t: helix_jet(1.0, 3.0, t)],
+                             ids=["circle", "helix"])
+    def test_builtin_jets_peak_near_their_size(self, jet):
+        t = np.arange(100_000) * 0.01
+        jet(t[:10])
+        tracemalloc.start()
+        try:
+            jet(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 88 * t.size
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

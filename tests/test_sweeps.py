@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from samples import (
     rational_pair_rows,
 )
 
-from wkit import sweeps, weitzenboeck
+from wkit import sweeps, vectors, weitzenboeck
 from wkit.qsqrt3 import QSqrt3
 from wkit.sweeps import pair_stacks, run_exact_sweep, run_identity_sweep
 from wkit.vectors import wedge
@@ -73,9 +74,10 @@ def _mp_reference(u, v):
         return wedge, c, d_int, 2 * dot(x, x)
 
 
-# Stress pair 9,059,799 of `wkit sweep --count 10000000 --seed 0`: |w| is
-# 9.4e-13*|u|, close enough to collinear that a looser COLLINEAR_RTOL sends
-# it to the fallback frame and its residual to -6.2e-10.
+# Stress pair 9,059,799 of `wkit sweep --count 10000000 --seed 0` when the
+# sweep drew from numpy's PCG64 stream: |w| is 9.4e-13*|u|, close enough to
+# collinear that a looser COLLINEAR_RTOL sends it to the fallback frame and
+# its residual to -6.2e-10.
 NEAR_COLLINEAR_WITNESS = (np.array([0.4027708294793655, 9.004094136594162]),
                           np.array([-0.4730940777617495, -10.576196933694765]))
 
@@ -123,11 +125,20 @@ def test_collinear_pairs_stay_near_eps(d):
 
 
 def test_sweep_maxima_stay_near_eps_at_seed_12345():
-    # Its worst pair sat just under the former COLLINEAR_RTOL of 1e-12 and
-    # read 4.0e-13 through the fallback frame.
     res = run_identity_sweep(100_000, seed=12345)
     assert res.max_scaled_residual < 1e-14
     assert res.max_scaled_path_gap < 1e-14
+
+
+def test_sweep_sees_a_loose_collinear_rtol(monkeypatch):
+    # Seed 2 draws a stress pair just under a COLLINEAR_RTOL of 1e-12: the
+    # fallback frame then reads 2.7e-12 on it, against 7.5e-16 for the whole
+    # intact sweep. Seeds 4 and 10 of 0..11 read 6.4e-13 and 2.1e-13.
+    res = run_identity_sweep(100_000, seed=2)
+    assert res.max_scaled_residual < 1e-14 and res.max_scaled_path_gap < 1e-14
+    monkeypatch.setattr(vectors, "COLLINEAR_RTOL", 1e-12)
+    res = run_identity_sweep(100_000, seed=2)
+    assert res.max_scaled_residual > 1e-13 and res.max_scaled_path_gap > 1e-13
 
 
 def _check_per_pair_reduction(count, seed):
@@ -154,38 +165,64 @@ def test_sweep_matches_per_pair_reduction():
 @pytest.mark.parametrize("count", range(1, 7))
 def test_sweep_with_empty_dimension_stacks(count):
     # Fewer than 7 pairs leave some dimensions without a row; those stacks
-    # are skipped, never reduced (np.max of an empty array raises).
-    chunk = next(pair_stacks(count, seed=3))
-    assert [len(u) for u, _ in chunk] == [1] * count + [0] * (7 - count)
+    # are never yielded, so never reduced (np.max of an empty array raises).
+    stacks = list(pair_stacks(count, seed=3))
+    assert [u.shape for u, _ in stacks] == [(1, d) for d in range(2, 2 + count)]
     _check_per_pair_reduction(count, seed=3)
 
 
-# The per-pair sample loops: the float sweep's is the loop it ran before it
-# drew whole stacks, the rational one in samples.py draws each integer of the
-# exact sweep from its own 8-byte word. They are the oracles of the streams:
-# the stacks must hold the same doubles, and the exact sweep's blocks the same
-# fractions, draw for draw.
+# The per-pair sample loops: the float sweep's evaluates SplitMix64 on
+# Python ints, one output at a time, and the rational one in samples.py draws
+# each integer of the exact sweep from its own 8-byte word. They are the
+# oracles of the streams: the stacks must hold the same doubles, and the exact
+# sweep's blocks the same fractions, draw for draw.
+
+def splitmix64(key, k):
+    """Output k of SplitMix64 started at key, as a 64-bit int."""
+    z = (key + (k + 1) * 0x9E3779B97F4A7C15) % 2**64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+    return z ^ z >> 31
+
 
 def per_pair_sample(count, seed):
-    rng = np.random.default_rng(seed)
+    key = random.Random(seed).getrandbits(64)
     pairs = []
     for i in range(count):
         dim = 2 + i % 7
-        u = rng.uniform(-10.0, 10.0, dim)
+        draws = 3 * dim + 1 if i % 100 == 99 else 2 * dim
+        x = [(splitmix64(key, 32 * i + c) >> 11) * 2.0**-53 for c in range(draws)]
+        u = np.array([20.0 * a - 10.0 for a in x[:dim]])
+        v = np.array([20.0 * a - 10.0 for a in x[dim:2 * dim]])
         if i % 100 == 99:
-            lam = rng.uniform(-2.0, 2.0)
+            lam = 4.0 * x[2 * dim] - 2.0
             eps = (1e-6, 1e-9)[(i // 100) % 2]
-            v = lam * u + eps * rng.standard_normal(dim)
-        else:
-            v = rng.uniform(-10.0, 10.0, dim)
+            v = np.array([lam * a + eps * (2.0 * n - 1.0) for a, n in zip(u, x[2 * dim + 1:])])
         pairs.append((u, v))
     return pairs
 
 
+def test_uniform_matches_splitmix64():
+    # The first outputs of SplitMix64 seeded with 1234567 in its C reference
+    # implementation (splitmix64.c by Sebastiano Vigna), then the vectorised
+    # draw against the Python one at that key and at the largest one, whose
+    # first sum wraps past 2**64.
+    first = [6457827717110365317, 3203168211198807973, 9817491932198370423,
+             4593380528125082431, 16408922859458223821]
+    assert [splitmix64(1234567, k) for k in range(5)] == first
+    counters = np.array([0, 1, 2, 3, 4, 31, 2**40, 2**64 - 1], dtype=np.uint64)
+    for key in (1234567, 2**64 - 1):
+        got = sweeps._uniform(np.uint64(key), counters)
+        assert got.tolist() == [(splitmix64(key, k) >> 11) * 2.0**-53 for k in counters.tolist()]
+
+
 def _joined_stacks(count, seed):
-    """The chunks of ``pair_stacks`` joined per dimension."""
-    chunks = [[(u.copy(), v.copy()) for u, v in chunk] for chunk in pair_stacks(count, seed)]
-    return [tuple(np.concatenate([c[i][k] for c in chunks]) for k in (0, 1)) for i in range(7)]
+    """The stacks of ``pair_stacks`` joined per dimension 2..8."""
+    stacks = list(pair_stacks(count, seed))
+    assert all(len(u) == len(v) > 0 for u, v in stacks)
+    return [tuple(np.concatenate([s[k] for s in stacks if s[k].shape[1] == d] or [np.empty((0, d))])
+                  for k in (0, 1))
+            for d in range(2, 9)]
 
 
 STREAM_COUNTS = (1, 6, 7, 99, 100, 101, 699, 700, 701, 1234, 100_000)
@@ -214,21 +251,13 @@ def test_stacks_match_per_pair_stream(count, seed, monkeypatch):
 
 @pytest.mark.parametrize("count", [699, 700, 701, 1400, 2801, 5000])
 def test_sweep_result_independent_of_chunks(count, monkeypatch):
-    # Floating-point errors raise, and each run starts just after a block the
-    # size of the sample table was freed full of the largest double. The
-    # affine map also runs over the never-drawn pad doubles of the stress
-    # slots, so a table that reused that block without zeroing overflows.
-    def sweep(seed):
-        rows = -(-min(sweeps._CHUNK_PAIRS, count) // 7)
-        np.full(rows * sweeps._OFFSETS[-1], np.finfo(float).max)
-        return run_identity_sweep(count, seed)
-
+    # Pair i is a function of (seed, i) alone. Floating-point errors raise.
     with np.errstate(all="raise"):
         for seed in (0, 3):
-            whole = sweep(seed)
+            whole = run_identity_sweep(count, seed)
             for chunk in (700, 1400):
                 monkeypatch.setattr(sweeps, "_CHUNK_PAIRS", chunk)
-                assert sweep(seed) == whole
+                assert run_identity_sweep(count, seed) == whole
                 monkeypatch.undo()
 
 
@@ -255,9 +284,10 @@ def test_sweep_memory_bounded_by_chunk(monkeypatch):
 
 
 def test_default_chunk_memory():
-    # With 4,096 rows per dimension the kernel's temporaries stay small:
-    # 10^5 pairs peak at about 6 MB of traced memory, against 21.5 MB with
-    # 65,536 rows.
+    # With 4,096 rows per dimension the kernel's temporaries stay small, and
+    # one dimension's block of pairs is alive at a time: 10^5 pairs peak at
+    # about 4.2 MB of traced memory, against 5.9 MB with a 70-column table
+    # of all seven dimensions and 21.5 MB with 65,536 rows.
     run_identity_sweep(700)
     tracemalloc.start()
     try:
@@ -265,7 +295,7 @@ def test_default_chunk_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10e6
+    assert peak < 5e6
 
 
 def _spy_blocks(monkeypatch):
@@ -328,6 +358,21 @@ def test_exact_sweep_seed_contract(monkeypatch):
             run_exact_sweep(300, seed)
 
 
+def test_float_sweep_seed_contract():
+    # The key is random.Random(seed).getrandbits(64): every seed >= 0 is
+    # taken, 2**64 and beyond too, by value, so a numpy integer draws the
+    # stream of its int; a float or a str is refused.
+    def first_block(seed):
+        return next(pair_stacks(700, seed))[0]
+
+    assert not np.array_equal(first_block(2**64), first_block(0))
+    assert run_identity_sweep(700, 2**64).passed
+    assert np.array_equal(first_block(np.uint64(5)), first_block(5))
+    for seed in (1.5, "5"):
+        with pytest.raises(TypeError):
+            run_identity_sweep(300, seed)
+
+
 def test_small_sweep_passes():
     res = run_identity_sweep(2000, seed=0, tolerance=1e-9)
     assert res.passed
@@ -384,7 +429,6 @@ def _forbid_draws(monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew a sample")
 
-    monkeypatch.setattr(sweeps.np.random, "default_rng", no_draw)
     monkeypatch.setattr(sweeps.random, "Random", no_draw)
 
 
