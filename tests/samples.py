@@ -15,21 +15,23 @@ from wkit.vectors import _check_pair, _item, _plane, _scale
 from wkit.weitzenboeck import Triangle
 
 
+def splitmix64(key, k):
+    """Output k of SplitMix64 started at key, as a 64-bit int: the oracle of
+    both sweeps' stream, one output at a time on Python ints."""
+    z = (key + (k + 1) * 0x9E3779B97F4A7C15) % 2**64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+    return z ^ z >> 31
+
+
 def random_pairs(count, seed=0):
     """The float sweep sample as a list of (u, v) pairs in sample order:
-    pair j of a chunk is row j // 7 of the stacks of dimension 2 + j % 7.
-    Every chunk holds a pair of dimension 2, so its stack starts the chunk."""
-    chunks = []
+    pair i is row i // 7 of the joined stacks of dimension 2 + i % 7."""
+    blocks = {}
     for U, V in pair_stacks(count, seed):
-        if U.shape[1] == 2:
-            chunks.append([])
-        chunks[-1].append((U, V))
-    pairs = []
-    for stacks in chunks:
-        for j in range(sum(len(u) for u, _ in stacks)):
-            u, v = stacks[j % len(stacks)]
-            pairs.append((u[j // len(stacks)], v[j // len(stacks)]))
-    return pairs
+        blocks.setdefault(U.shape[1], []).append((U, V))
+    joined = [[np.concatenate(s) for s in zip(*blocks[d])] for d in sorted(blocks)]
+    return [(joined[i % 7][0][i // 7], joined[i % 7][1][i // 7]) for i in range(count)]
 
 
 def near_collinear_pairs(count, seed=1):
@@ -49,26 +51,25 @@ def conormal(u, v):
     return _scale(c, b[..., None]), _item(degenerate)
 
 
-def rational_pair_row(rng, max_magnitude=None):
-    """The eight integers of one planar pair from the ``random.Random`` rng,
-    four numerators then four denominators. By default the exact sweep's,
-    mapped without numpy: the eight bytes of one ``randbytes(8)``, the
+def rational_pair_rows(count, seed=0, max_magnitude=None):
+    """Rows of eight Python ints, four numerators then four denominators. By
+    default the exact sweep's sample, mapped without numpy: row i is the
+    eight bytes of SplitMix64 output i, least significant first, the
     numerators as signed bytes, in [-M, M - 1], and the denominators as their
     low seven bits plus one, in [1, M], for M = _EXACT_MAX = 2**7. With a
     max_magnitude, numerators in [-max_magnitude, max_magnitude] and
-    denominators in [1, max_magnitude] from ``randint``."""
+    denominators in [1, max_magnitude] from ``random.Random(seed).randint``."""
     if max_magnitude is None:
-        data = rng.randbytes(8)
-        nums = [int.from_bytes(data[k:k + 1], "little", signed=True) for k in range(4)]
-        return nums + [data[k] % _EXACT_MAX + 1 for k in range(4, 8)]
-    m = max_magnitude
-    return [rng.randint(-m, m) for _ in range(4)] + [rng.randint(1, m) for _ in range(4)]
-
-
-def rational_pair_rows(count, seed=0, max_magnitude=None):
-    """Rows of eight Python ints; by default the exact sweep's sample."""
-    rng = random.Random(seed)
-    return [rational_pair_row(rng, max_magnitude) for _ in range(count)]
+        key = random.Random(seed).getrandbits(64)
+        rows = []
+        for i in range(count):
+            data = splitmix64(key, i).to_bytes(8, "little")
+            nums = [int.from_bytes(data[k:k + 1], "little", signed=True) for k in range(4)]
+            rows.append(nums + [data[k] % _EXACT_MAX + 1 for k in range(4, 8)])
+        return rows
+    rng, m = random.Random(seed), max_magnitude
+    return [[rng.randint(-m, m) for _ in range(4)] + [rng.randint(1, m) for _ in range(4)]
+            for _ in range(count)]
 
 
 def random_rational_pairs(count, seed=0, max_magnitude=None):

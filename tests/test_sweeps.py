@@ -11,6 +11,7 @@ from samples import (
     random_rational_pairs,
     random_triangles,
     rational_pair_rows,
+    splitmix64,
 )
 
 from wkit import sweeps, vectors, weitzenboeck
@@ -33,12 +34,15 @@ def test_dimensions_cycle_2_to_8():
 
 
 def test_stress_pairs_injected_at_one_percent():
-    pairs = random_pairs(200, seed=0)
-    for i, (u, v) in enumerate(pairs):
-        near = wedge(u, v) < 1e-3 * max(1.0, np.linalg.norm(u) * np.linalg.norm(v))
-        if i % 100 == 99:
-            assert near
-        # non-stress pairs are generically far from collinear
+    # Exactly the pairs i % 100 = 99 are near collinear: on 10**4 pairs of
+    # seeds 0 and 1, wedge/(|u||v|) reads at least 1.2e-3 on every plain pair
+    # and at most 3.0e-6 on every stress pair.
+    for seed in (0, 1):
+        pairs = random_pairs(10_000, seed)
+        for d in range(2, 9):
+            U, V = (np.stack([p[k] for p in pairs[d - 2::7]]) for k in (0, 1))
+            near = wedge(U, V) < 1e-4 * np.linalg.norm(U, axis=1) * np.linalg.norm(V, axis=1)
+            assert near.tolist() == [i % 100 == 99 for i in range(d - 2, 10_000, 7)]
 
 
 # A priori error bounds of the float kernel, in float64 eps, for d <= 8 and
@@ -167,23 +171,14 @@ def test_sweep_with_empty_dimension_stacks(count):
     # Fewer than 7 pairs leave some dimensions without a row; those stacks
     # are never yielded, so never reduced (np.max of an empty array raises).
     stacks = list(pair_stacks(count, seed=3))
-    assert [u.shape for u, _ in stacks] == [(1, d) for d in range(2, 2 + count)]
+    assert [u.shape for u, _ in stacks] == [(1, d) for d in range(1 + count, 1, -1)]
     _check_per_pair_reduction(count, seed=3)
 
 
-# The per-pair sample loops: the float sweep's evaluates SplitMix64 on
-# Python ints, one output at a time, and the rational one in samples.py draws
-# each integer of the exact sweep from its own 8-byte word. They are the
-# oracles of the streams: the stacks must hold the same doubles, and the exact
-# sweep's blocks the same fractions, draw for draw.
-
-def splitmix64(key, k):
-    """Output k of SplitMix64 started at key, as a 64-bit int."""
-    z = (key + (k + 1) * 0x9E3779B97F4A7C15) % 2**64
-    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
-    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
-    return z ^ z >> 31
-
+# The per-pair sample loops: the float sweep's below and the rational one in
+# samples.py both evaluate samples.splitmix64 on Python ints, one output at a
+# time. They are the oracles of the stream: the stacks must hold the same
+# doubles, and the exact sweep's blocks the same fractions, draw for draw.
 
 def per_pair_sample(count, seed):
     key = random.Random(seed).getrandbits(64)
@@ -205,15 +200,17 @@ def per_pair_sample(count, seed):
 def test_uniform_matches_splitmix64():
     # The first outputs of SplitMix64 seeded with 1234567 in its C reference
     # implementation (splitmix64.c by Sebastiano Vigna), then the vectorised
-    # draw against the Python one at that key and at the largest one, whose
-    # first sum wraps past 2**64.
+    # outputs and doubles against the Python ones at that key and at the
+    # largest one, whose first sum wraps past 2**64.
     first = [6457827717110365317, 3203168211198807973, 9817491932198370423,
              4593380528125082431, 16408922859458223821]
     assert [splitmix64(1234567, k) for k in range(5)] == first
     counters = np.array([0, 1, 2, 3, 4, 31, 2**40, 2**64 - 1], dtype=np.uint64)
     for key in (1234567, 2**64 - 1):
+        expected = [splitmix64(key, k) for k in counters.tolist()]
+        assert sweeps._splitmix(np.uint64(key), counters).tolist() == expected
         got = sweeps._uniform(np.uint64(key), counters)
-        assert got.tolist() == [(splitmix64(key, k) >> 11) * 2.0**-53 for k in counters.tolist()]
+        assert got.tolist() == [(z >> 11) * 2.0**-53 for z in expected]
 
 
 def _joined_stacks(count, seed):
@@ -235,10 +232,10 @@ def test_stacks_match_per_pair_stream(count, seed, monkeypatch):
     pairs = per_pair_sample(count, seed)
     expected = [tuple(np.array([p[k] for p in pairs[i::7]]).reshape(-1, i + 2) for k in (0, 1))
                 for i in range(7)]
-    # The default chunk of 28,000 pairs splits the largest count too, into
-    # 4 chunks; 700 and 1400 split the smaller ones inside the run.
-    for chunk in (sweeps._CHUNK_PAIRS, 700, 1400):
-        monkeypatch.setattr(sweeps, "_CHUNK_PAIRS", chunk)
+    # The default 4,000 rows per block split the largest count too, into 4
+    # blocks per dimension; 100 and 700 split the smaller ones inside the run.
+    for rows in (sweeps._BATCH_ROWS, 100, 700):
+        monkeypatch.setattr(sweeps, "_BATCH_ROWS", rows)
         for (U, V), (eU, eV) in zip(_joined_stacks(count, seed), expected):
             assert U.shape == eU.shape and np.array_equal(U, eU)
             assert V.shape == eV.shape and np.array_equal(V, eV)
@@ -255,17 +252,19 @@ def test_sweep_result_independent_of_chunks(count, monkeypatch):
     with np.errstate(all="raise"):
         for seed in (0, 3):
             whole = run_identity_sweep(count, seed)
-            for chunk in (700, 1400):
-                monkeypatch.setattr(sweeps, "_CHUNK_PAIRS", chunk)
+            for rows in (100, 700):
+                monkeypatch.setattr(sweeps, "_BATCH_ROWS", rows)
                 assert run_identity_sweep(count, seed) == whole
                 monkeypatch.undo()
 
 
 def test_sweep_memory_bounded_by_chunk(monkeypatch):
-    # tracemalloc counts numpy's data buffers too. Three chunks reuse the
-    # first chunk's buffers, so the peak must not grow with the count.
-    chunk = 14_000
-    monkeypatch.setattr(sweeps, "_CHUNK_PAIRS", chunk)
+    # tracemalloc counts numpy's data buffers too. Three blocks of each
+    # dimension reuse the first one's buffers, so the peak must not grow with
+    # the count. A chunk is here one block of each dimension.
+    rows = 2000
+    monkeypatch.setattr(sweeps, "_BATCH_ROWS", rows)
+    chunk = 7 * rows
     run_identity_sweep(700)
     peaks = []
     tracemalloc.start()
@@ -280,14 +279,14 @@ def test_sweep_memory_bounded_by_chunk(monkeypatch):
     pair_bytes = 2 * 5 * 8  # u and v, mean dimension 5, float64
     assert peaks[0] > chunk * pair_bytes
     assert peaks[1] < 1.5 * peaks[0]
-    assert peaks[1] - peaks[0] < chunk * pair_bytes  # no chunk's stacks outlive it
+    assert peaks[1] - peaks[0] < chunk * pair_bytes  # no block's stacks outlive it
 
 
 def test_default_chunk_memory():
-    # With 4,096 rows per dimension the kernel's temporaries stay small, and
-    # one dimension's block of pairs is alive at a time: 10^5 pairs peak at
-    # about 4.2 MB of traced memory, against 5.9 MB with a 70-column table
-    # of all seven dimensions and 21.5 MB with 65,536 rows.
+    # With 4,000 rows per block the kernel's temporaries stay small, and one
+    # dimension's block of pairs is alive at a time: 10^5 pairs peak at about
+    # 4.2 MB of traced memory, against 5.9 MB with a 70-column table of all
+    # seven dimensions and 14.2 MB with 65,536 rows.
     run_identity_sweep(700)
     tracemalloc.start()
     try:
@@ -327,13 +326,13 @@ def test_rational_pairs_match_per_pair_stream(seed, block, monkeypatch):
 
 
 # The first two rows of the exact sweep's stream. random.Random's seeding and
-# getrandbits define them, so a change in either, on any Python version the
+# getrandbits define the key, so a change in either, on any Python version the
 # package supports, shows here.
 FIRST_RATIONAL_ROWS = {
-    0: [[-51, 7, 44, -40, 63, 112, 32, 99],
-        [-84, 76, 9, -62, 3, 7, 104, 100]],
-    4294967295: [[9, -55, -90, -94, 117, 5, 29, 31],
-                 [65, -23, 4, 52, 42, 64, 33, 56]],
+    0: [[-13, -68, 97, 18, 128, 69, 122, 27],
+        [-35, -25, -11, -91, 123, 80, 2, 89]],
+    4294967295: [[-59, 15, -117, 0, 67, 59, 99, 16],
+                 [-123, -64, 49, 98, 16, 36, 98, 40]],
 }
 
 
@@ -356,6 +355,16 @@ def test_exact_sweep_seed_contract(monkeypatch):
     for seed in (1.5, "5"):
         with pytest.raises(TypeError):
             run_exact_sweep(300, seed)
+
+
+def test_no_sweep_draws_through_randbytes(monkeypatch):
+    # Both sweeps read the SplitMix64 stream; random.Random only makes its key.
+    def no_randbytes(self, n):
+        raise AssertionError("drew through randbytes")
+
+    monkeypatch.setattr(random.Random, "randbytes", no_randbytes)
+    assert run_exact_sweep(5000, 0).passed
+    assert run_identity_sweep(5000, 0).passed
 
 
 def test_float_sweep_seed_contract():
@@ -410,7 +419,7 @@ def test_exact_sweep_fails_every_pair_with_the_quarter_turn_flipped(monkeypatch)
     res = run_exact_sweep(10_000, seed=0)
     assert (res.nonzero_residuals, res.first_nonzero_pair) == (10_000, 0)
     assert res.first_nonzero_residual == str(weitzenboeck.verify_exact(*random_rational_pairs(1)[0]))
-    assert res.first_nonzero_residual == "0 + -64171/66528*sqrt(3)"
+    assert res.first_nonzero_residual == "0 + -192833/67344*sqrt(3)"
 
 
 def test_exact_sweep_spot_checks_verify_exact(monkeypatch):
@@ -500,18 +509,18 @@ def test_int64_terms_match_the_exact_terms(polynomial):
 
 def test_exact_sweep_draws_collinear_pairs_and_passes_them(monkeypatch):
     # With |num| and den <= 2**7 the stream holds exactly collinear pairs
-    # (w = 0), which take the counterclockwise quarter turn: five in the
-    # first 7*10**4 pairs of seed 7, four of them with u = 0 or v = 0 and
-    # the one at 62998 with both nonzero.
+    # (w = 0), which take the counterclockwise quarter turn: six in the
+    # first 7*10**4 pairs of seed 2, the first three with u and v both
+    # nonzero and the last three with u = 0 or v = 0.
     blocks = _spy_blocks(monkeypatch)
-    assert run_exact_sweep(70_000, seed=7).passed
+    assert run_exact_sweep(70_000, seed=2).passed
     rows = np.concatenate(blocks)
     lhs, w, dx, dq = weitzenboeck._identity_terms(*rows.T)
     collinear = np.flatnonzero(w == 0)
-    assert collinear.tolist() == [13546, 20930, 56342, 62998, 65247]
+    assert collinear.tolist() == [902, 3197, 20550, 30524, 39091, 47227]
     assert (lhs[collinear] == dx[collinear]).all() and (dq[collinear] == 0).all()
     pairs = [sweeps._rational_pair(row) for row in rows[collinear]]
-    assert [any(u) and any(v) for u, v in pairs] == [False, False, False, True, False]
+    assert [any(u) and any(v) for u, v in pairs] == [True, True, True, False, False, False]
     for u, v in pairs:
         (u0, u1), (v0, v1) = u, v
         assert u0 * v1 == u1 * v0
