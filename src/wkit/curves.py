@@ -358,18 +358,11 @@ def read_curve_csv(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1:]
 
 
-#: numpy before 1.23 parses loadtxt's fields in Python, and reads a field
-#: that float() rejects as hex when it holds "0x".
-_LOADTXT_READS_HEX = np.lib.NumpyVersion(np.__version__) < "1.23.0"
-
-
 def _parse_block(rows: list[str], last: float) -> np.ndarray | None:
     """The (len(rows), 4) values of the CSV ``rows`` as numpy parses them,
     or None unless all are finite and t increases strictly from ``last``."""
     if not rows:  # loadtxt warns on empty input
         return np.empty((0, 4))
-    if _LOADTXT_READS_HEX and any("0x" in r for r in rows):
-        return None
     try:
         data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError:

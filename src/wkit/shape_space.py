@@ -85,7 +85,7 @@ def circle_of(a: float, b: float) -> ShapeCircle:
     return ShapeCircle(center_x=a * a + b * b, radius=a * b)
 
 
-def circle_residual(p: ShapePoint, c: ShapeCircle) -> float:
+def circle_residual(p: ShapePoint, c: ShapeCircle | HalfDisk) -> float:
     """(p.x - center)^2 + p.y^2 - radius^2; zero iff p lies on the circle."""
     dx = p.x - c.center_x
     return dx * dx + p.y * p.y - c.radius * c.radius
@@ -97,8 +97,7 @@ def halfdisk_contains(p: ShapePoint, d: HalfDisk, tol: float = 1e-9) -> bool:
     ``tol`` is absolute; pass a value scaled by d.radius**2 when the disks
     get large.
     """
-    dx = p.x - d.center_x
-    return p.x > 0.0 and p.y >= 0.0 and dx * dx + p.y * p.y <= d.radius * d.radius + tol
+    return p.x > 0.0 and p.y >= 0.0 and circle_residual(p, d) <= tol
 
 
 def tangent_point(d: HalfDisk) -> ShapePoint:

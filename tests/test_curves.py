@@ -517,18 +517,13 @@ class TestReadCurveCsv:
                 read_curve_csv(io.StringIO(text))
             assert str(exc.value) == "malformed CSV at row 1104: expected 4 fields, got 3"
 
-    # numpy before 1.23 would read "0x10" as 16, so there a block holding
-    # "0x" goes to float() row by row: with the flag set as on that numpy,
-    # float() names the same row as with the flag of the numpy installed.
-    def test_hex_field_read_by_float_under_either_flag(self, monkeypatch):
+    # numpy's C reader refuses "0x10", as float() does, so the block goes to
+    # float() row by row, which names the row.
+    def test_hex_field_read_by_float(self):
         text = "t,x,y,z\n0,1,0,0\n0.1,1,0,0\n\n0.2,0x10,0,0\n0.3,1,0,0\n"
-        messages = []
-        for reads_hex in (curves._LOADTXT_READS_HEX, True):
-            monkeypatch.setattr(curves, "_LOADTXT_READS_HEX", reads_hex)
-            with pytest.raises(ValueError) as exc:
-                read_curve_csv(io.StringIO(text))
-            messages.append(str(exc.value))
-        assert messages == ["malformed CSV at row 4: could not convert string to float: '0x10'"] * 2
+        with pytest.raises(ValueError) as exc:
+            read_curve_csv(io.StringIO(text))
+        assert str(exc.value) == "malformed CSV at row 4: could not convert string to float: '0x10'"
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.lists(st.one_of(
