@@ -20,7 +20,6 @@ from .curves import (
     ANALYTIC_SPEED_TOL,
     SAMPLED_SPEED_TOL,
     _grid_step,
-    _jet_rows,
     _positive,
     _require_unit_speed,
     _row_blocks,
@@ -220,13 +219,13 @@ def cmd_curve(args) -> int:
     default_unit_tol = SAMPLED_SPEED_TOL if args.builtin is None else ANALYTIC_SPEED_TOL
     unit_tol = args.unit_tol if args.unit_tol is not None else default_unit_tol
     _positive(unit_tol, "unit-speed tolerance")
-    # Builtin jets are built whole (at most MAX_CURVE_SAMPLES); sampled
-    # jets are built from the one parsed table, a block of rows at a time.
+    # Jets are built a block of rows at a time, from the parsed --t range or
+    # from the one parsed table.
     if args.builtin is not None:
         if args.t is None:
             raise ValueError("--builtin needs --t START:STOP:STEP")
-        jet = builtin_curve(args.builtin, _parse_trange(args.t))
-        n, block_jet = len(jet.t), partial(_jet_rows, jet)
+        ts = _parse_trange(args.t)
+        n, block_jet = len(ts), lambda rows: builtin_curve(args.builtin, ts[rows])
     elif args.t is not None:
         raise ValueError("--t goes with --builtin; --input takes t from its file")
     else:

@@ -26,22 +26,12 @@ from typing import TextIO
 import numpy as np
 
 from .vectors import SQRT3, _exponent, _item, _scale
-from .weitzenboeck import _unit_identity
+from .weitzenboeck import _BLOCK_ROWS, _unit_identity
 
 #: Default unit-speed tolerance for finite-difference jets; analytic jets
 #: should be held to ~1e-12 instead.
 SAMPLED_SPEED_TOL = 1e-6
 ANALYTIC_SPEED_TOL = 1e-12
-
-#: Jets per block of ``wkit curve``'s two passes, so rows per call of
-#: ``curvature_bound_report`` and of the table writer; also lines per
-#: ``np.loadtxt`` call of ``read_curve_csv`` and steps per grid check. With
-#: 1,024 the benchmark's curve workloads peak at 34.3 (builtin) and 34.6 MB
-#: (sampled) RSS, and with 4,096 at 36.3 and 38.0 MB; 256 runs the builtin
-#: helix ~15% slower, as numpy's fixed cost per call takes over (2 shared
-#: vCPUs, Python 3.11, numpy 2.4).
-_BLOCK_ROWS = 1024
-
 
 def _row_blocks(n: int) -> list[slice]:
     """Consecutive slices of at most ``_BLOCK_ROWS`` rows that cover range(n),
@@ -112,14 +102,6 @@ class CurveJet:
             object.__setattr__(self, name, value)
 
 
-def _jet_rows(jet: CurveJet, rows: slice) -> CurveJet:
-    """The rows ``rows`` of a stacked jet, as checked when it was built."""
-    part = object.__new__(CurveJet)
-    for name in ("t", "d1", "d2", "unit_speed_residual"):
-        object.__setattr__(part, name, getattr(jet, name)[rows])
-    return part
-
-
 def _require_unit_speed(jet: CurveJet, tol: float) -> None:
     _positive(tol, "unit-speed tolerance")
     bad = np.flatnonzero(np.asarray(jet.unit_speed_residual) > tol)
@@ -165,8 +147,9 @@ def curvature_bound_report(jet: CurveJet, tol: float = SAMPLED_SPEED_TOL) -> Cur
     once: a huge curvature gives rhs_bound inf, never a NaN residual.
 
     The kernel's temporaries take some 350 bytes a row beyond the jet, so
-    give a long stack in row slices (``wkit curve`` gives ``_BLOCK_ROWS``
-    rows a call): a row gets the same bits in any slice (``_plane``).
+    give a long stack in row slices (``wkit curve`` builds each jet from
+    ``weitzenboeck._BLOCK_ROWS`` rows and gives it here whole): a row gets
+    the same bits in any slice (``_plane``).
     """
     _require_unit_speed(jet, tol)
     d1, v = np.atleast_2d(jet.d1), -np.atleast_2d(jet.d2)

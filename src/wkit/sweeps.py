@@ -20,11 +20,11 @@ pair i depends on (seed, i) alone, and no draw goes through numpy.random.
 One output may feed both sweeps at a seed; each verdict reads only its own.
 
 The float sample is never held as a list of pairs. ``pair_stacks`` walks
-it one dimension at a time, in blocks of at most ``_BLOCK_PAIRS`` pairs, each
-one (m, 2d) array whose two halves are the stacks of u rows and v rows;
-``run_identity_sweep`` reduces each with ``identity_batch`` into running
-maxima before the next block is drawn. Memory is therefore bounded by one
-block, not by the count, and the maxima do not depend on the block size.
+it one dimension at a time, in blocks of at most ``_BLOCK_ROWS`` pairs
+(``weitzenboeck``'s), each one (m, 2d) array whose two halves are the
+stacks of u rows and v rows; ``run_identity_sweep`` reduces each with
+``identity_batch`` into running maxima before the next block is drawn.
+Memory is bounded by one block, and the maxima do not depend on its size.
 
 The exact sweep's four numerators are the bytes themselves, in [-M, M - 1],
 and its four denominators their low seven bits plus one, in [1, M], each
@@ -44,7 +44,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .weitzenboeck import _identity_terms, identity_batch, verify_exact
+from .weitzenboeck import _BLOCK_ROWS, _identity_terms, identity_batch, verify_exact
 
 _DIMS = range(2, 9)
 _LOW, _HIGH = -10.0, 10.0
@@ -57,14 +57,6 @@ _STRESS_EPS = (1e-6, 1e-9)
 _ONE, _GAMMA, _PAIR_DRAWS = np.uint64(1), np.uint64(0x9E3779B97F4A7C15), np.uint64(32)
 _MIX = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _SHIFTS = tuple(map(np.uint64, (30, 27, 31, 11)))
-# Pairs per block of either sweep. The exact sweep maps a block to one (n, 8) int64 array:
-# `bench/run.py --workload sweep-exact` ran at a median 1,316k pairs/s with 2,048, against
-# 1,112k with 512 and 1,224k with 1,024 (5 alternating rounds, 2 shared vCPUs), and 2,048 beat
-# 1,024 in 5 of 5 more (medians 1,389k and 1,257k); 512 and 1,024 peak at 31.59 MB, 2,048 at
-# 31.70 MB. The float sweep's 10^5 pairs peak at 32.6 MiB RSS with 2,048 against 34.7 with 4,000
-# at the same speed (108.3 and 108.1 ms in cli.main), and at 31.0 with 1,024, but 10-27% slower,
-# as numpy's per-call cost takes over (medians of 15 fresh processes, 2 shared vCPUs).
-_BLOCK_PAIRS = 2048
 # Bound on the numerators' magnitude and on the denominators of the exact sweep's coordinates:
 # the largest power of two M with 48*M**8 < 2**63, the bound on _identity_terms's int64 terms.
 # The byte map of run_exact_sweep needs M = 2**7, the range of a signed byte.
@@ -102,13 +94,13 @@ def pair_stacks(count: int, seed: int = 0) -> Iterator[tuple[np.ndarray, np.ndar
     """The deterministic float sample as per-dimension row stacks, one block at a time.
 
     Each step yields the ``(U, V)`` pair of (m, d) arrays of one block of
-    m <= ``_BLOCK_PAIRS`` pairs of dimension d, for d = 8 down to 2 and
-    block after block within each d, and no block for a dimension without
-    pairs. Pair i is row i // 7 of the joined stacks of dimension 2 + i % 7.
-    U and V are the halves of one fresh (m, 2d) block of the stream that the
-    module docstring defines.
+    m <= ``weitzenboeck._BLOCK_ROWS`` pairs of dimension d, for d = 8 down
+    to 2 and block after block within each d, and no block for a dimension
+    without pairs. Pair i is row i // 7 of the joined stacks of dimension
+    2 + i % 7. U and V are the halves of one fresh (m, 2d) block of the
+    stream that the module docstring defines.
     """
-    key, step = _key(count, seed), len(_DIMS) * _BLOCK_PAIRS
+    key, step = _key(count, seed), len(_DIMS) * _BLOCK_ROWS
     # Largest first, so that smaller blocks reuse its memory: 10^5 pairs take 4,200 minor page
     # faults, against 6,200 and 7% more time from d = 2 up (fresh processes, 2 vCPUs).
     for d in reversed(_DIMS):
@@ -216,8 +208,8 @@ def run_exact_sweep(count: int, seed: int = 0) -> ExactSweepResult:
     key = _key(count, seed)
     nonzero = 0
     first_pair = first_residual = None
-    for first in range(0, count, _BLOCK_PAIRS):
-        n = min(_BLOCK_PAIRS, count - first)
+    for first in range(0, count, _BLOCK_ROWS):
+        n = min(_BLOCK_ROWS, count - first)
         z = _splitmix(key, np.arange(first, first + n, dtype=np.uint64))
         block = np.asarray(z, "<u8").view(np.int8).reshape(n, 8).astype(np.int64)
         block[:, 4:] = (block[:, 4:] & (_EXACT_MAX - 1)) + 1

@@ -312,9 +312,9 @@ class TestSweep:
         )
 
     def test_no_sweep_imports_numpy_random(self):
-        # The exact sweep draws from the standard library's random module and
-        # the float sweep computes SplitMix64 in numpy's uint64 arithmetic, so
-        # in a fresh interpreter both leave numpy.random unimported.
+        # Both sweeps compute one SplitMix64 stream in numpy's uint64
+        # arithmetic, and the standard library's random module only makes its
+        # key, so in a fresh interpreter both leave numpy.random unimported.
         code = (
             "import contextlib, io, json, sys\n"
             "from wkit import cli\n"
@@ -780,13 +780,14 @@ class TestCurve:
         assert r.stderr == (f"error: bad range {trange!r}: t={t} repeats, "
                             "as STEP is below the float spacing there\n")
 
-    # 1,201 builtin rows and 1,098 sampled jets: the last block is partial
-    # at each size, 1024 being the default.
+    # 2,501 builtin rows and 2,599 sampled jets: at block sizes 3 and the
+    # default 2,048 each ends in a partial block, and at 1 every row is a
+    # block of its own.
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_output_does_not_depend_on_block_size(self, fmt, tmp_path, monkeypatch):
         path = tmp_path / "helix.csv"
-        _write_helix_csv(path, seed=3, n=1100)
-        for args in (["--builtin", "helix:1:3", "--t", "0:12:0.01"], ["--input", str(path)]):
+        _write_helix_csv(path, seed=3, n=2601)
+        for args in (["--builtin", "helix:1:3", "--t", "0:25:0.01"], ["--input", str(path)]):
             runs = []
             for rows in (1, 3, curves._BLOCK_ROWS):
                 monkeypatch.setattr(curves, "_BLOCK_ROWS", rows)
@@ -795,26 +796,27 @@ class TestCurve:
             assert all((r.returncode, r.stdout, r.stderr) == (0, runs[0].stdout, runs[0].stderr)
                        for r in runs)
 
-    # 3,073 rows: at block sizes 1, 3 and 1024 the last row is alone in the
-    # last block, and the t of row 3,073 is the first after a block boundary.
-    # In the last two, x jumps to 1e305 at the last row: the last jet's d1,
-    # 5e306, is finite, but its d2, 1e309, is not. In the last, x = -0.02
-    # at t = 0 also gives the first jet speed 2, a unit-speed violation in
-    # the first block; the non-finite jet is named all the same, as it is
-    # when the whole jet is checked before its speed.
+    # 6,145 = 3B + 1 rows for the default block size B = 2,048: at block
+    # sizes 1, 3 and B the last row is alone in the last block, and the t of
+    # row 6,145 is the first after a block boundary. In the last two, x
+    # jumps to 1e305 at the last row: the last jet's d1, 5e306, is finite,
+    # but its d2, 1e309, is not. In the last, x = -0.02 at t = 0 also gives
+    # the first jet speed 2, a unit-speed violation in the first block; the
+    # non-finite jet is named all the same, as it is when the whole jet is
+    # checked before its speed.
     @pytest.mark.parametrize("x0, last, message", [
-        (0.0, "30.72,1,2", "malformed CSV at row 3073: expected 4 fields, got 3"),
-        (0.0, "30.72,nan,0,0", "malformed CSV at row 3073: non-finite value in '30.72,nan,0,0'"),
-        (0.0, "30.71,0,0,0", "parameter not strictly increasing at row 3073"),
-        (0.0, "30.72,3,0,0", "unit-speed violated at t=30.71: | |d1| - 1 | = "),
-        (0.0, "30.72,1e305,0,0", "d2 has non-finite coordinates at t=30.71\n"),
-        (-0.02, "30.72,1e305,0,0", "d2 has non-finite coordinates at t=30.71\n"),
+        (0.0, "61.44,1,2", "malformed CSV at row 6145: expected 4 fields, got 3"),
+        (0.0, "61.44,nan,0,0", "malformed CSV at row 6145: non-finite value in '61.44,nan,0,0'"),
+        (0.0, "61.43,0,0,0", "parameter not strictly increasing at row 6145"),
+        (0.0, "61.44,3,0,0", "unit-speed violated at t=61.43: | |d1| - 1 | = "),
+        (0.0, "61.44,1e305,0,0", "d2 has non-finite coordinates at t=61.43\n"),
+        (-0.02, "61.44,1e305,0,0", "d2 has non-finite coordinates at t=61.43\n"),
     ], ids=["fields", "non-finite", "not-increasing", "unit-speed", "non-finite-jet",
             "non-finite-jet-wins"])
     def test_error_in_the_last_block(self, x0, last, message, tmp_path, monkeypatch):
         path = tmp_path / "late.csv"
         path.write_text(f"t,x,y,z\n0.0,{x0!r},0,0\n"
-                        + "".join(f"{k / 100!r},{k / 100!r},0,0\n" for k in range(1, 3072))
+                        + "".join(f"{k / 100!r},{k / 100!r},0,0\n" for k in range(1, 6144))
                         + last + "\n")
         for rows in (1, 3, curves._BLOCK_ROWS):
             monkeypatch.setattr(curves, "_BLOCK_ROWS", rows)
@@ -826,15 +828,18 @@ class TestCurve:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_curve_memory_bounded_by_block(self, source, fmt, tmp_path):
         # --input keeps one parsed table of t, x, y, z, 32 bytes a sample,
-        # and builds its jets, report and rows a block at a time. --builtin
-        # keeps its one jet: t, d1, d2 and the unit-speed residual, 64 bytes
-        # a jet. The table grows with up to an eighth spare, and the rest is
-        # bounded by a block, so the bound allows half as much again. (The
-        # whole jet with the report's four whole columns cost 108-139 bytes
-        # a jet; rows turned into Python objects all at once 350-910.)
-        jet_bytes = {"builtin": (1 + 3 + 3 + 1) * 8, "input": 4 * 8}[source]
+        # and --builtin its parsed t, 8 bytes a jet; each builds its jets,
+        # report and rows a block at a time. The table grows with up to an
+        # eighth spare, and the rest is bounded by a block, so the bound
+        # allows half as much again. One block's jets and 10 blocks' are
+        # compared, so that neither run ends in a partial block. (The whole
+        # builtin jet cost 62-76 bytes a jet; the whole jet with the report's
+        # four whole columns 108-139; rows turned into Python objects all at
+        # once 350-910.)
+        jet_bytes = {"builtin": 8, "input": 4 * 8}[source]
+        few, many = curves._BLOCK_ROWS, 10 * curves._BLOCK_ROWS
         argv = {}
-        for jets in (1_000, 10_000):
+        for jets in (few, many):
             if source == "builtin":
                 argv[jets] = ["--builtin", "helix:1:3", "--t", f"0:{(jets - 1) / 100}:0.01"]
             else:
@@ -842,17 +847,17 @@ class TestCurve:
                 argv[jets] = ["--input", str(tmp_path / f"{jets}.csv")]
         peaks = []
         with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
-            cli.main(["curve", *argv[1_000], "--format", fmt])
+            cli.main(["curve", *argv[few], "--format", fmt])
             tracemalloc.start()
             try:
-                for jets in (1_000, 10_000):
+                for jets in (few, many):
                     tracemalloc.reset_peak()
                     base = tracemalloc.get_traced_memory()[0]
                     assert cli.main(["curve", *argv[jets], "--format", fmt]) == 0
                     peaks.append(tracemalloc.get_traced_memory()[1] - base)
             finally:
                 tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / 9_000 < 1.5 * jet_bytes, peaks
+        assert (peaks[1] - peaks[0]) / (many - few) < 1.5 * jet_bytes, peaks
 
     def test_stacked_unit_speed_error_names_first_row(self, tmp_path):
         path = tmp_path / "late.csv"

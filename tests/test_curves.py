@@ -383,8 +383,9 @@ class TestJetFromSamples:
 
     def test_rows_of_any_slice_match_the_whole_jet(self):
         # `wkit curve` builds its jets and their report a block of rows at a
-        # time, with the grid's h: each row keeps the bits of the whole
-        # jet's row and of the whole jet's report.
+        # time, sampled jets with the grid's h and builtin ones from their
+        # block of t: each row keeps the bits of the whole jet's row and of
+        # the whole jet's report.
         def report(jet):
             return [np.asarray(x).tolist() for x in dataclasses.astuple(curvature_bound_report(jet))]
 
@@ -403,7 +404,10 @@ class TestJetFromSamples:
         helix = helix_jet(1.0, 3.0, ts)
         helix_report = report(helix)
         for rows in slices:
-            assert report(curves._jet_rows(helix, rows)) == [x[rows] for x in helix_report]
+            part = helix_jet(1.0, 3.0, ts[rows])
+            for name in ("t", "d1", "d2", "unit_speed_residual"):
+                assert getattr(part, name).tolist() == getattr(helix, name)[rows].tolist()
+            assert report(part) == [x[rows] for x in helix_report]
 
     # The grid is checked a block of steps at a time, each step against the
     # first: whatever the block size, a step that does not increase wins
@@ -420,7 +424,7 @@ class TestJetFromSamples:
     def test_first_bad_step_in_any_block(self, changes, message, monkeypatch):
         ts = np.arange(10.0)
         ts[list(changes)] = list(changes.values())
-        for block_rows in (1, 3, 1024):
+        for block_rows in (1, 3, curves._BLOCK_ROWS):
             monkeypatch.setattr(curves, "_BLOCK_ROWS", block_rows)
             with pytest.raises(ValueError) as info:
                 jet_from_samples(ts, np.zeros((10, 3)))
@@ -493,29 +497,30 @@ class TestReadCurveCsv:
         assert str(exc.value) == f"malformed CSV at row 4: non-finite value in {row4!r}"
 
     # Rows that numpy's reader rejects but float() reads (an underscore, a
-    # non-ASCII digit), blanks around fields, and 1,100 blank lines, which
-    # leave whole blocks without a sample at every block size.
+    # non-ASCII digit), blanks around fields, and 4,100 blank lines, which
+    # leave whole blocks without a sample at block sizes 1, 3 and the
+    # default 2,048.
     @pytest.mark.parametrize("body", [
         "0,1_0,0,0\n1,\u0661,0,0\n2,1_000.5,0,-\u0663\n",
         " 0 , 1 ,\t2,3\t\n1,\u00a01,0 ,0\n 2,2\u2003,0,0\n",
-        "0,0,0,0\n" + "\n" * 1100 + "1,1,0,0\n2,2,0,0\n\n",
+        "0,0,0,0\n" + "\n" * 4100 + "1,1,0,0\n2,2,0,0\n\n",
     ], ids=["underscore-and-arabic-digits", "blanks-around-fields", "blank-line-gap"])
     def test_blocks_match_the_per_row_reader(self, body, monkeypatch):
         rows = [[float(x) for x in line.split(",")] for line in body.splitlines() if line.strip()]
-        for block_rows in (1, 3, 1024):
+        for block_rows in (1, 3, curves._BLOCK_ROWS):
             monkeypatch.setattr(curves, "_BLOCK_ROWS", block_rows)
             ts, pos = read_curve_csv(io.StringIO("t,x,y,z\n" + body))
             assert np.column_stack([ts, pos]).tolist() == rows
 
     def test_short_row_alone_in_its_block(self, monkeypatch):
-        # Line 1,104 is the last; at block sizes 1, 3 and 1024 the blank
-        # lines before it fill the rest of its block.
-        text = "t,x,y,z\n0,0,0,0\n1,1,0,0\n2,2,0,0\n" + "\n" * 1100 + "3,3,0\n"
-        for block_rows in (1, 3, 1024):
+        # Line 2,148 is the last; at block sizes 1, 3 and the default 2,048
+        # the blank lines before it fill the rest of its block.
+        text = "t,x,y,z\n0,0,0,0\n1,1,0,0\n2,2,0,0\n" + "\n" * 2144 + "3,3,0\n"
+        for block_rows in (1, 3, curves._BLOCK_ROWS):
             monkeypatch.setattr(curves, "_BLOCK_ROWS", block_rows)
             with pytest.raises(ValueError) as exc:
                 read_curve_csv(io.StringIO(text))
-            assert str(exc.value) == "malformed CSV at row 1104: expected 4 fields, got 3"
+            assert str(exc.value) == "malformed CSV at row 2148: expected 4 fields, got 3"
 
     # numpy's C reader refuses "0x10", as float() does, so the block goes to
     # float() row by row, which names the row.
@@ -532,7 +537,7 @@ class TestReadCurveCsv:
             ["1_0", "\u0661", " 2 ", "\u00a03", "0x1p0", "nan", "-inf", "1e999", "", "abc", "+.5",
              "1.", "0X1", "1e", "\x00"])), min_size=3, max_size=5).map(",".join)), max_size=12))
     def test_any_body_reads_as_row_by_row(self, lines):
-        # Read in blocks of 1, 3 and 1024 lines, any body gives the values,
+        # Read in blocks of 1, 3 and 2,048 lines, any body gives the values,
         # or the error, of float() applied row by row to the whole of it.
         body = [line + "\n" for line in lines]
         try:
@@ -541,7 +546,7 @@ class TestReadCurveCsv:
                 expected = "need at least 3 samples"
         except ValueError as exc:
             expected = str(exc)
-        for block_rows in (1, 3, 1024):
+        for block_rows in (1, 3, curves._BLOCK_ROWS):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(curves, "_BLOCK_ROWS", block_rows)
                 try:
