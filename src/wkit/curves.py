@@ -146,7 +146,7 @@ def curvature_bound_report(jet: CurveJet, tol: float = SAMPLED_SPEED_TOL) -> Cur
     keeps rhs_bound >= 1, so no row needs e < 0), and each is scaled back
     once: a huge curvature gives rhs_bound inf, never a NaN residual.
 
-    The kernel's temporaries take some 350 bytes a row beyond the jet, so
+    The kernel's temporaries take some 290 bytes a row beyond the jet, so
     give a long stack in row slices (``wkit curve`` builds each jet from
     ``weitzenboeck._BLOCK_ROWS`` rows and gives it here whole): a row gets
     the same bits in any slice (``_plane``).

@@ -75,19 +75,26 @@ def _key(count: int, seed: int) -> np.uint64:
 
 
 def _splitmix(key: np.uint64, counters: np.ndarray) -> np.ndarray:
-    """Output k of SplitMix64 started at ``key``, a uint64, for each uint64 k in ``counters``."""
-    z = (counters + _ONE) * _GAMMA + key
-    z ^= z >> _SHIFTS[0]
+    """Output k of SplitMix64 started at ``key``, a uint64, for each uint64 k in ``counters``.
+
+    One fresh array z and one shift scratch; ``counters`` is left as it is."""
+    z = counters + _ONE
+    z *= _GAMMA
+    z += key
+    t = z >> _SHIFTS[0]
+    z ^= t
     z *= _MIX[0]
-    z ^= z >> _SHIFTS[1]
+    z ^= np.right_shift(z, _SHIFTS[1], out=t)
     z *= _MIX[1]
-    z ^= z >> _SHIFTS[2]
+    z ^= np.right_shift(z, _SHIFTS[2], out=t)
     return z
 
 
 def _uniform(key: np.uint64, counters: np.ndarray) -> np.ndarray:
     """``_splitmix``'s outputs z as the doubles (z >> 11)*2**-53 in [0, 1)."""
-    return (_splitmix(key, counters) >> _SHIFTS[3]) * 2.0**-53
+    z = _splitmix(key, counters)
+    z >>= _SHIFTS[3]
+    return z * 2.0**-53
 
 
 def pair_stacks(count: int, seed: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:

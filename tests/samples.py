@@ -100,12 +100,13 @@ INTEGER_TRIANGLES = st.one_of(
 
 def two_prod(a, b):
     """Error-free product (p, e) of the kernel: p + e = a*b exactly."""
-    return _two_prod(a, *split(a), b, *split(b))
+    return _two_prod(a, *split(a), b, *split(b), np.empty(np.broadcast(a, b).shape))
 
 
 def det2(a, b, c, d):
     """Compensated a*d - b*c, with the kernel's bits for the kernel's operands."""
-    return _det2(*((x, *split(x)) for x in (a, b, c, d)))
+    t = np.empty(np.broadcast(a, b, c, d).shape)
+    return _det2(*((x, *split(x)) for x in (a, b, c, d)), t)
 
 
 def helix_position(a, b, t):

@@ -208,7 +208,9 @@ def test_uniform_matches_splitmix64():
     counters = np.array([0, 1, 2, 3, 4, 31, 2**40, 2**64 - 1], dtype=np.uint64)
     for key in (1234567, 2**64 - 1):
         expected = [splitmix64(key, k) for k in counters.tolist()]
-        assert sweeps._splitmix(np.uint64(key), counters).tolist() == expected
+        given = counters.copy()
+        assert sweeps._splitmix(np.uint64(key), given).tolist() == expected
+        assert np.array_equal(given, counters)  # it writes its own array, not the one given
         got = sweeps._uniform(np.uint64(key), counters)
         assert got.tolist() == [(z >> 11) * 2.0**-53 for z in expected]
 
