@@ -132,8 +132,7 @@ class CurvatureBoundReport:
 
 
 def curvature_bound_report(jet: CurveJet, tol: float = SAMPLED_SPEED_TOL) -> CurvatureBoundReport:
-    """Evaluate the curvature identity and bound for a jet, in one kernel
-    call on all its rows.
+    """Evaluate the curvature identity and bound on all a jet's rows in one kernel call.
 
     The rotation acts on d2 in the plane span(d1, d2) oriented from d2 to
     d1. That orientation equals the one from d1 to -d2, and R(d2) =
@@ -141,10 +140,11 @@ def curvature_bound_report(jet: CurveJet, tol: float = SAMPLED_SPEED_TOL) -> Cur
     2*|d1 - R(d2)|^2 is exactly the explicit defect of the pair (d1, -d2),
     whose wedge is the curvature.
 
-    rhs_bound and the residual are computed at the unit scale of the pair,
-    4**-e with e = max(k, 0) for ``_unit_identity``'s k (the constant term
-    keeps rhs_bound >= 1, so no row needs e < 0), and each is scaled back
-    once: a huge curvature gives rhs_bound inf, never a NaN residual.
+    rhs_bound is 1 plus the kernel's |v|^2 and |u + v|^2, here |d2|^2 and |d1 - d2|^2,
+    so it stays independent of the explicit defect. It and the residual are computed at
+    the pair's unit scale 4**-e, e = max(k, 0) for the kernel's k (the constant term keeps
+    rhs_bound >= 1, so no row needs e < 0), and each is scaled back once: a huge curvature
+    gives rhs_bound inf, never a NaN residual.
 
     The kernel's temporaries take some 290 bytes a row beyond the jet, so
     give a long stack in row slices (``wkit curve`` builds each jet from
@@ -153,12 +153,10 @@ def curvature_bound_report(jet: CurveJet, tol: float = SAMPLED_SPEED_TOL) -> Cur
     """
     _require_unit_speed(jet, tol)
     d1, v = np.atleast_2d(jet.d1), -np.atleast_2d(jet.d2)
-    (_, wedge, _, defect, _), curvature, k = _unit_identity(d1, v)
+    (_, wedge, _, defect, _), curvature, k, (vv, ss) = _unit_identity(d1, v)
     e = np.maximum(k, 0)
-    wedge, defect = (_scale(x, 2 * (k - e)) for x in (wedge, defect))
-    diff, v = _scale([d1 + v, v], -e[:, None])  # d1 - d2 and -d2, at unit scale
-    rhs_bound = (_scale(1.0, -2 * e) + np.einsum("ij,ij->i", v, v)
-                 + np.einsum("ij,ij->i", diff, diff))
+    wedge, defect, vv, ss = _scale([wedge, defect, vv, ss], 2 * (k - e))
+    rhs_bound = _scale(1.0, -2 * e) + vv + ss  # 1 + |d2|^2 + |d1 - d2|^2, at unit scale
     residual = 2.0 * SQRT3 * wedge - rhs_bound + defect
     columns = curvature, *_scale([rhs_bound, defect, residual], 2 * e)
     return CurvatureBoundReport(*(_item(c.reshape(jet.d1.shape[:-1])) for c in columns))
@@ -253,8 +251,9 @@ def jet_from_samples(ts, positions) -> CurveJet:
     uniform to 1e-9 relative. The unit-speed residual is recorded on the
     jet, not enforced here.
     """
-    ts = np.asarray(ts, dtype=float)
-    pos = np.asarray(positions, dtype=float)
+    ts, pos = np.asarray(ts, dtype=float), np.asarray(positions, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError(f"parameter values must be one 1-D array, got shape {ts.shape}")
     n = ts.shape[0]
     if n < 3:
         raise ValueError("need at least 3 samples for central differences")

@@ -59,28 +59,27 @@ def identity_batch(U, V):
     U, V = _check_pair(U, V)
     if U.ndim != 2:
         raise ValueError(f"expected (m, d) row stacks, got shape {U.shape}")
-    unit, w, k = _unit_identity(U, V)
+    unit, w, k, _ = _unit_identity(U, V)
     lhs, _, d_int, d_exp, residual = _scale(unit, 2 * k)
     return lhs, w, d_int, d_exp, residual
 
 
 def _unit_identity(U, V):
-    """``((lhs, wedge, d_int, d_exp, residual), w, k)`` of two (m, d) stacks:
-    row i computed on u and v scaled by one 2**-k[i] that brings the larger
-    to unit size, so the first five are 4**-k of their value. ``w`` is the
-    wedge at ``_plane``'s own scales, so v negligible beside u does not zero
-    it. Trusts its caller for finite float stacks of one shape, d >= 2."""
+    """``((lhs, wedge, d_int, d_exp, residual), w, k, (vv, ss))`` of two (m, d) stacks: row
+    i computed on u and v scaled by one 2**-k[i] that brings the larger to unit size, so all
+    seven are 4**-k of their value (vv = |v|^2 and ss = |u + v|^2, sums of lhs, feed the
+    curve report's rhs_bound). ``w`` is the wedge at ``_plane``'s own scales, so v negligible
+    beside u does not zero it. Trusts its caller for finite float stacks of one shape, d >= 2."""
     r, conormal, _, a, b = _plane(U, V)
     k = np.maximum(a, b)
     w = _scale(r, a + b)
     _scale(r, a + b - 2 * k, out=r)
     _scale(conormal, (b - k)[:, None], out=conormal)
     U, V = (_scale(Z, -k[:, None]) for Z in (U, V))
-    uu = np.einsum("ij,ij->i", U, U)
-    vv = np.einsum("ij,ij->i", V, V)
-    uv = np.einsum("ij,ij->i", U, V)
+    uu, vv, uv = (np.einsum("ij,ij->i", X, Y) for X, Y in ((U, U), (V, V), (U, V)))
     s = U + V
-    lhs = uu + vv + np.einsum("ij,ij->i", s, s)
+    ss = np.einsum("ij,ij->i", s, s)
+    lhs = uu + vv + ss
     d_int = 2.0 * (uu + vv + uv - SQRT3 * r)
     # x = U + 0.5*V + (SQRT3/2)*conormal, in that order, written into s,
     # which is dead here: fewer temporaries, the same bits.
@@ -90,7 +89,7 @@ def _unit_identity(U, V):
     x += conormal
     d_exp = 2.0 * np.einsum("ij,ij->i", x, x)
     residual = lhs - 2.0 * SQRT3 * r - d_exp
-    return (lhs, r, d_int, d_exp, residual), w, k
+    return (lhs, r, d_int, d_exp, residual), w, k, (vv, ss)
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ def verify_identity(u, v, tol: float = 1e-9) -> IdentityReport:
     u, v = _check_pair(u, v)
     if u.ndim != 1:
         raise ValueError(f"expected one pair of vectors, got a stack of shape {u.shape}")
-    unit, w, k = _unit_identity(u[None], v[None])
+    unit, w, k, _ = _unit_identity(u[None], v[None])
     lhs, _, d_int, d_exp, residual = _scale(unit, 2 * k)[:, 0].tolist()
     equal = bool(unit[3][0] <= tol * unit[0][0])
     return IdentityReport(lhs, 2.0 * SQRT3 * float(w[0]), d_int, d_exp, residual, equal)

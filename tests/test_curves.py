@@ -299,6 +299,17 @@ class TestCurvatureBoundReport:
         assert rep.rhs_bound == 1.0
         assert rep.residual == -1.0
 
+    def test_rhs_bound_rescales_the_kernel_sums_exactly(self):
+        # Row 0 has all coordinates below 1/2, so the kernel takes it at
+        # 2**-k with k = -1 and the report scales its |v|^2 and |u + v|^2 back
+        # by 4**k; row 1 has k = 0. Both give the direct sums' bits.
+        d1 = np.array([[0.4, 0.4, 0.4], [0.6, 0.8, 0.0]])
+        d2 = np.array([[0.3, -0.1, 0.2], [0.1, 0.2, -0.3]])
+        rep = curvature_bound_report(CurveJet(t=[0.0, 1.0], d1=d1, d2=d2), 0.5)
+        diff = d1 - d2
+        expected = 1.0 + np.einsum("ij,ij->i", d2, d2) + np.einsum("ij,ij->i", diff, diff)
+        assert rep.rhs_bound.tolist() == expected.tolist()
+
     def test_identity_and_bound_on_grids(self):
         jets = []
         for radius in (0.5, 1.0, 2.0, 10.0):
@@ -368,6 +379,13 @@ class TestJetFromSamples:
     def test_needs_three_samples(self):
         with pytest.raises(ValueError):
             jet_from_samples([0.0, 1.0], np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("ts", [0.5, [[0.0], [1.0], [2.0]]], ids=["0-d", "2-d"])
+    def test_parameter_values_must_be_1d(self, ts):
+        with pytest.raises(ValueError) as exc:
+            jet_from_samples(ts, np.zeros((3, 3)))
+        assert str(exc.value) == (f"parameter values must be one 1-D array, "
+                                  f"got shape {np.shape(ts)}")
 
     def test_uniform_spacing_required(self):
         ts = [0.0, 1.0, 2.5]

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -253,7 +254,10 @@ class TestScalingPasses:
         (lambda: weitzenboeck.identity_batch([[1.0, 2.0], [0.5, 0.0]], [[3.0, -1.0], [0.0, 4.0]]),
          (7, 1, 1)),
         (lambda: cli.main(["defect", "--vectors", "1,2", "3,-1"]), (8, 1, 1)),
-    ], ids=["verify_identity", "identity_batch", "cli-defect-vectors"])
+        # The jet is built here, outside the counted call: _helix_rate scales too.
+        (partial(curves.curvature_bound_report, curves.helix_jet(1.0, 3.0, np.arange(100) * 0.01),
+                 curves.ANALYTIC_SPEED_TOL), (9, 1, 1)),
+    ], ids=["verify_identity", "identity_batch", "cli-defect-vectors", "curvature_bound_report"])
     def test_call_counts(self, run, caps, monkeypatch, capsys):
         counts = count_calls(monkeypatch, "_scale", "_exponent", "split")
         run()
