@@ -163,10 +163,10 @@ def cmd_shape(args) -> int:
 
 
 def _parse_trange(text: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"bad range {text!r}: expected START:STOP:STEP")
-    start, stop, step = (float(x) for x in parts)
+    try:
+        start, stop, step = map(float, text.split(":"))
+    except ValueError:
+        raise ValueError(f"bad range {text!r}: expected START:STOP:STEP") from None
     if not all(math.isfinite(x) for x in (start, stop, step)):
         raise ValueError(f"bad range {text!r}: START, STOP and STEP must be finite")
     if step <= 0 or stop < start:

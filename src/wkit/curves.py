@@ -25,19 +25,14 @@ from typing import TextIO
 
 import numpy as np
 
+from . import weitzenboeck
 from .vectors import SQRT3, _exponent, _item, _scale
-from .weitzenboeck import _BLOCK_ROWS, _unit_identity
+from .weitzenboeck import _row_blocks, _unit_identity
 
 #: Default unit-speed tolerance for finite-difference jets; analytic jets
 #: should be held to ~1e-12 instead.
 SAMPLED_SPEED_TOL = 1e-6
 ANALYTIC_SPEED_TOL = 1e-12
-
-def _row_blocks(n: int) -> list[slice]:
-    """Consecutive slices of at most ``_BLOCK_ROWS`` rows that cover range(n),
-    each with its stop within n."""
-    return [slice(i, min(i + _BLOCK_ROWS, n)) for i in range(0, n, _BLOCK_ROWS)]
-
 
 def _positive(value: float, name: str) -> float:
     if not (0 < value < math.inf):
@@ -146,9 +141,8 @@ def curvature_bound_report(jet: CurveJet, tol: float = SAMPLED_SPEED_TOL) -> Cur
     rhs_bound >= 1, so no row needs e < 0), and each is scaled back once: a huge curvature
     gives rhs_bound inf, never a NaN residual.
 
-    The kernel's temporaries take some 290 bytes a row beyond the jet, so
-    give a long stack in row slices (``wkit curve`` builds each jet from
-    ``weitzenboeck._BLOCK_ROWS`` rows and gives it here whole): a row gets
+    The kernel's temporaries take some 290 bytes a row beyond the jet, so give a long stack
+    in the row slices of ``weitzenboeck._row_blocks``, as ``wkit curve`` does: a row gets
     the same bits in any slice (``_plane``).
     """
     _require_unit_speed(jet, tol)
@@ -264,7 +258,7 @@ def jet_from_samples(ts, positions) -> CurveJet:
 
 def _grid_step(ts: np.ndarray) -> float:
     """The first step h of the grid ``ts``, once every step is checked
-    against it, ``_BLOCK_ROWS`` steps at a time. A step that does not
+    against it, in the step blocks of ``_row_blocks``. A step that does not
     increase t wins over one beyond the float range, which wins over an
     uneven one; each names the first such step of the grid."""
     wide = uneven = None
@@ -311,22 +305,21 @@ def read_curve_csv(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
     """Parse curve samples from ``t,x,y,z`` CSV: finite values, strictly
     increasing t, at least 3 samples.
 
-    Blank lines are skipped; rows are numbered from the line after the
-    header, blank lines included. The body is read ``_BLOCK_ROWS`` lines at
-    a time. numpy's C reader parses the non-blank rows of a block in one
-    call, to the bits of ``float()``; it accepts a strict subset of what
-    ``float()`` accepts (not ``1_0`` or non-ASCII digits). A block that it
-    rejects, or whose values are not finite or whose t does not increase
-    from the last t before it, is read again row by row with ``float()``,
-    which gives its values or names its first bad row. Each block's values
-    are appended to one buffer, which grows without a copy of the whole
-    table or a zero fill: the table costs 32 bytes a sample.
+    Blank lines are skipped; rows are numbered from the line after the header, blank
+    lines included. The body is read in blocks of ``weitzenboeck._BLOCK_ROWS`` lines, the
+    size that ``_row_blocks`` gives every other block. numpy's C reader parses the
+    non-blank rows of a block in one call, to the bits of ``float()``; it accepts a strict
+    subset of what ``float()`` accepts (not ``1_0`` or non-ASCII digits). A block that it
+    rejects, or whose values are not finite or whose t does not increase from the last t
+    before it, is read again row by row with ``float()``, which gives its values or names
+    its first bad row. Each block's values are appended to one buffer, which grows without
+    a copy of the whole table or a zero fill: the table costs 32 bytes a sample.
     """
     header = stream.readline().strip()
     if [c.strip() for c in header.split(",")] != ["t", "x", "y", "z"]:
         raise ValueError(f"expected header 't,x,y,z', got {header!r}")
     table, row, last = bytearray(), 1, -math.inf
-    while lines := list(islice(stream, _BLOCK_ROWS)):
+    while lines := list(islice(stream, weitzenboeck._BLOCK_ROWS)):
         rows = list(filter(None, map(str.strip, lines)))
         data = _parse_block(rows, last)
         if data is None:

@@ -19,11 +19,11 @@ output i read as eight signed bytes, the least significant first. Either
 pair i depends on (seed, i) alone, and no draw goes through numpy.random.
 One output may feed both sweeps at a seed; each verdict reads only its own.
 
-The float sample is never held as a list of pairs. ``pair_stacks`` walks
-it one dimension at a time, in blocks of at most ``_BLOCK_ROWS`` pairs
-(``weitzenboeck``'s), each one (m, 2d) array whose two halves are the
-stacks of u rows and v rows; ``run_identity_sweep`` reduces each with
-``identity_batch`` into running maxima before the next block is drawn.
+Both sweeps walk their pairs in the blocks of ``weitzenboeck._row_blocks``.
+The float sample is never held as a list of pairs: ``pair_stacks`` walks
+it one dimension at a time, each block one (m, 2d) array whose halves are
+the stacks of u rows and v rows, and ``run_identity_sweep`` reduces each
+with ``identity_batch`` into running maxima before the next block is drawn.
 Memory is bounded by one block, and the maxima do not depend on its size.
 
 The exact sweep's four numerators are the bytes themselves, in [-M, M - 1],
@@ -44,7 +44,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .weitzenboeck import _BLOCK_ROWS, _identity_terms, identity_batch, verify_exact
+from .weitzenboeck import _identity_terms, _row_blocks, identity_batch, verify_exact
 
 _DIMS = range(2, 9)
 _LOW, _HIGH = -10.0, 10.0
@@ -100,19 +100,19 @@ def _uniform(key: np.uint64, counters: np.ndarray) -> np.ndarray:
 def pair_stacks(count: int, seed: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The deterministic float sample as per-dimension row stacks, one block at a time.
 
-    Each step yields the ``(U, V)`` pair of (m, d) arrays of one block of
-    m <= ``weitzenboeck._BLOCK_ROWS`` pairs of dimension d, for d = 8 down
-    to 2 and block after block within each d, and no block for a dimension
-    without pairs. Pair i is row i // 7 of the joined stacks of dimension
-    2 + i % 7. U and V are the halves of one fresh (m, 2d) block of the
-    stream that the module docstring defines.
+    Each step yields the ``(U, V)`` pair of (m, d) arrays of the m pairs of
+    dimension d in one block of ``_row_blocks`` over that dimension's rows,
+    for d = 8 down to 2, and no block for a dimension without pairs. Row r
+    of dimension d is pair 7r + d - 2. U and V are the halves of one fresh
+    (m, 2d) block of the stream that the module docstring defines.
     """
-    key, step = _key(count, seed), len(_DIMS) * _BLOCK_ROWS
+    key, step = _key(count, seed), len(_DIMS)
     # Largest first, so that smaller blocks reuse its memory: 10^5 pairs take 4,200 minor page
     # faults, against 6,200 and 7% more time from d = 2 up (fresh processes, 2 vCPUs).
     for d in reversed(_DIMS):
-        for first in range(d - _DIMS[0], count, step):
-            pairs = np.arange(first, min(first + step, count), len(_DIMS), dtype=np.uint64)
+        stacked = range(d - _DIMS[0], count, step)
+        for rows in _row_blocks(len(stacked)):
+            pairs = np.arange(stacked[rows].start, stacked[rows].stop, step, dtype=np.uint64)
             at = pairs[:, None] * _PAIR_DRAWS  # the first output of each pair
             block = _uniform(key, at + np.arange(2 * d, dtype=np.uint64))
             block *= _HIGH - _LOW
@@ -215,16 +215,16 @@ def run_exact_sweep(count: int, seed: int = 0) -> ExactSweepResult:
     key = _key(count, seed)
     nonzero = 0
     first_pair = first_residual = None
-    for first in range(0, count, _BLOCK_ROWS):
-        n = min(_BLOCK_ROWS, count - first)
-        z = _splitmix(key, np.arange(first, first + n, dtype=np.uint64))
-        block = np.asarray(z, "<u8").view(np.int8).reshape(n, 8).astype(np.int64)
+    for rows in _row_blocks(count):
+        z = _splitmix(key, np.arange(rows.start, rows.stop, dtype=np.uint64))
+        block = np.asarray(z, "<u8").view(np.int8).reshape(-1, 8).astype(np.int64)
         block[:, 4:] = (block[:, 4:] & (_EXACT_MAX - 1)) + 1
         lhs, w, dx, dq = _identity_terms(*block.T)
         failed = (lhs != dx) | (2 * w + dq != 0)
         failed[0] |= bool(verify_exact(*_rational_pair(block[0])))
         if not nonzero and failed.any():
             i = int(np.argmax(failed))
-            first_pair, first_residual = first + i, str(verify_exact(*_rational_pair(block[i])))
+            first_pair = rows.start + i
+            first_residual = str(verify_exact(*_rational_pair(block[i])))
         nonzero += int(np.count_nonzero(failed))
     return ExactSweepResult(count, seed, nonzero, first_pair, first_residual)

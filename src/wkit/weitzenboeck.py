@@ -39,13 +39,19 @@ import numpy as np
 from .qsqrt3 import QSqrt3, _coerce
 from .vectors import SQRT3, _check_pair, _exponent, _plane, _scale
 
-# Rows per block of every long input: pairs of either sweep, jets of `wkit curve`'s two passes,
-# CSV lines per np.loadtxt call and steps per grid check; no output depends on it. Against 1,024
-# and 4,096, `bench/run.py` ran at 309k vs 278k and 302k jets/s (curve-builtin), 115k vs 109k
-# and 111k (curve-sampled), 1,316k vs 1,157k and 1,197k pairs/s (sweep-exact) and 823k vs 722k
-# and 858k (sweep-float), peaking 0.0-1.8 MB above 1,024 and 0.4-2.3 MB below 4,096 (medians of
-# 5 alternating rounds, 2 shared vCPUs, Python 3.11, numpy 2.4).
+# Rows per block of every long input, the one binding that _row_blocks, the one block walk, and
+# read_curve_csv read: sweep pairs, curve jets, grid steps and CSV lines; no output depends on it.
+# Against 1,024 and 4,096, `bench/run.py` ran at 309k vs 278k and 302k jets/s (curve-builtin),
+# 115k vs 109k and 111k (curve-sampled), 1,316k vs 1,157k and 1,197k pairs/s (sweep-exact) and
+# 823k vs 722k and 858k (sweep-float), peaking 0.0-1.8 MB above 1,024 and 0.4-2.3 MB below 4,096
+# (medians of 5 alternating rounds, 2 shared vCPUs, Python 3.11, numpy 2.4).
 _BLOCK_ROWS = 2048
+
+
+def _row_blocks(n: int):
+    """Consecutive slices of at most ``_BLOCK_ROWS`` rows that cover range(n), made lazily."""
+    size = _BLOCK_ROWS
+    return (slice(i, min(i + size, n)) for i in range(0, n, size))
 
 
 def identity_batch(U, V):

@@ -731,7 +731,10 @@ class TestCurve:
         ("0:1", "bad range '0:1': expected START:STOP:STEP"),
         ("1:0:1", "bad range '1:0:1': need step > 0 and stop >= start"),
         ("0:1:0", "bad range '0:1:0': need step > 0 and stop >= start"),
-    ], ids=["two-fields", "stop-below-start", "zero-step"])
+        ("a:1:1", "bad range 'a:1:1': expected START:STOP:STEP"),
+        ("0:1:x", "bad range '0:1:x': expected START:STOP:STEP"),
+    ], ids=["two-fields", "stop-below-start", "zero-step", "start-not-a-number",
+            "step-not-a-number"])
     def test_malformed_range_rejected(self, trange, message):
         r = run_cli("curve", "--builtin", "line", "--t", trange)
         assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
@@ -789,8 +792,8 @@ class TestCurve:
         _write_helix_csv(path, seed=3, n=2601)
         for args in (["--builtin", "helix:1:3", "--t", "0:25:0.01"], ["--input", str(path)]):
             runs = []
-            for rows in (1, 3, curves._BLOCK_ROWS):
-                monkeypatch.setattr(curves, "_BLOCK_ROWS", rows)
+            for rows in (1, 3, weitzenboeck._BLOCK_ROWS):
+                monkeypatch.setattr(weitzenboeck, "_BLOCK_ROWS", rows)
                 runs.append(run_cli("curve", *args, "--format", fmt))
             assert runs[0].returncode == 0, runs[0].stderr
             assert all((r.returncode, r.stdout, r.stderr) == (0, runs[0].stdout, runs[0].stderr)
@@ -818,8 +821,8 @@ class TestCurve:
         path.write_text(f"t,x,y,z\n0.0,{x0!r},0,0\n"
                         + "".join(f"{k / 100!r},{k / 100!r},0,0\n" for k in range(1, 6144))
                         + last + "\n")
-        for rows in (1, 3, curves._BLOCK_ROWS):
-            monkeypatch.setattr(curves, "_BLOCK_ROWS", rows)
+        for rows in (1, 3, weitzenboeck._BLOCK_ROWS):
+            monkeypatch.setattr(weitzenboeck, "_BLOCK_ROWS", rows)
             r = run_cli("curve", "--input", str(path))
             assert (r.returncode, r.stdout) == (2, "")
             assert r.stderr.startswith(f"error: {message}") and r.stderr.count("\n") == 1
@@ -837,7 +840,7 @@ class TestCurve:
         # four whole columns 108-139; rows turned into Python objects all at
         # once 350-910.)
         jet_bytes = {"builtin": 8, "input": 4 * 8}[source]
-        few, many = curves._BLOCK_ROWS, 10 * curves._BLOCK_ROWS
+        few, many = weitzenboeck._BLOCK_ROWS, 10 * weitzenboeck._BLOCK_ROWS
         argv = {}
         for jets in (few, many):
             if source == "builtin":
@@ -909,6 +912,46 @@ class TestCurve:
         assert (r.returncode, r.stderr) == (0, "")
         [row] = json.loads(r.stdout)["rows"]
         assert (row["t"], row["curvature"], row["residual"]) == (ts[1], 0.0, 0.0)
+
+
+def test_one_binding_sets_every_block(tmp_path, monkeypatch):
+    # weitzenboeck._BLOCK_ROWS is the only block size: set to 3, it cuts both
+    # sweeps, the CSV reader and the curve passes, and no output changes.
+    path = tmp_path / "helix.csv"
+    _write_helix_csv(path, seed=7, n=10)
+    runs = [("sweep", "--count", "100", "--seed", "1"),
+            ("sweep", "--exact", "--count", "10", "--seed", "1"),
+            ("curve", "--builtin", "helix:1:3", "--t", "0:0.2:0.01"),
+            ("curve", "--input", str(path))]
+    runs = [(*args, "--format", fmt) for args in runs for fmt in ("text", "json", "csv")]
+
+    def outcome(args):
+        r = run_cli(*args)
+        return r.returncode, r.stdout, r.stderr
+
+    default = list(map(outcome, runs))
+    assert all(code == 0 for code, _, _ in default), default
+    monkeypatch.setattr(weitzenboeck, "_BLOCK_ROWS", 3)
+
+    terms, real_terms = [], sweeps._identity_terms
+    monkeypatch.setattr(sweeps, "_identity_terms",
+                        lambda *pair: terms.append(pair[0]) or real_terms(*pair))
+    assert sweeps.run_exact_sweep(10).passed
+    blocks = [x for x in terms if isinstance(x, np.ndarray)]  # not verify_exact's ints
+    assert [(len(x), x.dtype) for x in blocks] == [(n, np.int64) for n in (3, 3, 3, 1)]
+
+    sizes = [len(U) for U, _ in sweeps.pair_stacks(30)]
+    dims = [len(range(d - 2, 30, 7)) for d in range(8, 1, -1)]
+    assert sizes == [min(3, n - i) for n in dims for i in range(0, n, 3)]
+
+    parsed, real_parse = [], curves._parse_block
+    monkeypatch.setattr(curves, "_parse_block",
+                        lambda rows, last: parsed.append(len(rows)) or real_parse(rows, last))
+    with open(path, encoding="utf-8") as fh:
+        curves.read_curve_csv(fh)
+    assert parsed == [3, 3, 3, 1]
+
+    assert list(map(outcome, runs)) == default
 
 
 #: Finite doubles from the whole range, subnormals and both zeros included,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from samples import helix_position
 
-from wkit import curves
+from wkit import curves, weitzenboeck
 from wkit.curves import (
     CurveJet,
     builtin_curve,
@@ -442,8 +442,8 @@ class TestJetFromSamples:
     def test_first_bad_step_in_any_block(self, changes, message, monkeypatch):
         ts = np.arange(10.0)
         ts[list(changes)] = list(changes.values())
-        for block_rows in (1, 3, curves._BLOCK_ROWS):
-            monkeypatch.setattr(curves, "_BLOCK_ROWS", block_rows)
+        for block_rows in (1, 3, weitzenboeck._BLOCK_ROWS):
+            monkeypatch.setattr(weitzenboeck, "_BLOCK_ROWS", block_rows)
             with pytest.raises(ValueError) as info:
                 jet_from_samples(ts, np.zeros((10, 3)))
             assert str(info.value) == message, block_rows
@@ -525,8 +525,8 @@ class TestReadCurveCsv:
     ], ids=["underscore-and-arabic-digits", "blanks-around-fields", "blank-line-gap"])
     def test_blocks_match_the_per_row_reader(self, body, monkeypatch):
         rows = [[float(x) for x in line.split(",")] for line in body.splitlines() if line.strip()]
-        for block_rows in (1, 3, curves._BLOCK_ROWS):
-            monkeypatch.setattr(curves, "_BLOCK_ROWS", block_rows)
+        for block_rows in (1, 3, weitzenboeck._BLOCK_ROWS):
+            monkeypatch.setattr(weitzenboeck, "_BLOCK_ROWS", block_rows)
             ts, pos = read_curve_csv(io.StringIO("t,x,y,z\n" + body))
             assert np.column_stack([ts, pos]).tolist() == rows
 
@@ -534,8 +534,8 @@ class TestReadCurveCsv:
         # Line 2,148 is the last; at block sizes 1, 3 and the default 2,048
         # the blank lines before it fill the rest of its block.
         text = "t,x,y,z\n0,0,0,0\n1,1,0,0\n2,2,0,0\n" + "\n" * 2144 + "3,3,0\n"
-        for block_rows in (1, 3, curves._BLOCK_ROWS):
-            monkeypatch.setattr(curves, "_BLOCK_ROWS", block_rows)
+        for block_rows in (1, 3, weitzenboeck._BLOCK_ROWS):
+            monkeypatch.setattr(weitzenboeck, "_BLOCK_ROWS", block_rows)
             with pytest.raises(ValueError) as exc:
                 read_curve_csv(io.StringIO(text))
             assert str(exc.value) == "malformed CSV at row 2148: expected 4 fields, got 3"
@@ -564,9 +564,9 @@ class TestReadCurveCsv:
                 expected = "need at least 3 samples"
         except ValueError as exc:
             expected = str(exc)
-        for block_rows in (1, 3, curves._BLOCK_ROWS):
+        for block_rows in (1, 3, weitzenboeck._BLOCK_ROWS):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(curves, "_BLOCK_ROWS", block_rows)
+                mp.setattr(weitzenboeck, "_BLOCK_ROWS", block_rows)
                 try:
                     ts, pos = read_curve_csv(io.StringIO("t,x,y,z\n" + "".join(body)))
                     got = np.column_stack([ts, pos]).tolist()

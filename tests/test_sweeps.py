@@ -236,8 +236,8 @@ def test_stacks_match_per_pair_stream(count, seed, monkeypatch):
                 for i in range(7)]
     # The default 2,048 pairs per block split the largest count too, into 7
     # blocks per dimension; 100 and 700 split the smaller ones inside the run.
-    for rows in (sweeps._BLOCK_ROWS, 100, 700):
-        monkeypatch.setattr(sweeps, "_BLOCK_ROWS", rows)
+    for rows in (weitzenboeck._BLOCK_ROWS, 100, 700):
+        monkeypatch.setattr(weitzenboeck, "_BLOCK_ROWS", rows)
         for (U, V), (eU, eV) in zip(_joined_stacks(count, seed), expected):
             assert U.shape == eU.shape and np.array_equal(U, eU)
             assert V.shape == eV.shape and np.array_equal(V, eV)
@@ -255,7 +255,7 @@ def test_sweep_result_independent_of_chunks(count, monkeypatch):
         for seed in (0, 3):
             whole = run_identity_sweep(count, seed)
             for rows in (100, 700):
-                monkeypatch.setattr(sweeps, "_BLOCK_ROWS", rows)
+                monkeypatch.setattr(weitzenboeck, "_BLOCK_ROWS", rows)
                 assert run_identity_sweep(count, seed) == whole
                 monkeypatch.undo()
 
@@ -265,7 +265,7 @@ def test_sweep_memory_bounded_by_chunk(monkeypatch):
     # dimension reuse the first one's buffers, so the peak must not grow with
     # the count. A chunk is here one block of each dimension.
     rows = 2000
-    monkeypatch.setattr(sweeps, "_BLOCK_ROWS", rows)
+    monkeypatch.setattr(weitzenboeck, "_BLOCK_ROWS", rows)
     chunk = 7 * rows
     run_identity_sweep(700)
     peaks = []
@@ -314,9 +314,9 @@ def _spy_blocks(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 12345])
 # 256, 512 and 1,024 were the block sizes before 2,048; they stay as cases of their own.
-@pytest.mark.parametrize("block", sorted({3, 128, 256, 512, 1024, sweeps._BLOCK_ROWS}))
+@pytest.mark.parametrize("block", sorted({3, 128, 256, 512, 1024, weitzenboeck._BLOCK_ROWS}))
 def test_rational_pairs_match_per_pair_stream(seed, block, monkeypatch):
-    monkeypatch.setattr(sweeps, "_BLOCK_ROWS", block)
+    monkeypatch.setattr(weitzenboeck, "_BLOCK_ROWS", block)
     blocks = _spy_blocks(monkeypatch)
     # block + 1 pairs leave one pair for the last block.
     for count in (10_000 if block > 3 else 50, block + 1):
@@ -431,7 +431,7 @@ def test_exact_sweep_spot_checks_verify_exact(monkeypatch):
     real = sweeps.verify_exact
     monkeypatch.setattr(sweeps, "verify_exact", lambda u, v: real(u, v) + QSqrt3("1/1000000000000"))
     res = run_exact_sweep(1000, seed=0)
-    blocks = -(-1000 // sweeps._BLOCK_ROWS)
+    blocks = -(-1000 // weitzenboeck._BLOCK_ROWS)
     assert (res.nonzero_residuals, res.first_nonzero_pair) == (blocks, 0)
     assert res.first_nonzero_residual == "1/1000000000000 + 0*sqrt(3)"
 

@@ -283,7 +283,7 @@ class TestCheckOnce:
     def test_curve_report_checks_no_pair(self, monkeypatch, capsys):
         # Two and a half row blocks in one jet, which the report passes to
         # the kernel in one call.
-        jet = curves.helix_jet(1.0, 3.0, np.arange(5 * curves._BLOCK_ROWS // 2) * 0.01)
+        jet = curves.helix_jet(1.0, 3.0, np.arange(5 * weitzenboeck._BLOCK_ROWS // 2) * 0.01)
         counts = count_calls(monkeypatch, "_check_pair")
         report = curves.curvature_bound_report(jet, curves.ANALYTIC_SPEED_TOL)
         assert report.curvature.shape == jet.t.shape

@@ -619,3 +619,23 @@ def test_nearly_flat_triangles(sides, order, j):
     height2 = b * b - ((b * b - a * a + c * c) / (2 * c)) ** 2
     _, v = triangle_to_vectors(t)
     assert abs(Fraction(v[1]) ** 2 - height2) <= 4 * eps * big * b / c
+
+
+_B = weitzenboeck._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [0, 1, _B - 1, _B, _B + 1, 3 * _B + 1])
+def test_row_blocks_cover_the_range_in_order(n):
+    blocks = list(weitzenboeck._row_blocks(n))
+    assert [i for s in blocks for i in range(s.start, s.stop)] == list(range(n))
+    assert all(s.start < s.stop <= n and s.stop - s.start <= _B and s.step is None
+               for s in blocks)
+
+
+def test_row_blocks_is_lazy(monkeypatch):
+    # No list of 10^18 / B slices is made, and the size is read once per call.
+    blocks = weitzenboeck._row_blocks(10**18)
+    assert iter(blocks) is blocks
+    monkeypatch.setattr(weitzenboeck, "_BLOCK_ROWS", 3)
+    assert next(blocks) == slice(0, _B) and next(blocks) == slice(_B, 2 * _B)
+    assert list(weitzenboeck._row_blocks(7)) == [slice(0, 3), slice(3, 6), slice(6, 7)]
