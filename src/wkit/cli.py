@@ -20,9 +20,9 @@ from .curves import (
     ANALYTIC_SPEED_TOL,
     SAMPLED_SPEED_TOL,
     _grid_step,
+    _numbers,
     _positive,
     _require_unit_speed,
-    _row_blocks,
     _sampled_jet,
     builtin_curve,
     read_curve_csv,
@@ -39,7 +39,8 @@ from .shape_space import (
 )
 from .sweeps import run_exact_sweep, run_identity_sweep
 from .vectors import SQRT3, _scale
-from .weitzenboeck import Triangle, _unit_triangle, triangle_to_vectors, verify_identity
+from .weitzenboeck import (Triangle, _row_blocks, _unit_triangle, triangle_to_vectors,
+                           verify_identity)
 
 #: Most curve samples one --t range, or one series of --figure, may ask
 #: for; checked on the computed count before anything is allocated.
@@ -83,13 +84,6 @@ def _emit_pairs(pairs, fmt: str, stream) -> bool:
     return all(math.isfinite(v) for _, v in pairs if isinstance(v, float))
 
 
-def _parse_vector(text: str):
-    try:
-        return [float(x) for x in text.split(",")]
-    except ValueError:
-        raise ValueError(f"bad vector {text!r}: expected comma-separated numbers") from None
-
-
 def cmd_defect(args) -> int:
     e = 0
     if args.sides is not None:
@@ -98,7 +92,8 @@ def cmd_defect(args) -> int:
         a, b, c, _, e = _unit_triangle(Triangle(*args.sides))
         u, v = triangle_to_vectors(Triangle(a, b, c))
     else:
-        u, v = map(_parse_vector, args.vectors)
+        u, v = (_numbers(x, ",", None, f"bad vector {x!r}: expected comma-separated numbers")
+                for x in args.vectors)
     rep = verify_identity(u, v, args.tol)
     values = rep.lhs, rep.wedge_term, rep.defect_intrinsic, rep.defect_explicit, rep.residual
     lhs, wedge_term, d_int, d_exp, residual = _scale(values, 2 * e).tolist()
@@ -163,10 +158,7 @@ def cmd_shape(args) -> int:
 
 
 def _parse_trange(text: str) -> np.ndarray:
-    try:
-        start, stop, step = map(float, text.split(":"))
-    except ValueError:
-        raise ValueError(f"bad range {text!r}: expected START:STOP:STEP") from None
+    start, stop, step = _numbers(text, ":", 3, f"bad range {text!r}: expected START:STOP:STEP")
     if not all(math.isfinite(x) for x in (start, stop, step)):
         raise ValueError(f"bad range {text!r}: START, STOP and STEP must be finite")
     if step <= 0 or stop < start:

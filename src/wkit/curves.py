@@ -217,22 +217,30 @@ def builtin_curve(spec: str, t) -> CurveJet:
     Accepted specs: ``circle:R``, ``helix:A:B``, ``line`` (along x) and
     ``line:dx,dy,dz``.
     """
-    kind, *params = spec.split(":")
+    kind, colon, params = spec.partition(":")
+    bad = f"bad curve spec {spec!r}: expected "
     if kind == "circle":
-        if len(params) != 1:
-            raise ValueError("circle spec is circle:RADIUS")
-        return circle_jet(float(params[0]), t)
+        return circle_jet(*_numbers(params, ":", 1, bad + "circle:R"), t)
     if kind == "helix":
-        if len(params) != 2:
-            raise ValueError("helix spec is helix:A:B")
-        return helix_jet(float(params[0]), float(params[1]), t)
+        return helix_jet(*_numbers(params, ":", 2, bad + "helix:A:B"), t)
+    if kind == "line" and not colon:
+        return line_jet([1.0, 0.0, 0.0], t)
     if kind == "line":
-        if not params:
-            return line_jet([1.0, 0.0, 0.0], t)
-        if len(params) == 1:
-            return line_jet([float(x) for x in params[0].split(",")], t)
-        raise ValueError("line spec is line or line:dx,dy,dz")
+        return line_jet(_numbers(params, ",", None, bad + "line or line:dx,dy,dz"), t)
     raise ValueError(f"unknown curve kind {kind!r} (expected circle, helix, or line)")
+
+
+def _numbers(text: str, sep: str, count: int | None, error: str) -> list[float]:
+    """The fields of ``text`` split at ``sep``, each read with ``float()``;
+    ValueError(``error``) if one is not a number or, given a ``count``,
+    there are not that many. It reads ``--vectors``, ``--t`` and ``--builtin``."""
+    fields = text.split(sep)
+    try:
+        if count is None or len(fields) == count:
+            return [float(x) for x in fields]
+    except ValueError:
+        pass
+    raise ValueError(error)
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,11 @@ import numpy as np
 _SPLITTER = 134217729.0
 
 
-def split(a, out=None):
+def split(a, out):
     """Veltkamp's split: (hi, lo) with hi + lo = a exactly and each part of
     at most 26 significant bits, so a product of two parts is exact.
     Overflows above ~2**996. hi and lo are views of ``out``, of shape
-    (2,) + a.shape, allocated when not given."""
-    if out is None:
-        out = np.empty((2,) + np.shape(a))
+    (2,) + a.shape."""
     hi, lo = out[0, ...], out[1, ...]
     np.multiply(_SPLITTER, a, out=hi)  # c
     np.subtract(hi, a, out=lo)  # c - a

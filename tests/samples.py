@@ -100,13 +100,18 @@ INTEGER_TRIANGLES = st.one_of(
 
 def two_prod(a, b):
     """Error-free product (p, e) of the kernel: p + e = a*b exactly."""
-    return _two_prod(a, *split(a), b, *split(b), np.empty(np.broadcast(a, b).shape))
+    return _two_prod(a, *_split(a), b, *_split(b), np.empty(np.broadcast(a, b).shape))
 
 
 def det2(a, b, c, d):
     """Compensated a*d - b*c, with the kernel's bits for the kernel's operands."""
     t = np.empty(np.broadcast(a, b, c, d).shape)
-    return _det2(*((x, *split(x)) for x in (a, b, c, d)), t)
+    return _det2(*((x, *_split(x)) for x in (a, b, c, d)), t)
+
+
+def _split(a):
+    """The kernel's split of ``a`` into a fresh buffer."""
+    return split(a, np.empty((2,) + np.shape(a)))
 
 
 def helix_position(a, b, t):

@@ -1125,6 +1125,37 @@ def test_negative_values_need_no_equals(args, message):
         assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
 
 
+#: Malformed values typed into --vectors, --t and --builtin, and the one
+#: error line of each: one reader takes the numbers of all three.
+_BAD_NUMBERS = [
+    ("--vectors", "1,a", "bad vector '1,a': expected comma-separated numbers"),
+    ("--vectors", ",", "bad vector ',': expected comma-separated numbers"),
+    ("--t", "a:1:1", "bad range 'a:1:1': expected START:STOP:STEP"),
+    ("--t", "0:1", "bad range '0:1': expected START:STOP:STEP"),
+    ("--builtin", "circle", "bad curve spec 'circle': expected circle:R"),
+    ("--builtin", "circle:abc", "bad curve spec 'circle:abc': expected circle:R"),
+    ("--builtin", "circle:1:2", "bad curve spec 'circle:1:2': expected circle:R"),
+    ("--builtin", "helix:1", "bad curve spec 'helix:1': expected helix:A:B"),
+    ("--builtin", "helix:1:b", "bad curve spec 'helix:1:b': expected helix:A:B"),
+    ("--builtin", "helix:1:3:", "bad curve spec 'helix:1:3:': expected helix:A:B"),
+    ("--builtin", "line:", "bad curve spec 'line:': expected line or line:dx,dy,dz"),
+    ("--builtin", "line:1,x,0", "bad curve spec 'line:1,x,0': expected line or line:dx,dy,dz"),
+    ("--builtin", "line:1,0,0:2",
+     "bad curve spec 'line:1,0,0:2': expected line or line:dx,dy,dz"),
+    ("--builtin", "line:1,0", "line direction must be one 3-vector, got shape (2,)"),
+]
+
+
+@pytest.mark.parametrize("option, value, message", _BAD_NUMBERS,
+                         ids=[f"{option}={value}" for option, value, _ in _BAD_NUMBERS])
+def test_malformed_typed_numbers_rejected(option, value, message):
+    args = {"--vectors": ["defect", "--vectors", value, "0,1"],
+            "--t": ["curve", "--builtin", "line", "--t", value],
+            "--builtin": ["curve", "--builtin", value, "--t", "0:1:1"]}[option]
+    r = run_cli(*args)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+
+
 #: Table values: both zeros and infinities, subnormals, the largest double,
 #: a repr of 24 characters (wider than the text table's 22-column pad) and a
 #: few small integers that repeat, or any finite double.

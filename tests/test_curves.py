@@ -83,7 +83,7 @@ class TestBuiltinJets:
         np.testing.assert_allclose(builtin_curve("line:0,0,1", 0.0).d1, [0, 0, 1], atol=0)
         with pytest.raises(ValueError, match="unknown curve kind 'torus'"):
             builtin_curve("torus:1", 0.0)
-        with pytest.raises(ValueError, match="circle spec is circle:RADIUS"):
+        with pytest.raises(ValueError, match="^bad curve spec 'circle': expected circle:R$"):
             builtin_curve("circle", 0.0)
 
     def test_builtin_dispatch(self):
@@ -108,8 +108,9 @@ class TestBuiltinJets:
         (lambda: builtin_curve("line:1,0", 0.0), "line direction must be one 3-vector, got shape (2,)"),
         (lambda: curvature_bound_report(line_jet([1, 1, 0], 0.0)),
          "unit-speed violated at t=0.0: | |d1| - 1 | = 0.41421356237309515 > 1e-06"),
-        (lambda: builtin_curve("helix:1", 0.0), "helix spec is helix:A:B"),
-        (lambda: builtin_curve("line:1,0,0:2", 0.0), "line spec is line or line:dx,dy,dz"),
+        (lambda: builtin_curve("helix:1", 0.0), "bad curve spec 'helix:1': expected helix:A:B"),
+        (lambda: builtin_curve("line:1,0,0:2", 0.0),
+         "bad curve spec 'line:1,0,0:2': expected line or line:dx,dy,dz"),
         (lambda: jet_from_samples([0.0, 1.0, 2.0], np.zeros((3, 2))),
          "positions must have shape (3, 3), got (3, 2)"),
     ], ids=["d1-shape", "d1-nan", "d2-first-bad-row", "d1-and-d2", "line-nan", "line-stack",

@@ -26,12 +26,11 @@ class TestErrorFreeTransforms:
         rng = np.random.default_rng(0)
         a, b = np.ldexp(rng.uniform(-1, 1, (2, 2000)), rng.integers(-400, 400, (2, 2000)))
         a[:6] = [0.0, 1.0, -1.0, 1 - EPS / 2, 1 + EPS, float(2**53 - 1)]
-        hi, lo = split(a)
-        # Into a given buffer: views of it, with the same bits.
+        # Into the given buffer: views of it.
         buf = np.empty((2,) + a.shape)
-        into = split(a, out=buf)
-        assert all(np.shares_memory(part, buf) for part in into)
-        assert np.stack(into).tobytes() == buf.tobytes() == np.stack((hi, lo)).tobytes()
+        hi, lo = split(a, out=buf)
+        assert all(np.shares_memory(part, buf) for part in (hi, lo))
+        assert np.stack((hi, lo)).tobytes() == buf.tobytes()
         for x, h, l, y in zip(a, hi, lo, b):
             assert frac(h) + frac(l) == frac(x)
             assert significant_bits(h) <= 26 and significant_bits(l) <= 26
