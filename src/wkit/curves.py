@@ -141,7 +141,7 @@ def curvature_bound_report(jet: CurveJet, tol: float = SAMPLED_SPEED_TOL) -> Cur
     rhs_bound >= 1, so no row needs e < 0), and each is scaled back once: a huge curvature
     gives rhs_bound inf, never a NaN residual.
 
-    The kernel's temporaries take some 290 bytes a row beyond the jet, so give a long stack
+    The kernel's temporaries take some 320 bytes a row beyond the jet, so give a long stack
     in the row slices of ``weitzenboeck._row_blocks``, as ``wkit curve`` does: a row gets
     the same bits in any slice (``_plane``).
     """

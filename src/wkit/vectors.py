@@ -84,30 +84,29 @@ def _plane(u: np.ndarray, v: np.ndarray):
     that part has length >= sqrt(1 - 1/d). A row with v = 0 gets c = 0.
 
     Rows of u and v are scaled to unit size by 2**-a and 2**-b
-    (``_exponent``). Returns ``(wedge, conormal, degenerate, a, b)``, the
-    wedge still scaled by 2**-(a + b) and the conormal by 2**-b. The work
-    runs on (d, m) arrays and every sum has a fixed order, so a row gives
-    the same bits alone as in any stack.
+    (``_exponent``), into one (d, m) layout: a row per coordinate, a column
+    per pair. Every sum runs left to right (``_sum_rows``), so a pair gives
+    the same bits alone as in any stack. Returns ``(wedge, conormal,
+    degenerate, ab, PQ, nn)``: the wedge scaled by 2**-(a + b), the (d, m)
+    conormal by 2**-b, ab = (a, b), the (3, 2, d, m) block whose PQ[0] is the
+    unit-scaled X of u and Y of v (PQ[1:] is spent), and nn = (|X|^2, |Y|^2).
     """
-    shape = u.shape[:-1]
     d = u.shape[-1]
-    # PQ[:, 0] holds the unit-scaled coordinates X of u and Y of v as one
-    # (2, d, m) block, PQ[:, 1:] their Veltkamp halves; before the split
-    # PQ[:, 1] takes |XY| for the exponents, and after the loop, where the
-    # halves are dead, PQ[:, 1] takes XY^2 and PQ[0, 2] gv^2. The outputs gv
-    # and gg are allocated first, so that they do not pin the heap above PQ
-    # (0.3 MB less peak RSS on a 10^4-jet curve). Step k's two determinants
-    # and its two products with Y write into t[:d - k].
-    m = math.prod(shape)
+    # PQ[1:] takes the Veltkamp halves of X and Y, PQ[1] first |XY| for the
+    # exponents, and after the loop, where the halves are dead, XY^2, with
+    # PQ[2, 0] gv^2. gv and gg are allocated first, so that they do not pin
+    # the heap above PQ (0.3 MB less peak RSS on a 10^4-jet curve). Step k's
+    # two determinants and its two products with Y write into t[:d - k].
+    m = math.prod(u.shape[:-1])
     gv = np.zeros((d, m))
     gg = np.zeros(m)
-    PQ = np.empty((2, 3, d, m))
-    XY = PQ[:, 0]
+    PQ = np.empty((3, 2, d, m))
+    XY = PQ[0]
     XY[0], XY[1] = (z.reshape(-1, d).T for z in (u, v))
-    ab = _exponent(XY, axis=1, out=PQ[:, 1])
+    ab = _exponent(XY, axis=1, out=PQ[1])
     _scale(XY, -ab[:, None], out=XY)
-    split(XY, out=PQ[:, 1:].swapaxes(0, 1))
-    P, Q = PQ
+    split(XY, out=PQ[1:])
+    P, Q = PQ.swapaxes(0, 1)
     Y = XY[1]
     t = np.empty((d - 1, m))
     for k in range(1, d):
@@ -118,8 +117,9 @@ def _plane(u: np.ndarray, v: np.ndarray):
         g *= g
         for row in g:
             gg += row
-    nu, nv = np.sqrt(_sum_rows(np.multiply(XY, XY, out=PQ[:, 1]).swapaxes(0, 1)))
-    ngv = np.sqrt(_sum_rows(np.multiply(gv, gv, out=PQ[0, 2])))
+    nn = _sum_rows(np.multiply(XY, XY, out=PQ[1]).swapaxes(0, 1))
+    nu, nv = np.sqrt(nn)
+    ngv = np.sqrt(_sum_rows(np.multiply(gv, gv, out=PQ[2, 0])))
     degenerate = ngv <= COLLINEAR_RTOL * nu * nv * nv
     gv *= -nv / np.where(degenerate, 1.0, ngv)
     i = (degenerate & (nv > 0.0)).nonzero()[0]
@@ -129,9 +129,7 @@ def _plane(u: np.ndarray, v: np.ndarray):
         f = -(Z[at] / (nv[i] * nv[i])) * Z
         f[at] += 1.0
         gv[:, i] = f * (nv[i] / np.sqrt(_sum_rows(f * f)))
-    c = gv.T.reshape(shape + (d,))
-    a, b = ab.reshape((2,) + shape)
-    return np.sqrt(gg).reshape(shape), c, degenerate.reshape(shape), a, b
+    return np.sqrt(gg), gv, degenerate, ab, PQ, nn
 
 
 def _sum_rows(Z: np.ndarray) -> np.ndarray:
@@ -151,8 +149,8 @@ def wedge(u, v):
     exactly collinear inputs, and stays accurate in the near-collinear
     regime where the Gram form |u|^2|v|^2 - <u,v>^2 cancels catastrophically.
     """
-    w, _, _, a, b = _plane(*_check_pair(u, v))
-    return _item(_scale(w, a + b))
+    w, _, _, (a, b), _, _ = _plane(*_check_pair(u, v))
+    return _item(_scale(w, a + b).reshape(np.shape(u)[:-1]))
 
 
 def rotate_pi3(u, v) -> np.ndarray:
@@ -166,5 +164,5 @@ def rotate_pi3(u, v) -> np.ndarray:
     u, v = _check_pair(u, v)
     if not np.all(np.any(v != 0.0, axis=-1)):
         raise ValueError("cannot orient a plane around v = 0")
-    _, c, _, _, b = _plane(u, v)
-    return 0.5 * v + (SQRT3 / 2.0) * _scale(c, b[..., None])
+    _, c, _, (_, b), _, _ = _plane(u, v)
+    return 0.5 * v + (SQRT3 / 2.0) * _scale(c, b).T.reshape(v.shape)

@@ -9,11 +9,11 @@ right-most term is the nonnegative defect: it measures how far the triangle
 with edge vectors u, v is from equilateral, and vanishes exactly when
 u = -R(v), i.e. when |u| = |v| = |u+v|.
 
-``_unit_identity`` is the one float evaluation, on (m, d) row stacks at
-unit scale: ``identity_batch`` is its scaled view, and ``verify_identity``
-and the curve report call it directly. The public entries and ``CurveJet``
-check their input once; ``_plane`` and ``_unit_identity`` trust their
-callers. The defect takes two deliberately independent paths:
+``_unit_identity`` is the one float evaluation, on (m, d) row stacks summed at
+unit scale in ``vectors._plane``'s (d, m) layout: ``identity_batch`` is its
+scaled view, and ``verify_identity`` and the curve report call it directly.
+The public entries and ``CurveJet`` check their input once, and the kernel
+trusts its callers. The defect takes two deliberately independent paths:
 
 * ``defect_intrinsic`` - the closed coordinate-free formula
   2*(|u|^2 + |v|^2 + <u,v> - sqrt(3)*(u ^ v)), no rotation constructed;
@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .qsqrt3 import QSqrt3, _coerce
-from .vectors import SQRT3, _check_pair, _exponent, _plane, _scale
+from .vectors import SQRT3, _check_pair, _exponent, _plane, _scale, _sum_rows
 
 # Rows per block of every long input, the one binding that _row_blocks, the one block walk, and
 # read_curve_csv read: sweep pairs, curve jets, grid steps and CSV lines; no output depends on it.
@@ -75,25 +75,27 @@ def _unit_identity(U, V):
     i computed on u and v scaled by one 2**-k[i] that brings the larger to unit size, so all
     seven are 4**-k of their value (vv = |v|^2 and ss = |u + v|^2, sums of lhs, feed the
     curve report's rhs_bound). ``w`` is the wedge at ``_plane``'s own scales, so v negligible
-    beside u does not zero it. Trusts its caller for finite float stacks of one shape, d >= 2."""
-    r, conormal, _, a, b = _plane(U, V)
-    k = np.maximum(a, b)
-    w = _scale(r, a + b)
-    _scale(r, a + b - 2 * k, out=r)
-    _scale(conormal, (b - k)[:, None], out=conormal)
-    U, V = (_scale(Z, -k[:, None]) for Z in (U, V))
-    uu, vv, uv = (np.einsum("ij,ij->i", X, Y) for X, Y in ((U, U), (V, V), (U, V)))
-    s = U + V
-    ss = np.einsum("ij,ij->i", s, s)
+    beside u does not zero it. The rest comes from _plane's block, conormal and squared norms,
+    rescaled in place and summed left to right in its (d, m) layout. Trusts its caller for
+    finite float stacks of one shape, d >= 2."""
+    r, conormal, _, ab, PQ, nn = _plane(U, V)
+    w = _scale(r, ab[0] + ab[1])
+    ab -= (k := np.maximum(*ab))  # the exponents relative to the pair's common 2**-k
+    _scale(r, ab[0] + ab[1], out=r)
+    X, Y = _scale(PQ[0], ab[:, None], out=PQ[0])
+    uu, vv = _scale(nn, 2 * ab)
+    _scale(conormal, ab[1], out=conormal)
+    # The terms of uv, ss and |x|^2 for x = X + 0.5*Y + (SQRT3/2)*conormal, in that order.
+    T = PQ[1:].reshape((4,) + X.shape)[:3]  # three (d, m) slots of _plane's spent halves
+    np.multiply(X, Y, out=T[0])
+    np.add(X, Y, out=T[1])
+    np.add(X, np.multiply(Y, 0.5, out=T[2]), out=T[2])
+    T[2] += np.multiply(conormal, SQRT3 / 2.0, out=conormal)
+    T[1:] *= T[1:]
+    uv, ss, xx = _sum_rows(T.swapaxes(0, 1))
     lhs = uu + vv + ss
     d_int = 2.0 * (uu + vv + uv - SQRT3 * r)
-    # x = U + 0.5*V + (SQRT3/2)*conormal, in that order, written into s,
-    # which is dead here: fewer temporaries, the same bits.
-    x = np.multiply(V, 0.5, out=s)
-    x += U
-    conormal *= SQRT3 / 2.0
-    x += conormal
-    d_exp = 2.0 * np.einsum("ij,ij->i", x, x)
+    d_exp = 2.0 * xx
     residual = lhs - 2.0 * SQRT3 * r - d_exp
     return (lhs, r, d_int, d_exp, residual), w, k, (vv, ss)
 

@@ -47,8 +47,9 @@ def near_collinear_pairs(count, seed=1):
 def conormal(u, v):
     """``(c, degenerate)``: the quarter turn c of v in span(u, v) from ``_plane``,
     scaled back by 2**b, and its collinear flag; a Python bool for one pair."""
-    _, c, degenerate, _, b = _plane(*_check_pair(u, v))
-    return _scale(c, b[..., None]), _item(degenerate)
+    u, v = _check_pair(u, v)
+    _, c, degenerate, (_, b), _, _ = _plane(u, v)
+    return _scale(c, b).T.reshape(v.shape), _item(degenerate.reshape(v.shape[:-1]))
 
 
 def rational_pair_rows(count, seed=0, max_magnitude=None):

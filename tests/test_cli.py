@@ -295,7 +295,7 @@ class TestSweep:
             "pairs                  100000\n"
             "seed                   0\n"
             "tolerance              1e-09\n"
-            "max_scaled_residual    7.957136212456508e-16\n"
+            "max_scaled_residual    8.434695804124018e-16\n"
             "max_scaled_negativity  0.0\n"
             "max_scaled_path_gap    1.0548878735935733e-15\n"
             "result                 pass\n"
@@ -525,9 +525,9 @@ class TestCurve:
     # sha256 of the stdout (for csv the summary goes to stderr and is not
     # hashed) of `wkit curve --builtin SPEC --t 0:100:0.01`, 10001 rows.
     @pytest.mark.parametrize("spec, fmt, digest", [
-        ("helix:1:3", "text", "01934203cffe3016f904e06f8d9c6b224076d2f87b167108bfcdc1232fbe20f2"),
-        ("helix:1:3", "csv", "a1ae404c50bbe72356ef290280e0c7557fb01022a34c194eed025e5089dd0667"),
-        ("helix:1:3", "json", "c5f832808be90ca6c8aa536440b99513e06c5e8f037c15ae38702f7d7b368add"),
+        ("helix:1:3", "text", "69b0861f653375f1066f649b6c09fb26fb28b43a5c350ffed72314a43f0a0bce"),
+        ("helix:1:3", "csv", "2cb40c82ebd95ec112600fef50d7a040d87558e83f671363f98b5564c50b4f39"),
+        ("helix:1:3", "json", "b7cb78c731b7cb6245ab89d920a0a2fb6283f3bd5b8059efd6e3fad9a2f10d56"),
         ("circle:3", "text", "bcc3a298b1a834939cf901e4621f0c0b603941cc455f18c82ef9bb7b42f2e318"),
         ("circle:3", "csv", "d1095673c1bb29a02af12efd5d146e449ec81481d04d988c8dd0035bb7b62271"),
         ("circle:3", "json", "47c5f4d38e1058346cd50904a66cc7802d5d9cd8e33c131c455eadd721fb8e2e"),
@@ -543,9 +543,9 @@ class TestCurve:
 
     # The same for 1000 helix samples (998 jets) from seed 8, start t = 297.14.
     @pytest.mark.parametrize("fmt, digest", [
-        ("text", "d01ca42c0385f33b8779e6c272c4607ab2d91d21ff137d705149e686178fdaac"),
-        ("csv", "c22732f9f7d76017a7aed52c5a440c1139b2e9886c4249737edfd41ac4eaf84e"),
-        ("json", "04f0c39375297466640801cf8ca98d9588edf596c944d4fd64766c945a18a3a6"),
+        ("text", "1d60a188e6f3c8c344789444cea13e667cfcc42c8b289dc6b2d1764947ced480"),
+        ("csv", "8f9ddc5afbb5e782cbf3fa842896f228e5ad8b28538f6137b38a2c0d6de025ea"),
+        ("json", "1ec5a327bdbbd6c01323eabe79b874cd1944475248065993e5bf7e52519597a3"),
     ], ids=["text", "csv", "json"])
     def test_input_stdout_pinned(self, fmt, digest, tmp_path):
         path = tmp_path / "helix.csv"
@@ -1273,10 +1273,10 @@ def test_module_entry_point():
 # sha256 of each demo's stdout. The last line of 03_half_disk.py says whether
 # matplotlib rendered the figure, so it is left out of that demo's digest.
 _DEMO_STDOUT = {
-    "01_defect_identity.py": "2ef9957eff47d535981cf879d449567e7af8b5b723e314817515b7ff93e7227d",
+    "01_defect_identity.py": "6a869e8e4125e5a0492f78d2a3a5ffdb954a6a18101de57dd9ab58048b1f6a10",
     "02_exact_arithmetic.py": "a60ed36ac62a5a82b70035844282202d0b08b6e1d85c98e215d6a93fc1c83ebb",
     "03_half_disk.py": "a589ee7883425f93f8802a5dc40e521b0efc6410186219c9c227b9a4c6e90a2e",
-    "04_curve_curvature.py": "bdcdeffc181d5342c7fab3ee45596d6fb9821330482fd7354e505c103b209a39",
+    "04_curve_curvature.py": "eae991416d44fc55debb64c1d426cbf156e522ca0ef1b48aae2fa8902dc802e0",
 }
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from samples import (
     INTEGER_TRIANGLES,
     Poly,
+    conormal,
     mutated,
     power_of_two_range,
     random_pairs,
@@ -201,6 +202,38 @@ class TestIdentityBatch:
             assert rep.defect_intrinsic == d_int[k]
             assert rep.defect_explicit == d_exp[k]
             assert rep.residual == residual[k]
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_sums_run_left_to_right(self, d):
+        # The kernel sums each row's coordinates left to right at the row's unit scale 2**-k,
+        # which is exact to reach: lhs, |v|^2, |u + v|^2 and the explicit defect equal plain
+        # Python sums over the scaled coordinates and _plane's conormal. Rows: seeded, one
+        # near-collinear, one with u = 0 and one with v = 0.
+        rng = np.random.default_rng(300 + d)
+        U, V = rng.uniform(-10, 10, (2, 40, d))
+        V[37] = -0.75 * U[37] + 1e-9 * rng.standard_normal(d)
+        U[38] = V[39] = 0.0
+
+        def left_to_right(terms):  # not sum(): Python 3.12 compensates float sums
+            total = terms[0]
+            for t in terms[1:]:
+                total += t
+            return total
+
+        (lhs, _, _, d_exp, _), _, k, (vv, ss) = weitzenboeck._unit_identity(U, V)
+        for i in range(len(U)):
+            e = math.frexp(np.abs([U[i], V[i]]).max())[1]
+            assert k[i] == e
+            (lhs1, _, _, d_exp1, _), _, _, _ = weitzenboeck._unit_identity(U[i:i + 1], V[i:i + 1])
+            assert (lhs1[0], d_exp1[0]) == (lhs[i], d_exp[i])  # alone as in the stack
+            x, y, c = (np.ldexp(z, -e).tolist() for z in (U[i], V[i], conormal(U[i], V[i])[0]))
+            uu_i = left_to_right([a * a for a in x])
+            vv_i = left_to_right([b * b for b in y])
+            ss_i = left_to_right([(a + b) * (a + b) for a, b in zip(x, y)])
+            xs = [(a + 0.5 * b) + SQRT3 / 2.0 * g for a, b, g in zip(x, y, c)]
+            assert (vv[i], ss[i]) == (vv_i, ss_i)
+            assert lhs[i] == uu_i + vv_i + ss_i
+            assert d_exp[i] == 2.0 * left_to_right([t * t for t in xs])
 
     def test_wedge_keeps_the_scale_of_each_vector(self):
         # One common scale for the row would take v to 0 beside u; the
